@@ -19,6 +19,7 @@ from .errors import DegenerateChannel, ShapeMismatch
 from .grassmann import RANK_RTOL, Subspace, chordal_distance_sq, orthonormal_basis
 
 _LOG2 = np.log(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,21 @@ def interferer_indices(i: int) -> tuple[int, int]:
 
 
 def generate_channels(rng: np.random.Generator, cfg: SystemConfig) -> ChannelSet:
-    """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries."""
+    """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries.
+
+    The drop is filled in place: one float64 buffer takes the real normals,
+    then, redrawn, the imaginary ones, each written scaled into the complex
+    array. The scaling multiplies by fl(1/sqrt(2)): numpy divides a complex
+    array by a real scalar by multiplying with the rounded reciprocal, so
+    this is bit-identical to (re + 1j * im) / np.sqrt(2) on the same random
+    stream, where dividing by sqrt(2) would not be.
+    """
     shape = (3, 3, cfg.K, cfg.nr, cfg.nt)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    h = np.empty(shape, dtype=np.complex128)
+    buf = rng.standard_normal(shape)
+    np.multiply(buf, _INV_SQRT2, out=h.real)
+    rng.standard_normal(out=buf)
+    np.multiply(buf, _INV_SQRT2, out=h.imag)
     return ChannelSet(h=h, cfg=cfg)
 
 
@@ -103,12 +116,17 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
     Hq = ch.h[i, q]
     d = ch.cfg.d
     if d == 1:
-        np_sq = np.sum(np.abs(Hp[:, :, 0]) ** 2, axis=1)
-        nq_sq = np.sum(np.abs(Hq[:, :, 0]) ** 2, axis=1)
+        # float views, one row (re0, im0, re1, im1) per user since nr = 2
+        a = np.ascontiguousarray(Hp).view(np.float64).reshape(len(Hp), 4)
+        b = np.ascontiguousarray(Hq).view(np.float64).reshape(len(Hq), 4)
+        np_sq = np.einsum("kj,kj->k", a, a)
+        nq_sq = np.einsum("kj,kj->k", b, b)
         if np.any(np_sq <= 0) or np.any(nq_sq <= 0):
             raise DegenerateChannel("zero interference channel draw")
-        cross = np.abs(np.sum(Hp[:, :, 0].conj() * Hq[:, :, 0], axis=1)) ** 2
-        m = 1.0 - cross / (np_sq * nq_sq)
+        # real and imaginary parts of h_p^H h_q
+        re = np.einsum("kj,kj->k", a, b)
+        im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
+        m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
     else:
         Qp = _batched_basis(Hp)
         Qq = _batched_basis(Hq)

@@ -8,6 +8,7 @@ worker processes; schemes under comparison share each drop.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -37,6 +38,9 @@ _SNR_DEFAULT = tuple(float(s) for s in range(0, 45, 5))
 _THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
+# bytes per complex channel entry of one drop: 16 for the array itself and 8
+# for the float64 buffer generate_channels draws into
+_DROP_BYTES_PER_ENTRY = 24
 
 
 @dataclass(frozen=True)
@@ -307,13 +311,12 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialOu
     return builder(cfg, P, rng)
 
 
-def _map_trials(cfg, snr_db, workers):
-    if workers <= 1:
+def _map_trials(cfg, snr_db, pool, workers):
+    if pool is None:
         return [run_trial(cfg, snr_db, t) for t in range(cfg.trials)]
     chunk = max(1, cfg.trials // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, repeat(cfg), repeat(snr_db),
-                             range(cfg.trials), chunksize=chunk))
+    return list(pool.map(run_trial, repeat(cfg), repeat(snr_db),
+                         range(cfg.trials), chunksize=chunk))
 
 
 def _aggregate_point(cfg, snr_db, outputs) -> list:
@@ -342,15 +345,31 @@ def _aggregate_point(cfg, snr_db, outputs) -> list:
     return rows
 
 
+def _check_drop_fits(cfg: ExperimentConfig) -> None:
+    """Refuse a run whose largest channel drop exceeds physical memory."""
+    kmax = max(max(_point_k_values(cfg, 10.0 ** (s / 10.0))) for s in cfg.snr_db_grid)
+    need = _DROP_BYTES_PER_ENTRY * 9 * kmax * cfg.nr * cfg.nt
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if need > have:
+        raise ConfigError(f"one channel drop with K={kmax} needs about {need:.3g} B, "
+                          f"more than the {have:.3g} B of physical memory")
+
+
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
+    _check_drop_fits(cfg)
     rows = []
     redraws = 0
-    for point, snr_db in enumerate(cfg.snr_db_grid):
-        outputs = _map_trials(cfg, snr_db, workers)
-        redraws += sum(o.redraws for o in outputs)
-        rows.extend(_aggregate_point(cfg, snr_db, outputs))
-        print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
-              f"(snr {snr_db:g} dB) done", file=sys.stderr)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for point, snr_db in enumerate(cfg.snr_db_grid):
+            outputs = _map_trials(cfg, snr_db, pool, workers)
+            redraws += sum(o.redraws for o in outputs)
+            rows.extend(_aggregate_point(cfg, snr_db, outputs))
+            print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
+                  f"(snr {snr_db:g} dB) done", file=sys.stderr)
     total = cfg.trials * len(cfg.snr_db_grid)
     if redraws > 0.001 * total:
         print(f"{cfg.experiment}: {redraws} degenerate redraws over "
@@ -546,11 +565,16 @@ def write_csv(path: str, rows: list) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
-    """Produce all rows of one experiment and write them to cfg.output_path."""
+    """Produce all rows of one experiment and write them to cfg.output_path.
+
+    workers must be at least 1; more than os.cpu_count() are capped there.
+    """
     try:
         spec = EXPERIMENTS[cfg.experiment]
     except KeyError:
         raise UnknownExperiment(cfg.experiment) from None
-    rows = spec.runner(cfg, workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    rows = spec.runner(cfg, min(workers, os.cpu_count() or 1))
     write_csv(cfg.output_path, rows)
     return rows

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from oiasim import (ChannelSet, ShapeMismatch, SystemConfig, cell_metrics,
-                    generate_channels, interference_covariance,
+from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
+                    cell_metrics, generate_channels, interference_covariance,
                     interferer_indices, postfilter, user_metric, user_rate)
 
 
@@ -53,6 +53,24 @@ def test_generate_channels_shape_and_determinism():
     assert np.array_equal(ch.h, again.h)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("K", [1, 7, 1000])
+def test_generate_channels_bit_identical_to_reference_draw(K, d):
+    # the in-place fill must match this expression bit for bit and leave
+    # the stream at the same position
+    cfg = _cfg(K=K, d=d)
+    shape = (3, 3, K, cfg.nr, cfg.nt)
+    for seed in (0, 1, 12345, 2 ** 40 + 3):
+        ref_rng = np.random.default_rng(seed)
+        ref = (ref_rng.standard_normal(shape)
+               + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2)
+        rng = np.random.default_rng(seed)
+        ch = generate_channels(rng, cfg)
+        assert ch.h.dtype == np.complex128
+        assert np.array_equal(ch.h, ref)
+        assert rng.random() == ref_rng.random()
+
+
 def test_generate_channels_unit_entry_variance():
     cfg = SystemConfig(d=1, nr=2, nt=1, K=5556, P=1.0)
     ch = generate_channels(np.random.default_rng(1), cfg)
@@ -83,6 +101,26 @@ def test_cell_metrics_matches_user_metric(d):
         batch = cell_metrics(ch, i)
         single = np.array([user_metric(ch, i, k) for k in range(cfg.K)])
         np.testing.assert_allclose(batch, single, atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cell_metrics_layout_independent(d):
+    cfg = _cfg(K=25, d=d)
+    ch = generate_channels(np.random.default_rng(200 + d), cfg)
+    fortran = ChannelSet(h=np.asfortranarray(ch.h), cfg=cfg)
+    assert not fortran.h.flags.c_contiguous
+    for i in range(3):
+        assert np.array_equal(cell_metrics(fortran, i), cell_metrics(ch, i))
+
+
+def test_cell_metrics_zero_interference_column_d1():
+    cfg = _cfg(K=4)
+    ch = generate_channels(np.random.default_rng(11), cfg)
+    h = ch.h.copy()
+    p, _ = interferer_indices(1)
+    h[1, p, 2] = 0.0
+    with pytest.raises(DegenerateChannel):
+        cell_metrics(ChannelSet(h=h, cfg=cfg), 1)
 
 
 def test_cell_metrics_empirical_distribution_d1():

@@ -59,6 +59,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "fig2_sumrate_d1", "--config", str(cfg)]) == 2
     assert main(["threshold", "--method", "closed_form_d1", "--d", "2",
                  "--nr", "4", "--K", "100"]) == 2
+    out = str(tmp_path / "never.csv")
+    assert main(["run", "fig2_sumrate_d1", "--workers", "0", "--out", out]) == 2
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("snr_db_grid = 130\n", encoding="utf-8")
+    assert main(["run", "fig2_sumrate_d1", "--config", str(huge),
+                 "--out", out]) == 2
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):

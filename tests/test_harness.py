@@ -1,5 +1,6 @@
 """Experiment registry, seeded trials, aggregation, and CSV output."""
 
+import dataclasses
 import glob
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oiasim import (ConfigError, ExperimentConfig, IoError, ResultRow,
-                    UnknownExperiment, make_config, optimal_threshold_d1,
+                    UnknownExperiment, harness, make_config, optimal_threshold_d1,
                     run_experiment, run_trial, threshold_numeric, write_csv)
 from oiasim.grassmann import ManifoldParams
 from oiasim.harness import load_config_file, parse_k_rule, threshold_value
@@ -231,6 +232,59 @@ def test_run_experiment_reproducible_across_workers(tmp_path):
     bodies = [_body(str(p)) for p in paths]
     assert bodies[0] == bodies[1]
     assert bodies[0] == bodies[2]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_experiment_rejects_workers_below_one(tmp_path, workers):
+    cfg = make_config("fig2_sumrate_d1",
+                      {"trials": "2", "snr_db_grid": "0",
+                       "output_path": str(tmp_path / "x.csv")})
+    with pytest.raises(ConfigError):
+        run_experiment(cfg, workers=workers)
+
+
+def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
+    pools = []
+
+    class StubPool:
+        """Runs the trials in this process and records how it was opened."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "stub.csv"
+    cfg = make_config("fig2_sumrate_d1",
+                      {"trials": "3", "snr_db_grid": "0,5,10",
+                       "output_path": str(out)})
+    run_experiment(cfg, workers=64)
+    assert pools == [2]
+    serial = tmp_path / "serial.csv"
+    run_experiment(dataclasses.replace(cfg, output_path=str(serial)))
+    assert pools == [2]
+    assert _body(str(out)) == _body(str(serial))
+
+
+def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("generate_channels called for an oversized drop")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    # K = ceil(P) = 1e13 users at 130 dB
+    cfg = make_config("fig2_sumrate_d1",
+                      {"snr_db_grid": "130", "output_path": str(tmp_path / "x.csv")})
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_experiment(cfg)
 
 
 def test_fig4_threshold_table(tmp_path):
