@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, ShapeMismatch
-from .grassmann import RANK_RTOL, Subspace, chordal_distance_sq, orthonormal_basis
+from .grassmann import (INV_SQRT2, RANK_RTOL, chordal_distance_sq, complex_normal,
+                        orthonormal_basis)
 
 _LOG2 = np.log(2.0)
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class RateRecord:
-    """Selected-user rate decomposition for one cell of one drop."""
+    """Selected-user rate decomposition for one cell of one drop; a
+    stacked user_rate call holds arrays with one entry per (cell, user)."""
 
     cell: int
     user: int
@@ -73,28 +74,20 @@ class RateRecord:
     outage: bool = False
 
 
-def interferer_indices(i: int) -> tuple[int, int]:
-    """The two transmitters interfering with receiver cell i (0-based)."""
+def interferer_indices(i):
+    """The two transmitters interfering with receiver cell i (0-based),
+    elementwise for an integer array of cells."""
     return (i + 1) % 3, (i + 2) % 3
 
 
 def generate_channels(rng: np.random.Generator, cfg: SystemConfig) -> ChannelSet:
     """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries.
 
-    The drop is filled in place: one float64 buffer takes the real normals,
-    then, redrawn, the imaginary ones, each written scaled into the complex
-    array. The scaling multiplies by fl(1/sqrt(2)): numpy divides a complex
-    array by a real scalar by multiplying with the rounded reciprocal, so
-    this is bit-identical to (re + 1j * im) / np.sqrt(2) on the same random
-    stream, where dividing by sqrt(2) would not be.
+    Bit-identical to (re + 1j * im) / np.sqrt(2) on the same random
+    stream; see complex_normal.
     """
     shape = (3, 3, cfg.K, cfg.nr, cfg.nt)
-    h = np.empty(shape, dtype=np.complex128)
-    buf = rng.standard_normal(shape)
-    np.multiply(buf, _INV_SQRT2, out=h.real)
-    rng.standard_normal(out=buf)
-    np.multiply(buf, _INV_SQRT2, out=h.imag)
-    return ChannelSet(h=h, cfg=cfg)
+    return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2), cfg=cfg)
 
 
 def user_metric(ch: ChannelSet, i: int, k: int) -> float:
@@ -112,10 +105,10 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
     Vectorized equivalent of user_metric over k; the harness hot path.
     """
     p, q = interferer_indices(i)
-    Hp = ch.h[i, p]
-    Hq = ch.h[i, q]
     d = ch.cfg.d
     if d == 1:
+        Hp = ch.h[i, p]
+        Hq = ch.h[i, q]
         # float views, one row (re0, im0, re1, im1) per user since nr = 2
         a = np.ascontiguousarray(Hp).view(np.float64).reshape(len(Hp), 4)
         b = np.ascontiguousarray(Hq).view(np.float64).reshape(len(Hq), 4)
@@ -128,40 +121,66 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
         im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
         m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
     else:
-        Qp = _batched_basis(Hp)
-        Qq = _batched_basis(Hq)
-        inner = np.einsum("kab,kac->kbc", Qp.conj(), Qq)
-        m = d - np.sum(np.abs(inner) ** 2, axis=(1, 2))
+        Qp, Qq = _orthonormal_rows(ch.h[i, [p, q]])
+        inner = np.einsum("kba,kca->kbc", Qp.conj(), Qq)     # Qp^H Qq
+        f = inner.reshape(len(inner), -1).view(np.float64)
+        m = d - np.einsum("kj,kj->k", f, f)
     return np.clip(m, 0.0, float(d))
 
 
-def _batched_basis(H: np.ndarray) -> np.ndarray:
-    """QR-orthonormalize a stack of (nr, nt) matrices, rejecting
-    rank-deficient draws."""
-    q, r = np.linalg.qr(H)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    if np.any(diag.min(axis=-1) <= RANK_RTOL * diag.max(axis=-1)):
-        raise DegenerateChannel("rank-deficient channel draw in batch")
-    return q
+def _orthonormal_rows(H: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of each (n, d) matrix of a
+    stack, as the d rows of a (d, n) matrix, by modified Gram-Schmidt over
+    the columns; rank-deficient draws raise DegenerateChannel.
+
+    The column norms after projection are |R_jj| of the QR factorization.
+    A matrix whose smallest is at most RANK_RTOL times its largest is
+    rejected before anything is divided by it.
+    """
+    Q = np.array(H.swapaxes(-1, -2), order="C")
+    lo = hi = None
+    for j in range(Q.shape[-2]):
+        v = Q[..., j, :]
+        for l in range(j):
+            u = Q[..., l, :]
+            v -= u * np.einsum("...a,...a->...", u.conj(), v)[..., None]
+        f = v.view(np.float64)
+        norm = np.sqrt(np.einsum("...a,...a->...", f, f))
+        lo = norm if lo is None else np.minimum(lo, norm)
+        hi = norm if hi is None else np.maximum(hi, norm)
+        if np.any(lo <= RANK_RTOL * hi):
+            raise DegenerateChannel("rank-deficient channel draw in batch")
+        v /= norm[..., None]
+    return Q
 
 
-def interference_covariance(ch: ChannelSet, i: int, k: int) -> np.ndarray:
-    """Received interference covariance R = H_ip H_ip^H + H_iq H_iq^H."""
+def _herm(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def interference_covariance(ch: ChannelSet, i, k) -> np.ndarray:
+    """Received interference covariance R = H_ip H_ip^H + H_iq H_iq^H.
+
+    i and k are a cell and a user, or integer arrays of one shape that
+    stack one (cell, user) pair per entry; R then has that shape in front.
+    """
     p, q = interferer_indices(i)
     Hp = ch.h[i, p, k]
     Hq = ch.h[i, q, k]
-    return Hp @ Hp.conj().T + Hq @ Hq.conj().T
+    return Hp @ _herm(Hp) + Hq @ _herm(Hq)
 
 
 def postfilter(R: np.ndarray, d: int) -> np.ndarray:
     """Receive filter spanning the invariant subspace of the d smallest
-    eigenvalues of the Hermitian PSD matrix R."""
+    eigenvalues of the Hermitian PSD matrix R, or of each matrix of a
+    stack of them."""
     w, v = np.linalg.eigh(R)
-    return v[:, :d]
+    return v[..., :d]
 
 
-def user_rate(ch: ChannelSet, i: int, k: int, U: np.ndarray, cfg: SystemConfig,
-              metric: float = np.nan, outage: bool = False) -> RateRecord:
+def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig,
+              metric=np.nan, outage=False) -> RateRecord:
     """Achievable rate of user k in cell i behind postfilter U.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
@@ -169,14 +188,19 @@ def user_rate(ch: ChannelSet, i: int, k: int, U: np.ndarray, cfg: SystemConfig,
     decomposition rate = rate_gain - rate_loss where rate_gain uses the
     desired-plus-interference covariance and rate_loss the interference-only
     one.
+
+    i and k may be integer arrays of one shape, with U stacking one filter
+    per (cell, user) pair as postfilter returns it; every field of the
+    record then is an array of that shape (metric and outage broadcast).
     """
     p, q = interferer_indices(i)
     scale = cfg.P / cfg.d
-    Gs = U.conj().T @ ch.h[i, i, k]
-    A = scale * (Gs @ Gs.conj().T)
-    Gp = U.conj().T @ ch.h[i, p, k]
-    Gq = U.conj().T @ ch.h[i, q, k]
-    B = scale * (Gp @ Gp.conj().T + Gq @ Gq.conj().T)
+    Uh = _herm(U)
+    Gs = Uh @ ch.h[i, i, k]
+    A = scale * (Gs @ _herm(Gs))
+    Gp = Uh @ ch.h[i, p, k]
+    Gq = Uh @ ch.h[i, q, k]
+    B = scale * (Gp @ _herm(Gp) + Gq @ _herm(Gq))
     eye = np.eye(cfg.d)
     gain = np.linalg.slogdet(eye + A + B)[1] / _LOG2
     loss = np.linalg.slogdet(eye + B)[1] / _LOG2

@@ -3,7 +3,8 @@
 Provides orthonormal bases, the squared chordal distance, the ball-volume
 constant that normalizes the small-ball CDF of the squared chordal distance
 to a uniformly random subspace, the resulting metric CDF, the random-codebook
-quantization distortion bound, and Haar-uniform subspace sampling.
+quantization distortion bound, Haar-uniform subspace sampling, and the
+complex normal draw that it, the channel drops and the codebooks share.
 
 The squared chordal distance between subspaces with orthonormal bases A and B
 is d_c^2(A, B) = (1/2) * ||A A^H - B B^H||_F^2 = d - ||A^H B||_F^2.
@@ -27,6 +28,9 @@ from .errors import DegenerateChannel, ShapeMismatch
 RANK_RTOL = 1e-12
 
 _ORTHO_TOL = 1e-10
+
+# fl(1/sqrt(2)), the scale of a unit-variance complex normal
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -181,11 +185,29 @@ def quantization_bound(K: int, p: ManifoldParams) -> float:
     return float(np.exp(log_gamma - np.log(D) - np.log(K * p.c) / D))
 
 
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+    """scale * (x + 1j y) for i.i.d. standard normal arrays x, y of the
+    given shape, x drawn first.
+
+    Both are drawn into one float64 buffer and written scaled into the
+    complex128 result: the stream and bits of (x + 1j * y) * scale, and with
+    scale = INV_SQRT2 those of (x + 1j * y) / np.sqrt(2), since numpy divides
+    a complex array by a real scalar by multiplying with the rounded
+    reciprocal.
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    buf = rng.standard_normal(shape)
+    np.multiply(buf, scale, out=out.real)
+    rng.standard_normal(out=buf)
+    np.multiply(buf, scale, out=out.imag)
+    return out
+
+
 def sample_uniform_subspace(rng: np.random.Generator, n: int, d: int) -> Subspace:
     """Draw a Haar-uniform subspace by orthonormalizing an i.i.d. complex
     Gaussian n-by-d matrix."""
     while True:
-        g = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2)
+        g = complex_normal(rng, (n, d), INV_SQRT2)
         try:
             return orthonormal_basis(g)
         except DegenerateChannel:

@@ -26,9 +26,9 @@ from .channel import (RateRecord, SystemConfig, cell_metrics, generate_channels,
                       interference_covariance, postfilter, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
-from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
-                     UnknownExperiment)
-from .grassmann import ManifoldParams
+from .errors import (ConfigError, DegenerateChannel, IoError, ShapeMismatch,
+                     TooFewUsers, UnknownExperiment)
+from .grassmann import INV_SQRT2, ManifoldParams, complex_normal
 from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
 from .oia import select_conventional, select_one_bit
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
@@ -164,12 +164,16 @@ def _point_k_values(cfg: ExperimentConfig, P: float) -> tuple:
     return payload
 
 
+def _check_threshold_method(method: str, n: int, d: int) -> None:
+    if method == "closed_form_d1" and (d != 1 or n != 2):
+        raise ConfigError("closed_form_d1 threshold requires d=1, nr=2")
+
+
 @lru_cache(maxsize=None)
 def _cached_threshold(method: str, K: int, n: int, d: int) -> float:
+    _check_threshold_method(method, n, d)
     params = ManifoldParams(n, d)
     if method == "closed_form_d1":
-        if d != 1 or n != 2:
-            raise ConfigError("closed_form_d1 threshold requires d=1, nr=2")
         return optimal_threshold_d1(K).x
     if method == "lambert":
         return threshold_lambert(K, params).x
@@ -184,8 +188,7 @@ def threshold_value(cfg: ExperimentConfig, K: int) -> float:
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
-    return g / np.sqrt(2.0)
+    return complex_normal(rng, (3, 3, 2, 2), INV_SQRT2)
 
 
 def _oia_drop(cfg: ExperimentConfig, P: float, kmax: int,
@@ -204,36 +207,38 @@ def _oia_drop(cfg: ExperimentConfig, P: float, kmax: int,
                 raise
 
 
-def _oia_cell_record(ch, sys_cfg, i, k, metric, outage) -> RateRecord:
-    R = interference_covariance(ch, i, k)
-    U = postfilter(R, sys_cfg.d)
-    return user_rate(ch, i, k, U, sys_cfg, metric=metric, outage=outage)
-
-
 def _oia_schemes(cfg, P, rng, ks, include_perfect):
     """Evaluate the 1-bit scheme (and optionally perfect feedback) for each
-    K in ks on one shared drop, smaller K as prefixes of the largest."""
+    K in ks on one shared drop, smaller K as prefixes of the largest.
+
+    All selections come first, in the order that fixes the rng stream; the
+    served users' postfilters and rates then take one stacked call each.
+    """
     ch, metrics, sys_cfg, redraws = _oia_drop(cfg, P, max(ks), rng)
-    schemes = {}
+    served = []             # (scheme key, cell, user, outage)
+    eligible = {}
     for K in ks:
         x = threshold_value(cfg, K)
-        perfect = []
-        one_bit = []
-        eligible = []
         for i in range(3):
             m = metrics[i][:K]
             if include_perfect:
-                k_star = select_conventional(m)
-                perfect.append(_oia_cell_record(ch, sys_cfg, i, k_star,
-                                                float(m[k_star]), False))
+                served.append((("oia_perfect", K), i, select_conventional(m), False))
             sel = select_one_bit(m, x, rng)
-            eligible.append(sel.eligible_count)
-            one_bit.append(_oia_cell_record(ch, sys_cfg, i, sel.selected,
-                                            float(m[sel.selected]), sel.outage))
-        if include_perfect:
-            schemes[("oia_perfect", K)] = SchemeTrial(records=tuple(perfect))
-        schemes[("oia_1bit", K)] = SchemeTrial(records=tuple(one_bit),
-                                               eligible=tuple(eligible))
+            eligible.setdefault(("oia_1bit", K), []).append(sel.eligible_count)
+            served.append((("oia_1bit", K), i, sel.selected, sel.outage))
+    _, cells, users, _ = zip(*served)
+    cells, users = np.array(cells), np.array(users)
+    U = postfilter(interference_covariance(ch, cells, users), sys_cfg.d)
+    stacked = user_rate(ch, cells, users, U, sys_cfg)
+    records = {}
+    for n, (key, i, k, outage) in enumerate(served):
+        records.setdefault(key, []).append(RateRecord(
+            cell=i, user=k, rate=stacked.rate[n], rate_gain=stacked.rate_gain[n],
+            rate_loss=stacked.rate_loss[n], metric=float(metrics[i][k]),
+            outage=outage))
+    schemes = {key: SchemeTrial(records=tuple(recs),
+                                eligible=tuple(eligible.get(key, ())))
+               for key, recs in records.items()}
     return schemes, redraws
 
 
@@ -358,7 +363,18 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
                           f"more than the {have:.3g} B of physical memory")
 
 
+def _check_dimensions(cfg: ExperimentConfig) -> None:
+    """Refuse antenna counts a channel drop cannot have (nr = 2d, nt = d)
+    and a threshold method that does not apply to them."""
+    try:
+        SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=1, P=1.0)
+    except ShapeMismatch as exc:
+        raise ConfigError(f"d={cfg.d}, nr={cfg.nr}, nt={cfg.nt}: {exc}") from exc
+    _check_threshold_method(cfg.threshold_method, cfg.nr, cfg.d)
+
+
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
+    _check_dimensions(cfg)
     _check_drop_fits(cfg)
     rows = []
     redraws = 0

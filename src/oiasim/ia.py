@@ -15,12 +15,13 @@ the de-vectorized quantized channels and evaluated on the true ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import interferer_indices
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
-from .grassmann import ManifoldParams, quantization_bound
+from .grassmann import ManifoldParams, complex_normal, quantization_bound
 
 _COND_LIMIT = 1e12
 _UNIT_ATOL = 1e-12
@@ -196,7 +197,7 @@ def composite_distance(W: AggregatedChannel, codeword) -> float:
 
 def random_unit_vectors(n_words: int, length: int, rng: np.random.Generator) -> np.ndarray:
     """n_words i.i.d. uniform directions on the unit sphere in C^length."""
-    g = rng.standard_normal((n_words, length)) + 1j * rng.standard_normal((n_words, length))
+    g = complex_normal(rng, (n_words, length))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -255,6 +256,13 @@ def quantize_individual(W: AggregatedChannel, bits: int,
     return AggregatedChannel(w1=out[0], w2=out[1])
 
 
+@lru_cache(maxsize=None)
+def _perturbation_distortion(bits_per_vector: int, n: int) -> float:
+    """quantization_bound(2^bits_per_vector, (n, 1)) clipped to [0, 1]."""
+    return float(np.clip(quantization_bound(2**bits_per_vector, ManifoldParams(n, 1)),
+                         0.0, 1.0))
+
+
 def perturb_quantization_model(w: np.ndarray, bits_per_vector: int,
                                rng: np.random.Generator) -> np.ndarray:
     """Statistical stand-in for quantizing direction w with 2^bits_per_vector
@@ -269,10 +277,9 @@ def perturb_quantization_model(w: np.ndarray, bits_per_vector: int,
         raise ShapeMismatch("bits_per_vector must be at least 1")
     w = _as_unit_vector(w)
     n = w.shape[0]
-    z = float(np.clip(quantization_bound(2**bits_per_vector, ManifoldParams(n, 1)),
-                      0.0, 1.0))
+    z = _perturbation_distortion(bits_per_vector, n)
     while True:
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = complex_normal(rng, n)
         g -= w * np.vdot(w, g)
         norm = np.linalg.norm(g)
         if norm > 1e-12:

@@ -5,7 +5,9 @@ import pytest
 
 from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
                     cell_metrics, generate_channels, interference_covariance,
-                    interferer_indices, postfilter, user_metric, user_rate)
+                    interferer_indices, make_config, postfilter, run_trial,
+                    select_conventional, select_one_bit, user_metric, user_rate)
+from oiasim.harness import threshold_value
 
 
 def _cfg(K=1, d=1, P=1.0):
@@ -263,3 +265,103 @@ def test_user_rate_monotone_in_power():
         U = postfilter(interference_covariance(ch, 0, 0), 1)
         rates.append(user_rate(ch, 0, 0, U, cfg).rate)
     assert rates[0] <= rates[1] <= rates[2]
+
+
+def _qr_metrics(ch, i):
+    # oracle: Householder QR of every interference link, one user at a time
+    p, q = interferer_indices(i)
+    d = ch.cfg.d
+    out = []
+    for k in range(ch.cfg.K):
+        Qp = np.linalg.qr(ch.h[i, p, k])[0]
+        Qq = np.linalg.qr(ch.h[i, q, k])[0]
+        out.append(d - np.linalg.norm(Qp.conj().T @ Qq) ** 2)
+    return np.clip(out, 0.0, d)
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cell_metrics_match_householder_qr(d, fortran):
+    cfg = _cfg(K=60, d=d)
+    ch = generate_channels(np.random.default_rng(300 + d), cfg)
+    if fortran:
+        ch = ChannelSet(h=np.asfortranarray(ch.h), cfg=cfg)
+    for i in range(3):
+        np.testing.assert_allclose(cell_metrics(ch, i), _qr_metrics(ch, i),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("link", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cell_metrics_rank_deficient_column(d, link):
+    cfg = _cfg(K=9, d=d)
+    ch = generate_channels(np.random.default_rng(400 + d), cfg)
+    h = ch.h.copy()
+    j = interferer_indices(2)[link]
+    h[2, j, 5, :, 1] = (0.3 - 1.7j) * h[2, j, 5, :, 0]
+    bad = ChannelSet(h=h, cfg=cfg)
+    with pytest.raises(DegenerateChannel):
+        cell_metrics(bad, 2)
+    # the other cells do not see that link
+    cell_metrics(bad, 0)
+    cell_metrics(bad, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
+    rng = np.random.default_rng(500 + d)
+    cfg = _cfg(K=30, d=d, P=10.0 ** 2.5)
+    ch = generate_channels(rng, cfg)
+    cells = rng.integers(3, size=21)
+    users = rng.integers(cfg.K, size=21)
+    R = interference_covariance(ch, cells, users)
+    U = postfilter(R, d)
+    rec = user_rate(ch, cells, users, U, cfg)
+    assert U.shape == (21, cfg.nr, d)
+    for n, (i, k) in enumerate(zip(cells.tolist(), users.tolist())):
+        R1 = interference_covariance(ch, i, k)
+        U1 = postfilter(R1, d)
+        one = user_rate(ch, i, k, U1, cfg)
+        assert np.array_equal(R[n], R1)
+        assert np.array_equal(U[n], U1)
+        assert rec.rate[n] == one.rate
+        assert rec.rate_gain[n] == one.rate_gain
+        assert rec.rate_loss[n] == one.rate_loss
+        assert rec.cell[n] == one.cell and rec.user[n] == one.user
+
+
+@pytest.mark.parametrize("experiment, ks", [("fig5_sumrate_d2", (10, 50, 100)),
+                                            ("fig2_sumrate_d1", (100,))])
+def test_run_trial_records_match_per_user_oracle(experiment, ks):
+    # replay each drop with the public functions, one served user at a time
+    cfg = make_config(experiment)
+    snr_db = 20.0
+    P = 10.0 ** (snr_db / 10.0)
+    sys_cfg = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=max(ks), P=P)
+    for t in range(4):
+        out = run_trial(cfg, snr_db, t)
+        assert out.redraws == 0
+        rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
+        ch = generate_channels(rng, sys_cfg)
+        metrics = [cell_metrics(ch, i) for i in range(3)]
+        expected = {}
+        for K in ks:
+            for i in range(3):
+                m = metrics[i][:K]
+                if ("oia_perfect", K) in out.schemes:
+                    expected.setdefault(("oia_perfect", K), []).append(
+                        (i, select_conventional(m), False))
+                sel = select_one_bit(m, threshold_value(cfg, K), rng)
+                expected.setdefault(("oia_1bit", K), []).append(
+                    (i, sel.selected, sel.outage))
+                assert out.schemes[("oia_1bit", K)].eligible[i] == sel.eligible_count
+        for key, served in expected.items():
+            records = out.schemes[key].records
+            assert len(records) == 3
+            for rec, (i, k, outage) in zip(records, served):
+                U = postfilter(interference_covariance(ch, i, k), cfg.d)
+                one = user_rate(ch, i, k, U, sys_cfg)
+                assert (rec.cell, rec.user, rec.outage) == (i, k, outage)
+                assert rec.metric == float(metrics[i][k])
+                assert (rec.rate, rec.rate_gain, rec.rate_loss) == (
+                    one.rate, one.rate_gain, one.rate_loss)

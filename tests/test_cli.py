@@ -65,6 +65,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     huge.write_text("snr_db_grid = 130\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(huge),
                  "--out", out]) == 2
+    skewed = tmp_path / "skewed.cfg"
+    skewed.write_text("nr = 3\n", encoding="utf-8")
+    assert main(["run", "fig5_sumrate_d2", "--config", str(skewed),
+                 "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
 
 

@@ -166,3 +166,16 @@ def test_sample_uniform_subspace_matches_cdf_spot_values():
         emp = float(np.mean(dists <= x))
         f = metric_cdf(x, p)
         assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)
+
+
+def test_sample_uniform_subspace_bit_identical_to_reference_draw():
+    # the in-place complex normal fill must reproduce the old expression and
+    # leave the stream at the same position
+    for seed in (0, 5, 12345):
+        ref_rng = np.random.default_rng(seed)
+        g = (ref_rng.standard_normal((4, 2))
+             + 1j * ref_rng.standard_normal((4, 2))) / np.sqrt(2)
+        ref = orthonormal_basis(g)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(sample_uniform_subspace(rng, 4, 2).basis, ref.basis)
+        assert rng.random() == ref_rng.random()

@@ -2,11 +2,13 @@
 
 import dataclasses
 import glob
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
+import scipy
 
 from oiasim import (ConfigError, ExperimentConfig, IoError, ResultRow,
                     UnknownExperiment, harness, make_config, optimal_threshold_d1,
@@ -285,6 +287,62 @@ def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
                       {"snr_db_grid": "130", "output_path": str(tmp_path / "x.csv")})
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"nr": "3"}, "nr = 2d"),
+    ({"nt": "1"}, "nt = d"),
+    ({"threshold_method": "closed_form_d1"}, "closed_form_d1"),    # d = 2
+])
+def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
+                                                    overrides, message):
+    def never(*args, **kwargs):
+        raise AssertionError("work started for an impossible configuration")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = make_config("fig5_sumrate_d2",
+                      dict(overrides, output_path=str(tmp_path / "x.csv")))
+    for workers in (1, 2):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, workers=workers)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_draw_ia_channels_bit_identical_to_reference_draw():
+    for seed in (0, 3, 12345):
+        ref_rng = np.random.default_rng(seed)
+        ref = (ref_rng.standard_normal((3, 3, 2, 2))
+               + 1j * ref_rng.standard_normal((3, 3, 2, 2))) / np.sqrt(2.0)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(harness._draw_ia_channels(rng), ref)
+        assert rng.random() == ref_rng.random()
+
+
+# sha256 of the CSV body (everything after the generated_at line) of 20-trial
+# runs at the registry seed: the determinism contract of the d = 1 and d > 1
+# trial paths. Float results depend on the numpy/scipy builds, so other
+# versions skip
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+_PINNED_BODIES = {
+    "fig5_sumrate_d2": "5eb30291f9458c6d5d241e6ab0cb3b79f7ddad82c89654f8f9e32ecd98851e27",
+    "fig2_sumrate_d1": "3684894873c90d9f913b089616836bc69d3276ce9f4a954f08e88895c9308991",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_PINNED_BODIES))
+def test_csv_body_digest_pinned(tmp_path, experiment):
+    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
+        pytest.skip(f"digests pinned under numpy {_PINNED_VERSIONS[0]} and "
+                    f"scipy {_PINNED_VERSIONS[1]}, running numpy "
+                    f"{np.__version__} and scipy {scipy.__version__}")
+    out = tmp_path / "pinned.csv"
+    run_experiment(make_config(experiment, {"trials": "20", "output_path": str(out)}))
+    with open(out, "rb") as fh:
+        assert fh.readline().startswith(b"# generated_at=")
+        body = fh.read()
+    assert hashlib.sha256(body).hexdigest() == _PINNED_BODIES[experiment]
 
 
 def test_fig4_threshold_table(tmp_path):

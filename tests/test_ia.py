@@ -14,8 +14,8 @@ from oiasim import (AggregatedChannel, CompositeCodebook, DegenerateChannel,
                     quantization_bound, quantize, quantize_individual,
                     quantized_channel_set)
 from oiasim.channel import interferer_indices
-from oiasim.ia import (product_codebook, random_composite_codebook,
-                       random_unit_vectors)
+from oiasim.ia import (_perturbation_distortion, product_codebook,
+                       random_composite_codebook, random_unit_vectors)
 
 P41 = ManifoldParams(4, 1)
 
@@ -330,3 +330,37 @@ def test_limited_feedback_gap_grows_with_power():
             out.append(perfect
                        - ia_limited_feedback_rate(ch, 10, "perturbation", P, rng))
     assert np.mean(gap_hi) > np.mean(gap_lo)
+
+
+def test_random_unit_vectors_bit_identical_to_reference_draw():
+    # RVQ codebook of 2^12 words in C^4, the largest fig6 draws explicitly
+    for seed in (0, 9, 12345):
+        ref_rng = np.random.default_rng(seed)
+        g = (ref_rng.standard_normal((4096, 4))
+             + 1j * ref_rng.standard_normal((4096, 4)))
+        ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(random_unit_vectors(4096, 4, rng), ref)
+        assert rng.random() == ref_rng.random()
+
+
+def test_perturbation_model_bit_identical_to_reference_draw():
+    w = _unit(np.arange(1, 5) + 1j * np.arange(4, 0, -1))
+    for seed in (0, 9, 12345):
+        ref_rng = np.random.default_rng(seed)
+        z = float(np.clip(quantization_bound(2 ** 13, P41), 0.0, 1.0))
+        g = ref_rng.standard_normal(4) + 1j * ref_rng.standard_normal(4)
+        g -= w * np.vdot(w, g)
+        e = g / np.linalg.norm(g)
+        ref = np.sqrt(1.0 - z) * w + np.sqrt(z) * e
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(perturb_quantization_model(w, 13, rng), ref)
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bits, n", [(1, 4), (13, 4), (20, 4), (150, 4), (6, 8)])
+def test_perturbation_distortion_cache_equals_direct_bound(bits, n):
+    direct = float(np.clip(quantization_bound(2 ** bits, ManifoldParams(n, 1)),
+                           0.0, 1.0))
+    assert _perturbation_distortion(bits, n) == direct
+    assert _perturbation_distortion(bits, n) == direct
