@@ -321,13 +321,15 @@ def test_draw_ia_channels_bit_identical_to_reference_draw():
 
 
 # sha256 of the CSV body (everything after the generated_at line) of 20-trial
-# runs at the registry seed: the determinism contract of the d = 1 and d > 1
-# trial paths. Float results depend on the numpy/scipy builds, so other
-# versions skip
+# runs at the registry seed: the determinism contract of every Monte Carlo
+# trial path (d = 1 with closed-form IA, d = 1 alone, d > 1, limited-feedback
+# IA). Float results depend on the numpy/scipy builds, so other versions skip
 _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 _PINNED_BODIES = {
     "fig5_sumrate_d2": "5eb30291f9458c6d5d241e6ab0cb3b79f7ddad82c89654f8f9e32ecd98851e27",
     "fig2_sumrate_d1": "3684894873c90d9f913b089616836bc69d3276ce9f4a954f08e88895c9308991",
+    "fig3_eligible_users": "7fee818c48b190b62ec218d4aef685cc7a2786e3e8db624b215a5c3643b2ae86",
+    "fig6_oia_vs_ia": "a65f10b189469a24064e8b8534fb6790b6e7256f546fe6d35d17b7c3738405da",
 }
 
 
