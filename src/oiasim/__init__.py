@@ -11,16 +11,15 @@ from .channel import (ChannelSet, RateRecord, SystemConfig, cell_metrics,
                       generate_channels, interference_covariance,
                       interferer_indices, postfilter, user_metric, user_rate)
 from .complexity import (FlopReport, flops_frobenius, flops_gso,
-                         flops_ia_individual, flops_ia_joint,
-                         flops_matmul_gram, flops_oia_1bit)
+                         flops_ia_individual, flops_ia_joint, flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,
                      OddBitSplit, OiaSimError, ShapeMismatch, TooFewUsers,
                      UnknownExperiment)
 from .grassmann import (ManifoldParams, Subspace, ball_volume,
                         chordal_distance_sq, metric_cdf, orthonormal_basis,
                         quantization_bound, sample_uniform_subspace)
-from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, make_config,
-                      run_experiment, run_trial, write_csv)
+from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
+                      make_config, run_experiment, run_trial, write_csv)
 from .ia import (AggregatedChannel, CompositeCodebook, IaSolution,
                  aggregate_channel, closed_form_ia, composite_distance,
                  ia_limited_feedback_rate, ia_link_rates, ia_sum_rate,

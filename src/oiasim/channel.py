@@ -62,16 +62,12 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class RateRecord:
-    """Selected-user rate decomposition for one cell of one drop; a
-    stacked user_rate call holds arrays with one entry per (cell, user)."""
+    """Rate decomposition rate = rate_gain - rate_loss of one served user;
+    a stacked user_rate call holds arrays with one entry per (cell, user)."""
 
-    cell: int
-    user: int
     rate: float
     rate_gain: float
     rate_loss: float
-    metric: float
-    outage: bool = False
 
 
 def interferer_indices(i):
@@ -179,8 +175,7 @@ def postfilter(R: np.ndarray, d: int) -> np.ndarray:
     return v[..., :d]
 
 
-def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig,
-              metric=np.nan, outage=False) -> RateRecord:
+def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig) -> RateRecord:
     """Achievable rate of user k in cell i behind postfilter U.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
@@ -191,7 +186,7 @@ def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig,
 
     i and k may be integer arrays of one shape, with U stacking one filter
     per (cell, user) pair as postfilter returns it; every field of the
-    record then is an array of that shape (metric and outage broadcast).
+    record then is an array of that shape.
     """
     p, q = interferer_indices(i)
     scale = cfg.P / cfg.d
@@ -204,5 +199,4 @@ def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig,
     eye = np.eye(cfg.d)
     gain = np.linalg.slogdet(eye + A + B)[1] / _LOG2
     loss = np.linalg.slogdet(eye + B)[1] / _LOG2
-    return RateRecord(cell=i, user=k, rate=gain - loss, rate_gain=gain,
-                      rate_loss=loss, metric=metric, outage=outage)
+    return RateRecord(rate=gain - loss, rate_gain=gain, rate_loss=loss)

@@ -15,10 +15,8 @@ import sys
 
 from .errors import (ConfigError, OddBitSplit, OiaSimError, ShapeMismatch,
                      UnknownExperiment)
-from .grassmann import ManifoldParams
-from .harness import EXPERIMENTS, load_config_file, make_config, run_experiment
-from .threshold import (optimal_threshold_d1, threshold_asymptotic,
-                        threshold_lambert, threshold_numeric)
+from .harness import (EXPERIMENTS, THRESHOLD_METHODS, design_threshold,
+                      load_config_file, make_config, run_experiment)
 
 
 def _cmd_run(args) -> int:
@@ -42,17 +40,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.method == "closed_form_d1":
-        if args.d != 1 or args.nr != 2:
-            raise ConfigError("closed_form_d1 requires --d 1 --nr 2")
-        x = optimal_threshold_d1(args.K).x
-    else:
-        params = ManifoldParams(args.nr, args.d)
-        solver = {"lambert": threshold_lambert,
-                  "asymptotic": threshold_asymptotic,
-                  "numeric": threshold_numeric}[args.method]
-        x = solver(args.K, params).x
-    print("%.9g" % x)
+    print("%.9g" % design_threshold(args.method, args.K, args.nr, args.d))
     return 0
 
 
@@ -81,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--d", type=int, required=True, help="streams per user")
     thr.add_argument("--nr", type=int, required=True, help="receive antennas")
     thr.add_argument("--K", type=int, required=True, help="users per cell")
-    thr.add_argument("--method", required=True,
-                     choices=("closed_form_d1", "lambert", "asymptotic", "numeric"))
+    thr.add_argument("--method", required=True, choices=THRESHOLD_METHODS)
     thr.set_defaults(func=_cmd_threshold)
     return parser
 

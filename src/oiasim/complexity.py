@@ -3,10 +3,7 @@
 All counts are exact integers. The OIA user computes one chordal metric
 and compares it to a threshold, so its cost is linear in the number of
 feedback bits; codebook-based IA quantization scans 2^bits codewords,
-so its cost is exponential. flops_gso and flops_matmul_gram share the
-same polynomial; the Gram product count looks like a transcription of
-the GSO one, but it is kept as is since only the aggregate per-scheme
-totals feed the experiments.
+so its cost is exponential.
 """
 
 from __future__ import annotations
@@ -57,12 +54,6 @@ def flops_frobenius(m: int, n: int) -> int:
 
 def flops_gso(m: int, n: int) -> int:
     """Gram-Schmidt orthogonalization of n columns of length m: 8n^2 m - 2mn."""
-    _check_dims(m, n)
-    return 8 * n * n * m - 2 * m * n
-
-
-def flops_matmul_gram(m: int, n: int) -> int:
-    """Gram product A A^H for m x n A, counted as 8n^2 m - 2mn."""
     _check_dims(m, n)
     return 8 * n * n * m - 2 * m * n
 

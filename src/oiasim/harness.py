@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (RateRecord, SystemConfig, cell_metrics, generate_channels,
+from .channel import (SystemConfig, cell_metrics, generate_channels,
                       interference_covariance, postfilter, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
@@ -35,7 +35,7 @@ from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
 
 _SNR_DEFAULT = tuple(float(s) for s in range(0, 45, 5))
-_THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
+THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
 # bytes per complex channel entry of one drop: 16 for the array itself and 8
@@ -67,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if min(self.d, self.nr, self.nt) < 1:
             raise ConfigError("d, nr, nt must be at least 1")
-        if self.threshold_method not in _THRESHOLD_METHODS:
+        if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
         kind, payload = parse_k_rule(self.K_rule)
         if kind == "ceil_P_pow" and payload % self.d:
@@ -101,19 +101,14 @@ class ResultRow:
 
 
 @dataclass(frozen=True)
-class SchemeTrial:
-    """Per-cell records of one scheme on one drop; eligible counts are
-    present only for the 1-bit scheme."""
+class TrialRows:
+    """One drop's results: row n of the (len(keys), 3) float array is, for
+    the (scheme, K) pair keys[n], the sum rate over the three cells, the
+    outage count and the eligible-count sum (NaN for a scheme without
+    eligibility). redraws counts the degenerate draws it rejected."""
 
-    records: tuple
-    eligible: tuple = ()
-
-
-@dataclass(frozen=True)
-class TrialOutput:
-    """Everything run_trial produced: records per (scheme, K), redraw count."""
-
-    schemes: dict
+    keys: tuple
+    rows: np.ndarray
     redraws: int = 0
 
 
@@ -151,6 +146,8 @@ def parse_k_rule(rule: str):
             raise ConfigError(f"bad fixed K list {parts[1]!r}") from exc
         if not values or values[0] < 1:
             raise ConfigError("fixed K values must be positive integers")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"fixed K values must be distinct, got {parts[1]!r}")
         return "fixed", values
     raise ConfigError(f"unknown K_rule {rule!r}")
 
@@ -164,15 +161,17 @@ def _point_k_values(cfg: ExperimentConfig, P: float) -> tuple:
     return payload
 
 
-def _check_threshold_method(method: str, n: int, d: int) -> None:
-    if method == "closed_form_d1" and (d != 1 or n != 2):
+def _check_threshold_method(method: str, nr: int, d: int) -> None:
+    if method == "closed_form_d1" and (d != 1 or nr != 2):
         raise ConfigError("closed_form_d1 threshold requires d=1, nr=2")
 
 
 @lru_cache(maxsize=None)
-def _cached_threshold(method: str, K: int, n: int, d: int) -> float:
-    _check_threshold_method(method, n, d)
-    params = ManifoldParams(n, d)
+def design_threshold(method: str, K: int, nr: int, d: int) -> float:
+    """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
+    for K candidate users with nr receive antennas and d streams, cached."""
+    _check_threshold_method(method, nr, d)
+    params = ManifoldParams(nr, d)
     if method == "closed_form_d1":
         return optimal_threshold_d1(K).x
     if method == "lambert":
@@ -184,7 +183,7 @@ def _cached_threshold(method: str, K: int, n: int, d: int) -> float:
 
 def threshold_value(cfg: ExperimentConfig, K: int) -> float:
     """The 1-bit threshold this configuration uses for K candidate users."""
-    return _cached_threshold(cfg.threshold_method, K, cfg.nr, cfg.d)
+    return design_threshold(cfg.threshold_method, K, cfg.nr, cfg.d)
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
@@ -207,50 +206,44 @@ def _oia_drop(cfg: ExperimentConfig, P: float, kmax: int,
                 raise
 
 
-def _oia_schemes(cfg, P, rng, ks, include_perfect):
-    """Evaluate the 1-bit scheme (and optionally perfect feedback) for each
-    K in ks on one shared drop, smaller K as prefixes of the largest.
+def _oia_rows(cfg, P, rng, ks, include_perfect):
+    """Rows of the 1-bit scheme (after perfect feedback, if included) for
+    each K in ks on one shared drop, smaller K as prefixes of the largest.
 
     All selections come first, in the order that fixes the rng stream; the
     served users' postfilters and rates then take one stacked call each.
     """
     ch, metrics, sys_cfg, redraws = _oia_drop(cfg, P, max(ks), rng)
-    served = []             # (scheme key, cell, user, outage)
-    eligible = {}
+    schemes = ("oia_perfect", "oia_1bit") if include_perfect else ("oia_1bit",)
+    served = []     # (cell, user, outage, eligible count) per K, cell, scheme
     for K in ks:
         x = threshold_value(cfg, K)
         for i in range(3):
             m = metrics[i][:K]
             if include_perfect:
-                served.append((("oia_perfect", K), i, select_conventional(m), False))
+                served.append((i, select_conventional(m), 0, np.nan))
             sel = select_one_bit(m, x, rng)
-            eligible.setdefault(("oia_1bit", K), []).append(sel.eligible_count)
-            served.append((("oia_1bit", K), i, sel.selected, sel.outage))
-    _, cells, users, _ = zip(*served)
-    cells, users = np.array(cells), np.array(users)
+            served.append((i, sel.selected, sel.outage, sel.eligible_count))
+    cells, users, outage, eligible = (np.array(c) for c in zip(*served))
     U = postfilter(interference_covariance(ch, cells, users), sys_cfg.d)
-    stacked = user_rate(ch, cells, users, U, sys_cfg)
-    records = {}
-    for n, (key, i, k, outage) in enumerate(served):
-        records.setdefault(key, []).append(RateRecord(
-            cell=i, user=k, rate=stacked.rate[n], rate_gain=stacked.rate_gain[n],
-            rate_loss=stacked.rate_loss[n], metric=float(metrics[i][k]),
-            outage=outage))
-    schemes = {key: SchemeTrial(records=tuple(recs),
-                                eligible=tuple(eligible.get(key, ())))
-               for key, recs in records.items()}
-    return schemes, redraws
+    rate = user_rate(ch, cells, users, U, sys_cfg).rate
+    per_cell = np.stack([rate, outage, eligible], axis=-1).reshape(
+        len(ks), 3, len(schemes), 3)
+    # summed over the cells in cell order, as a scalar running sum would
+    rows = per_cell[:, 0] + per_cell[:, 1] + per_cell[:, 2]
+    keys = tuple((s, K) for K in ks for s in schemes)
+    return keys, rows.reshape(-1, 3), redraws
 
 
-def _ia_records(rates) -> tuple:
-    return tuple(RateRecord(cell=i, user=0, rate=r, rate_gain=r, rate_loss=0.0,
-                            metric=float("nan"), outage=False)
-                 for i, r in enumerate(rates))
+def _ia_row(ch2, sol, P) -> tuple:
+    """Row of an IA solution: every cell served, none in outage, no
+    eligibility."""
+    return sum(ia_link_rates(ch2, sol, P)), 0.0, np.nan
 
 
 def _trial_fig2(cfg, P, rng):
-    ks = _point_k_values(cfg, P)
-    schemes, redraws = _oia_schemes(cfg, P, rng, ks, include_perfect=True)
+    keys, rows, redraws = _oia_rows(cfg, P, rng, _point_k_values(cfg, P),
+                                    include_perfect=True)
     while True:
         ch2 = _draw_ia_channels(rng)
         try:
@@ -260,21 +253,20 @@ def _trial_fig2(cfg, P, rng):
             redraws += 1
             if redraws > _MAX_REDRAWS:
                 raise
-    schemes[("ia_closed_form", 1)] = SchemeTrial(
-        records=_ia_records(ia_link_rates(ch2, sol, P)))
-    return TrialOutput(schemes=schemes, redraws=redraws)
+    return TrialRows(keys + (("ia_closed_form", 1),),
+                     np.vstack([rows, _ia_row(ch2, sol, P)]), redraws)
 
 
 def _trial_oia_only(cfg, P, rng):
-    ks = _point_k_values(cfg, P)
-    schemes, redraws = _oia_schemes(cfg, P, rng, ks, include_perfect=False)
-    return TrialOutput(schemes=schemes, redraws=redraws)
+    return TrialRows(*_oia_rows(cfg, P, rng, _point_k_values(cfg, P),
+                                include_perfect=False))
 
 
 def _trial_fig6(cfg, P, rng):
     bit_values = _point_k_values(cfg, P)
-    schemes, redraws = _oia_schemes(cfg, P, rng, bit_values,
+    keys, rows, redraws = _oia_rows(cfg, P, rng, bit_values,
                                     include_perfect=False)
+    ia_rows = []
     ch2 = _draw_ia_channels(rng)
     for b in bit_values:
         mode = "rvq" if b <= _RVQ_BIT_LIMIT else "perturbation"
@@ -287,9 +279,9 @@ def _trial_fig6(cfg, P, rng):
                 redraws += 1
                 if redraws > _MAX_REDRAWS:
                     raise
-        schemes[("ia_individual", b)] = SchemeTrial(
-            records=_ia_records(ia_link_rates(ch2, sol, P)))
-    return TrialOutput(schemes=schemes, redraws=redraws)
+        ia_rows.append(_ia_row(ch2, sol, P))
+    return TrialRows(keys + tuple(("ia_individual", b) for b in bit_values),
+                     np.vstack([rows, ia_rows]), redraws)
 
 
 _TRIAL_BUILDERS = {
@@ -300,11 +292,12 @@ _TRIAL_BUILDERS = {
 }
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialOutput:
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRows:
     """One Monte Carlo drop at one SNR grid point, all schemes evaluated.
 
     The rng derives from (seed, grid index of snr_db, trial_index), so the
-    same triple always reproduces the same records.
+    same triple always reproduces the same rows. The keys, and their order,
+    depend on the experiment and the grid point only.
     """
     try:
         builder = _TRIAL_BUILDERS[cfg.experiment]
@@ -324,25 +317,23 @@ def _map_trials(cfg, snr_db, pool, workers):
                          range(cfg.trials), chunksize=chunk))
 
 
-def _aggregate_point(cfg, snr_db, outputs) -> list:
+def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
+    """One ResultRow per (scheme, K) key from the (trials, keys, 3) array of
+    the point's TrialRows.rows. Outage and eligible totals are exact
+    integers, so their means are exact up to the one division."""
+    n = len(trial_rows)
     rows = []
-    n = len(outputs)
-    for key in outputs[0].schemes:
-        scheme, K = key
-        sums = np.array([sum(r.rate for r in o.schemes[key].records)
-                         for o in outputs])
-        stderr = float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        flags = [r.outage for o in outputs for r in o.schemes[key].records]
-        eligible = [e for o in outputs for e in o.schemes[key].eligible]
+    columns = np.ascontiguousarray(trial_rows.transpose(1, 2, 0))
+    for (scheme, K), (sums, outages, eligible) in zip(keys, columns):
         rows.append(ResultRow(
             experiment=cfg.experiment,
             snr_db=float(snr_db),
             K=K,
             scheme=scheme,
             mean_sum_rate=float(sums.mean()),
-            stderr=stderr,
-            outage_rate=float(np.mean(flags)),
-            mean_eligible=float(np.mean(eligible)) if eligible else float("nan"),
+            stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            outage_rate=float(outages.sum() / (3 * n)),
+            mean_eligible=float(eligible.sum() / (3 * n)),
             threshold_used=(threshold_value(cfg, K) if scheme == "oia_1bit"
                             else float("nan")),
             trials=n,
@@ -383,7 +374,8 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
         for point, snr_db in enumerate(cfg.snr_db_grid):
             outputs = _map_trials(cfg, snr_db, pool, workers)
             redraws += sum(o.redraws for o in outputs)
-            rows.extend(_aggregate_point(cfg, snr_db, outputs))
+            rows.extend(_aggregate_point(cfg, snr_db, outputs[0].keys,
+                                         np.stack([o.rows for o in outputs])))
             print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
                   f"(snr {snr_db:g} dB) done", file=sys.stderr)
     total = cfg.trials * len(cfg.snr_db_grid)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import golden
+from scipy.special import lambertw
 
 from .errors import LambertDomain, ShapeMismatch, TooFewUsers
 from .grassmann import ManifoldParams
@@ -76,9 +77,9 @@ def lambert_w(branch: int, z: float) -> float:
     """Real Lambert W: the w solving w e^w = z on the requested branch.
 
     Branch 0 is defined for z >= -1/e and returns w >= -1; branch -1 for
-    -1/e <= z < 0 and returns w <= -1. Halley iteration from an asymptotic
-    or branch-point initial guess, with a bisection fallback; residual
-    |w e^w - z| <= 1e-12 max(1, |z|).
+    -1/e <= z < 0 and returns w <= -1. Values come from
+    scipy.special.lambertw; the branch point itself returns -1 exactly
+    (scipy gives nan there).
     """
     if branch not in (0, -1):
         raise LambertDomain("branch must be 0 or -1")
@@ -89,77 +90,7 @@ def lambert_w(branch: int, z: float) -> float:
     z = max(z, _BRANCH_POINT)
     if z == _BRANCH_POINT:
         return -1.0
-    if z == 0.0:
-        return 0.0
-
-    w = _lambert_initial(branch, z)
-    tol = 1e-12 * max(1.0, abs(z))
-    for _ in range(100):
-        if w == -1.0:
-            w = -1.0 + 1e-12 if branch == 0 else -1.0 - 1e-12
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= 0.25 * tol:
-            return w
-        # Halley step on f(w) = w e^w - z
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        if denom == 0.0:
-            break
-        step = f / denom
-        w_new = w - step
-        if branch == 0 and w_new < -1.0:
-            w_new = -1.0 + 0.5 * (w + 1.0)
-        if branch == -1 and w_new > -1.0:
-            w_new = -1.0 - 0.5 * abs(w + 1.0)
-        if w_new == w:
-            break
-        w = w_new
-    if abs(w * math.exp(w) - z) <= tol:
-        return w
-    return _lambert_bisect(branch, z, tol)
-
-
-def _lambert_initial(branch: int, z: float) -> float:
-    if branch == 0:
-        if z > math.e:
-            l1 = math.log(z)
-            l2 = math.log(l1)
-            return l1 - l2 + l2 / l1
-        if z > -0.25:
-            return z / (1.0 + z) if z > -0.5 else z
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    if z < -0.25:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        return -1.0 - p - p * p / 3.0 - 11.0 * p**3 / 72.0
-    # z in [-0.25, 0): w ~ log(-z) - log(-log(-z))
-    l = math.log(-z)
-    return l - math.log(-l)
-
-
-def _lambert_bisect(branch: int, z: float, tol: float) -> float:
-    f = lambda w: w * math.exp(w) - z
-    if branch == 0:
-        lo, hi = -1.0, 1.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-    else:
-        hi = -1.0
-        lo = -2.0
-        while f(lo) < 0.0:
-            lo *= 2.0
-        lo, hi = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        rising = f(hi) > f(lo)
-        if (fm > 0.0) == rising:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(lambertw(z, branch).real)
 
 
 def _require_full_dof_setup(p: ManifoldParams):

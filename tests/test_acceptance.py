@@ -60,8 +60,7 @@ def fig5_sums():
         for t in range(cfg.trials):
             out = run_trial(cfg, snr, t)
             for K in ks:
-                sums[K][point, t] = sum(
-                    r.rate for r in out.schemes[("oia_1bit", K)].records)
+                sums[K][point, t] = out.rows[out.keys.index(("oia_1bit", K)), 0]
     return cfg.snr_db_grid, ks, sums
 
 

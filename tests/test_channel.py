@@ -1,13 +1,17 @@
 """Channel generation, selection metric, covariance, postfilter, rates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
-                    cell_metrics, generate_channels, interference_covariance,
-                    interferer_indices, make_config, postfilter, run_trial,
+                    cell_metrics, closed_form_ia, generate_channels,
+                    ia_link_rates, interference_covariance, interferer_indices,
+                    make_config, postfilter, quantized_channel_set, run_trial,
                     select_conventional, select_one_bit, user_metric, user_rate)
-from oiasim.harness import threshold_value
+from oiasim.grassmann import INV_SQRT2, complex_normal
+from oiasim.harness import parse_k_rule, threshold_value
 
 
 def _cfg(K=1, d=1, P=1.0):
@@ -252,7 +256,7 @@ def test_user_rate_loss_vanishes_with_aligned_interference():
     ch = _engineered(cfg, fill)
     assert user_metric(ch, 0, 0) < 1e-6
     U = postfilter(interference_covariance(ch, 0, 0), 1)
-    rec = user_rate(ch, 0, 0, U, cfg, metric=user_metric(ch, 0, 0))
+    rec = user_rate(ch, 0, 0, U, cfg)
     assert rec.rate_loss < 0.01
 
 
@@ -327,41 +331,75 @@ def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
         assert rec.rate[n] == one.rate
         assert rec.rate_gain[n] == one.rate_gain
         assert rec.rate_loss[n] == one.rate_loss
-        assert rec.cell[n] == one.cell and rec.user[n] == one.user
+
+
+def _replay_trial(cfg, snr_db, t):
+    """Replay run_trial(cfg, snr_db, t) with the public functions, one served
+    user at a time, assuming no degenerate redraw: {(scheme, K): (row,
+    served users)} in row order."""
+    P = 10.0 ** (snr_db / 10.0)
+    kind, fixed = parse_k_rule(cfg.K_rule)
+    ks = (math.ceil(P),) if kind == "ceil_P" else fixed
+    sys_cfg = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=max(ks), P=P)
+    rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
+    ch = generate_channels(rng, sys_cfg)
+    metrics = [cell_metrics(ch, i) for i in range(3)]
+    served = {}             # key -> [(cell, user, outage, eligible count)]
+    for K in ks:
+        for i in range(3):
+            m = metrics[i][:K]
+            if cfg.experiment == "fig2_sumrate_d1":
+                served.setdefault(("oia_perfect", K), []).append(
+                    (i, select_conventional(m), False, None))
+            sel = select_one_bit(m, threshold_value(cfg, K), rng)
+            served.setdefault(("oia_1bit", K), []).append(
+                (i, sel.selected, sel.outage, sel.eligible_count))
+    replay = {}
+    for key, cells in served.items():
+        rates = [user_rate(ch, i, k, postfilter(interference_covariance(ch, i, k),
+                                                cfg.d), sys_cfg).rate
+                 for i, k, _, _ in cells]
+        eligible = [e for *_, e in cells]
+        row = (sum(rates), sum(o for *_, o, _ in cells),
+               np.nan if None in eligible else sum(eligible))
+        replay[key] = (row, [k for _, k, _, _ in cells])
+    ch2 = complex_normal(rng, (3, 3, 2, 2), INV_SQRT2)
+    if cfg.experiment == "fig2_sumrate_d1":
+        rates = ia_link_rates(ch2, closed_form_ia(ch2), P)
+        replay[("ia_closed_form", 1)] = ((sum(rates), 0, np.nan), [0, 0, 0])
+    if cfg.experiment == "fig6_oia_vs_ia":
+        for b in ks:
+            mode = "rvq" if b <= 24 else "perturbation"
+            sol = closed_form_ia(quantized_channel_set(ch2, b, mode, rng))
+            rates = ia_link_rates(ch2, sol, P)
+            replay[("ia_individual", b)] = ((sum(rates), 0, np.nan), [0, 0, 0])
+    return replay
 
 
 @pytest.mark.parametrize("experiment, ks", [("fig5_sumrate_d2", (10, 50, 100)),
-                                            ("fig2_sumrate_d1", (100,))])
+                                            ("fig2_sumrate_d1", (100,)),
+                                            ("fig3_eligible_users", (100,)),
+                                            ("fig6_oia_vs_ia", (10, 24, 40))])
 def test_run_trial_records_match_per_user_oracle(experiment, ks):
-    # replay each drop with the public functions, one served user at a time
-    cfg = make_config(experiment)
-    snr_db = 20.0
-    P = 10.0 ** (snr_db / 10.0)
-    sys_cfg = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=max(ks), P=P)
+    # every row equals, bit for bit, the sum in cell order of the per-user
+    # rates of a one-user-at-a-time replay, with its outage and eligible counts
+    cfg = make_config(experiment, {"K_rule": "fixed:" + ",".join(map(str, ks))}
+                      if experiment in ("fig5_sumrate_d2", "fig6_oia_vs_ia") else {})
     for t in range(4):
-        out = run_trial(cfg, snr_db, t)
+        out = run_trial(cfg, 20.0, t)
         assert out.redraws == 0
-        rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
-        ch = generate_channels(rng, sys_cfg)
-        metrics = [cell_metrics(ch, i) for i in range(3)]
-        expected = {}
-        for K in ks:
-            for i in range(3):
-                m = metrics[i][:K]
-                if ("oia_perfect", K) in out.schemes:
-                    expected.setdefault(("oia_perfect", K), []).append(
-                        (i, select_conventional(m), False))
-                sel = select_one_bit(m, threshold_value(cfg, K), rng)
-                expected.setdefault(("oia_1bit", K), []).append(
-                    (i, sel.selected, sel.outage))
-                assert out.schemes[("oia_1bit", K)].eligible[i] == sel.eligible_count
-        for key, served in expected.items():
-            records = out.schemes[key].records
-            assert len(records) == 3
-            for rec, (i, k, outage) in zip(records, served):
-                U = postfilter(interference_covariance(ch, i, k), cfg.d)
-                one = user_rate(ch, i, k, U, sys_cfg)
-                assert (rec.cell, rec.user, rec.outage) == (i, k, outage)
-                assert rec.metric == float(metrics[i][k])
-                assert (rec.rate, rec.rate_gain, rec.rate_loss) == (
-                    one.rate, one.rate_gain, one.rate_loss)
+        replay = _replay_trial(cfg, 20.0, t)
+        assert out.keys == tuple(replay)
+        expected = np.array([row for row, _ in replay.values()], dtype=float)
+        assert np.array_equal(out.rows, expected, equal_nan=True)
+
+
+def test_run_trial_single_user_rows_match_oracle():
+    # K = 1: both schemes are forced onto user 0 of every cell
+    cfg = make_config("fig2_sumrate_d1")
+    for t in range(4):
+        out = run_trial(cfg, 0.0, t)
+        replay = _replay_trial(cfg, 0.0, t)
+        assert [users for _, users in replay.values()] == [[0, 0, 0]] * 3
+        assert np.array_equal(out.rows, [row for row, _ in replay.values()],
+                              equal_nan=True)

@@ -69,6 +69,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     skewed.write_text("nr = 3\n", encoding="utf-8")
     assert main(["run", "fig5_sumrate_d2", "--config", str(skewed),
                  "--out", out]) == 2
+    repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("K_rule = fixed:10,10\n", encoding="utf-8")
+    assert main(["run", "fig5_sumrate_d2", "--config", str(repeated),
+                 "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
 
 

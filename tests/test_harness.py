@@ -38,7 +38,8 @@ def test_parse_k_rule_forms():
 
 @pytest.mark.parametrize("rule", ["ceil_P:2", "ceil_P_pow", "ceil_P_pow:x",
                                   "ceil_P_pow:0", "fixed", "fixed:a,b",
-                                  "fixed:0,5", "nope"])
+                                  "fixed:0,5", "fixed:10,10", "fixed:5,10,5",
+                                  "nope"])
 def test_parse_k_rule_rejects(rule):
     with pytest.raises(ConfigError):
         parse_k_rule(rule)
@@ -135,33 +136,28 @@ def test_run_trial_deterministic():
     cfg = make_config("fig2_sumrate_d1")
     a = run_trial(cfg, 10.0, 3)
     b = run_trial(cfg, 10.0, 3)
-    assert set(a.schemes) == {("oia_perfect", 10), ("oia_1bit", 10),
-                              ("ia_closed_form", 1)}
-    for key in a.schemes:
-        for ra, rb in zip(a.schemes[key].records, b.schemes[key].records):
-            assert ra.rate == rb.rate
-            assert ra.user == rb.user
+    assert a.keys == (("oia_perfect", 10), ("oia_1bit", 10), ("ia_closed_form", 1))
+    assert a.rows.shape == (3, 3) and a.rows.dtype == np.float64
+    assert np.array_equal(a.rows, b.rows, equal_nan=True)
     c = run_trial(cfg, 10.0, 4)
-    assert any(a.schemes[k].records[0].rate != c.schemes[k].records[0].rate
-               for k in a.schemes)
-
-
-def test_run_trial_perfect_feedback_dominates_metric():
-    cfg = make_config("fig2_sumrate_d1")
-    for t in range(20):
-        out = run_trial(cfg, 20.0, t)
-        perfect = out.schemes[("oia_perfect", 100)].records
-        one_bit = out.schemes[("oia_1bit", 100)].records
-        for rp, rb in zip(perfect, one_bit):
-            assert rp.metric <= rb.metric
-        assert len(out.schemes[("oia_1bit", 100)].eligible) == 3
+    assert c.keys == a.keys
+    assert not np.array_equal(a.rows[:, 0], c.rows[:, 0])
+    # outage counts in [0, 3]; only the 1-bit scheme has eligible counts
+    assert np.array_equal(a.rows[[0, 2], 1], [0.0, 0.0])
+    assert 0 <= a.rows[1, 1] <= 3
+    assert 0 <= a.rows[1, 2] <= 3 * 10
+    assert np.isnan(a.rows[[0, 2], 2]).all()
 
 
 def test_run_trial_single_user_is_forced():
+    # with K = 1 both schemes serve user 0 of every cell, so they share
+    # each cell's rate and hence the sum, bit for bit
     cfg = make_config("fig2_sumrate_d1")
-    out = run_trial(cfg, 0.0, 0)
-    for key in (("oia_perfect", 1), ("oia_1bit", 1)):
-        assert all(r.user == 0 for r in out.schemes[key].records)
+    for t in range(5):
+        out = run_trial(cfg, 0.0, t)
+        assert out.keys[:2] == (("oia_perfect", 1), ("oia_1bit", 1))
+        assert out.rows[0, 0] == out.rows[1, 0]
+        assert out.rows[1, 2] == 3 - out.rows[1, 1]
 
 
 def test_run_trial_unknown_experiment():
@@ -380,7 +376,8 @@ def test_fig7_flop_table(tmp_path):
 def test_ia_rows_present_in_fig6_trial():
     cfg = make_config("fig6_oia_vs_ia", {"snr_db_grid": "20"})
     out = run_trial(cfg, 20.0, 0)
-    keys = set(out.schemes)
+    keys = set(out.keys)
+    assert len(keys) == len(out.keys) == len(out.rows) == 14
     for b in (10, 16, 24, 28, 32, 36, 40):
         assert ("oia_1bit", b) in keys
         assert ("ia_individual", b) in keys
