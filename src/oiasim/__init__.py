@@ -20,11 +20,8 @@ from .grassmann import (ManifoldParams, Subspace, ball_volume,
                         quantization_bound, sample_uniform_subspace)
 from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
                       make_config, run_experiment, run_trial, write_csv)
-from .ia import (AggregatedChannel, CompositeCodebook, IaSolution,
-                 aggregate_channel, closed_form_ia, composite_distance,
-                 ia_limited_feedback_rate, ia_link_rates, ia_sum_rate,
-                 perturb_quantization_model, quantize, quantize_individual,
-                 quantized_channel_set)
+from .ia import (IaSolution, closed_form_ia, ia_limited_feedback_rate,
+                 ia_link_rates, ia_sum_rate, quantized_channel_set)
 from .oia import (SelectionOutcome, expected_eligible, expected_metric_one_bit,
                   expected_metric_upper_bound, outage_probability,
                   select_conventional, select_one_bit)

@@ -6,7 +6,14 @@ class OiaSimError(Exception):
 
 
 class DegenerateChannel(OiaSimError):
-    """A channel draw is rank deficient or too ill conditioned to use."""
+    """A channel draw is rank deficient or too ill conditioned to use.
+
+    For a stack of drops, where is the boolean mask of the degenerate ones.
+    """
+
+    def __init__(self, message: str = "", where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class ShapeMismatch(OiaSimError, ValueError):

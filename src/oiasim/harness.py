@@ -62,6 +62,8 @@ class ExperimentConfig:
         grid = tuple(float(s) for s in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
+        if len(set(grid)) != len(grid):
+            raise ConfigError(f"snr_db_grid values must be distinct, got {grid}")
         object.__setattr__(self, "snr_db_grid", grid)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -235,10 +237,14 @@ def _oia_rows(cfg, P, rng, ks, include_perfect):
     return keys, rows.reshape(-1, 3), redraws
 
 
-def _ia_row(ch2, sol, P) -> tuple:
-    """Row of an IA solution: every cell served, none in outage, no
-    eligibility."""
-    return sum(ia_link_rates(ch2, sol, P)), 0.0, np.nan
+def _ia_rows(ch2, sol, P) -> np.ndarray:
+    """Rows of IA solutions on ch2, one per solution: every cell served,
+    none in outage, no eligibility."""
+    rates = ia_link_rates(ch2, sol, P).reshape(-1, 3)
+    rows = np.zeros((len(rates), 3))
+    rows[:, 0] = rates[:, 0] + rates[:, 1] + rates[:, 2]
+    rows[:, 2] = np.nan
+    return rows
 
 
 def _trial_fig2(cfg, P, rng):
@@ -254,7 +260,7 @@ def _trial_fig2(cfg, P, rng):
             if redraws > _MAX_REDRAWS:
                 raise
     return TrialRows(keys + (("ia_closed_form", 1),),
-                     np.vstack([rows, _ia_row(ch2, sol, P)]), redraws)
+                     np.vstack([rows, _ia_rows(ch2, sol, P)]), redraws)
 
 
 def _trial_oia_only(cfg, P, rng):
@@ -263,25 +269,28 @@ def _trial_oia_only(cfg, P, rng):
 
 
 def _trial_fig6(cfg, P, rng):
+    """Every bit budget is quantized first, in ascending order; IA and its
+    rates then take one stacked call each. Budgets whose solve is
+    degenerate are quantized again, after all the others."""
     bit_values = _point_k_values(cfg, P)
     keys, rows, redraws = _oia_rows(cfg, P, rng, bit_values,
                                     include_perfect=False)
-    ia_rows = []
     ch2 = _draw_ia_channels(rng)
-    for b in bit_values:
-        mode = "rvq" if b <= _RVQ_BIT_LIMIT else "perturbation"
-        while True:
-            try:
-                quantized = quantized_channel_set(ch2, b, mode, rng)
-                sol = closed_form_ia(quantized)
-                break
-            except DegenerateChannel:
+    modes = ["rvq" if b <= _RVQ_BIT_LIMIT else "perturbation" for b in bit_values]
+    quantized = np.stack([quantized_channel_set(ch2, b, mode, rng)
+                          for b, mode in zip(bit_values, modes)])
+    while True:
+        try:
+            sol = closed_form_ia(quantized)
+            break
+        except DegenerateChannel as exc:
+            for n in np.flatnonzero(exc.where):
                 redraws += 1
                 if redraws > _MAX_REDRAWS:
                     raise
-        ia_rows.append(_ia_row(ch2, sol, P))
+                quantized[n] = quantized_channel_set(ch2, bit_values[n], modes[n], rng)
     return TrialRows(keys + tuple(("ia_individual", b) for b in bit_values),
-                     np.vstack([rows, ia_rows]), redraws)
+                     np.vstack([rows, _ia_rows(ch2, sol, P)]), redraws)
 
 
 _TRIAL_BUILDERS = {

@@ -1,0 +1,184 @@
+"""Scalar reference implementation of the IA baseline, for tests only.
+
+One 2x2 matrix, one 4-vector and one receiver at a time: closed-form IA,
+its link rates, and per-link quantization against an explicit random
+codebook or through the perturbation model, each drawn from the rng in
+the order the stacked kernels in oiasim.ia must reproduce.
+"""
+
+from collections import namedtuple
+from dataclasses import dataclass
+
+import numpy as np
+
+from oiasim.channel import interferer_indices
+from oiasim.errors import DegenerateChannel, OddBitSplit, ShapeMismatch
+from oiasim.grassmann import complex_normal
+from oiasim.ia import _perturbation_distortion
+
+ScalarIaSolution = namedtuple("ScalarIaSolution", "precoders receive_filters")
+
+
+def _as_unit_vector(w) -> np.ndarray:
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 1:
+        raise ShapeMismatch(f"expected a vector, got shape {w.shape}")
+    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
+        raise ShapeMismatch("vector is not unit norm")
+    return w
+
+
+@dataclass(frozen=True)
+class AggregatedChannel:
+    """The two cross-channel directions one receiver feeds back: the
+    column-major vectorized channels from its first and second interferer,
+    normalized to unit length."""
+
+    w1: np.ndarray
+    w2: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "w1", _as_unit_vector(self.w1))
+        object.__setattr__(self, "w2", _as_unit_vector(self.w2))
+        if self.w1.shape != self.w2.shape:
+            raise ShapeMismatch("w1 and w2 must have the same length")
+
+
+def _cross_matrix(ch, i, j):
+    m = np.asarray(ch[i][j], dtype=complex)
+    if np.linalg.cond(m) >= 1e12:
+        raise DegenerateChannel(f"cross channel H[{i}][{j}] is ill-conditioned")
+    return m
+
+
+def _phase_normalize(v):
+    nz = np.flatnonzero(np.abs(v) > 0.0)
+    if nz.size:
+        v = v * (np.abs(v[nz[0]]) / v[nz[0]])
+    return v
+
+
+def closed_form_ia(ch) -> ScalarIaSolution:
+    """Closed-form IA of one drop, one 2x2 matrix at a time."""
+    H = [[_cross_matrix(ch, i, j) if i != j else np.asarray(ch[i][j], dtype=complex)
+          for j in range(3)] for i in range(3)]
+    inv = np.linalg.inv
+    E = inv(H[2][0]) @ H[2][1] @ inv(H[0][1]) @ H[0][2] @ inv(H[1][2]) @ H[1][0]
+    eigvals, eigvecs = np.linalg.eig(E)
+    v1 = eigvecs[:, int(np.argmax(np.abs(eigvals)))]
+    v1 = _phase_normalize(v1 / np.linalg.norm(v1))
+    v2 = inv(H[2][1]) @ H[2][0] @ v1
+    v2 /= np.linalg.norm(v2)
+    v3 = inv(H[1][2]) @ H[1][0] @ v1
+    v3 /= np.linalg.norm(v3)
+    v = (v1, v2, v3)
+    u = []
+    for i in range(3):
+        p, _ = interferer_indices(i)
+        a = H[i][p] @ v[p]
+        norm = np.linalg.norm(a)
+        if norm == 0.0:
+            raise DegenerateChannel("aligned interference vanished")
+        u.append(np.array([-np.conj(a[1]), np.conj(a[0])]) / norm)
+    return ScalarIaSolution(tuple(_as_unit_vector(x) for x in v),
+                            tuple(_as_unit_vector(x) for x in u))
+
+
+def ia_link_rates(ch, sol, P: float) -> list:
+    """Per-receiver rates of one drop's IA solution, one link at a time."""
+    rates = []
+    for i in range(3):
+        p, q = interferer_indices(i)
+        u = sol.receive_filters[i]
+        signal = P * abs(np.vdot(u, ch[i][i] @ sol.precoders[i])) ** 2
+        leak = P * (abs(np.vdot(u, ch[i][p] @ sol.precoders[p])) ** 2
+                    + abs(np.vdot(u, ch[i][q] @ sol.precoders[q])) ** 2)
+        rates.append(float(np.log2(1.0 + signal / (1.0 + leak))))
+    return rates
+
+
+def aggregate_channel(ch, i: int) -> AggregatedChannel:
+    """Receiver i's two cross channels, column-major vectorized and
+    normalized; w1 from interferer i+1 mod 3, w2 from i+2 mod 3."""
+    vecs = []
+    for j in interferer_indices(i):
+        w = np.asarray(ch[i][j], dtype=complex).flatten(order="F")
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            raise DegenerateChannel(f"cross channel H[{i}][{j}] is zero")
+        vecs.append(w / norm)
+    return AggregatedChannel(w1=vecs[0], w2=vecs[1])
+
+
+def composite_distance(W: AggregatedChannel, codeword) -> float:
+    """Sum of the two squared chordal distances between W and a pair of
+    unit vectors."""
+    c1, c2 = codeword[0], codeword[1]
+    if np.shape(c1) != W.w1.shape or np.shape(c2) != W.w2.shape:
+        raise ShapeMismatch("codeword length does not match the channel vectors")
+    d1 = 1.0 - abs(np.vdot(c1, W.w1)) ** 2
+    d2 = 1.0 - abs(np.vdot(c2, W.w2)) ** 2
+    return float(np.clip(d1, 0.0, 1.0) + np.clip(d2, 0.0, 1.0))
+
+
+def random_unit_vectors(n_words: int, length: int, rng) -> np.ndarray:
+    """n_words i.i.d. uniform directions on the unit sphere in C^length."""
+    g = complex_normal(rng, (n_words, length))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def quantize_individual(W: AggregatedChannel, bits: int, rng):
+    """Quantize w1, then w2, each against its own fresh codebook of
+    2^(bits/2) random unit vectors; returns the two codeword indices and
+    the quantized pair."""
+    if bits < 2 or bits % 2:
+        raise OddBitSplit(f"total bits {bits} cannot be split equally over two vectors")
+    half = 2 ** (bits // 2)
+    index, out = [], []
+    for w in (W.w1, W.w2):
+        cb = random_unit_vectors(half, w.shape[0], rng)
+        d = 1.0 - np.abs(cb.conj() @ w) ** 2
+        index.append(int(np.argmin(d)))
+        out.append(cb[index[-1]])
+    return tuple(index), AggregatedChannel(w1=out[0], w2=out[1])
+
+
+def perturb_quantization_model(w, bits_per_vector: int, rng) -> np.ndarray:
+    """sqrt(1-z) w + sqrt(z) e, e uniform on the unit sphere orthogonal to
+    w and z the clipped rank-1 distortion bound for 2^bits_per_vector
+    codewords."""
+    if bits_per_vector < 1:
+        raise ShapeMismatch("bits_per_vector must be at least 1")
+    w = _as_unit_vector(w)
+    z = _perturbation_distortion(bits_per_vector, w.shape[0])
+    while True:
+        g = complex_normal(rng, w.shape[0])
+        g -= w * np.vdot(w, g)
+        norm = np.linalg.norm(g)
+        if norm > 1e-12:
+            break
+    return np.sqrt(1.0 - z) * w + np.sqrt(z) * (g / norm)
+
+
+def quantized_channel_set(ch, bits_total: int, mode: str, rng):
+    """Quantized cross channels of one drop, one receiver at a time,
+    rescaled to the true Frobenius norms; also returns the RVQ codeword
+    indices, (cell, link) in draw order (empty for the perturbation
+    model)."""
+    quantized = [[np.asarray(ch[i][j], dtype=complex) for j in range(3)]
+                 for i in range(3)]
+    indices = []
+    for i in range(3):
+        agg = aggregate_channel(ch, i)
+        if mode == "rvq":
+            index, agg_q = quantize_individual(agg, bits_total, rng)
+            indices.extend(index)
+            directions = (agg_q.w1, agg_q.w2)
+        else:
+            half_bits = bits_total // 2
+            directions = (perturb_quantization_model(agg.w1, half_bits, rng),
+                          perturb_quantization_model(agg.w2, half_bits, rng))
+        for j, wq in zip(interferer_indices(i), directions):
+            scale = np.linalg.norm(quantized[i][j])
+            quantized[i][j] = (wq * scale).reshape((2, 2), order="F")
+    return np.array(quantized), tuple(indices)

@@ -73,6 +73,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     repeated.write_text("K_rule = fixed:10,10\n", encoding="utf-8")
     assert main(["run", "fig5_sumrate_d2", "--config", str(repeated),
                  "--out", out]) == 2
+    repeated.write_text("snr_db_grid = 10,10\n", encoding="utf-8")
+    assert main(["run", "fig3_eligible_users", "--config", str(repeated),
+                 "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
 
 

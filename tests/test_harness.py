@@ -94,6 +94,11 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig2_sumrate_d1", snr_db_grid=())
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", trials=0)
+    # a repeated point would rerun the first copy's trial streams
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="fig2_sumrate_d1", snr_db_grid=(10, 10.0))
+    with pytest.raises(ConfigError):
+        make_config("fig3_eligible_users", {"snr_db_grid": "0,10,0"})
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", threshold_method="magic")
     with pytest.raises(ConfigError):

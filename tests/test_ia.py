@@ -1,4 +1,8 @@
-"""Closed-form interference alignment and limited-feedback quantization."""
+"""Closed-form interference alignment and limited-feedback quantization.
+
+The stacked kernels in oiasim.ia are checked bit for bit against the
+scalar one-drop, one-link code kept in ia_oracle.
+"""
 
 import math
 
@@ -6,16 +10,18 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oiasim import (AggregatedChannel, CompositeCodebook, DegenerateChannel,
-                    ManifoldParams, OddBitSplit, ShapeMismatch, Subspace,
-                    aggregate_channel, chordal_distance_sq, closed_form_ia,
-                    composite_distance, ia_limited_feedback_rate,
-                    ia_link_rates, ia_sum_rate, perturb_quantization_model,
-                    quantization_bound, quantize, quantize_individual,
-                    quantized_channel_set)
+import ia_oracle
+from ia_oracle import (AggregatedChannel, aggregate_channel, composite_distance,
+                       perturb_quantization_model, random_unit_vectors)
+from oiasim import (DegenerateChannel, ManifoldParams, OddBitSplit,
+                    ShapeMismatch, Subspace, chordal_distance_sq,
+                    closed_form_ia, ia_limited_feedback_rate, ia_link_rates,
+                    ia_sum_rate, make_config, quantization_bound,
+                    quantized_channel_set, run_trial)
+from oiasim import harness
 from oiasim.channel import interferer_indices
-from oiasim.ia import (_perturbation_distortion, product_codebook,
-                       random_composite_codebook, random_unit_vectors)
+from oiasim.grassmann import INV_SQRT2, complex_normal
+from oiasim.ia import _perturbation_distortion
 
 P41 = ManifoldParams(4, 1)
 
@@ -125,43 +131,59 @@ def test_composite_distance_is_sum_of_chordal_distances():
     assert composite_distance(W, (c1, c2)) == pytest.approx(expected, abs=1e-12)
 
 
-def test_composite_codebook_validation():
-    rng = np.random.default_rng(48)
-    good = random_composite_codebook(2, 4, rng)
-    assert len(good) == 4
-    with pytest.raises(ShapeMismatch):
-        CompositeCodebook(entries=good.entries, bits=3)
-    with pytest.raises(ShapeMismatch):
-        CompositeCodebook(entries=2.0 * good.entries, bits=2)
-    with pytest.raises(ShapeMismatch):
-        CompositeCodebook(entries=good.entries[:, 0, :], bits=2)
-    with pytest.raises(ShapeMismatch):
-        random_composite_codebook(0, 4, rng)
+def _codebooks(bits, seed):
+    """The six RVQ codebooks quantized_channel_set draws from
+    default_rng(seed), in link order."""
+    rng = np.random.default_rng(seed)
+    return [random_unit_vectors(2 ** (bits // 2), 4, rng) for _ in range(6)]
+
+
+def _links(ch):
+    """(receiver, transmitter, unit column-major direction) of the six
+    cross links, in quantization order."""
+    out = []
+    for i in range(3):
+        agg = aggregate_channel(ch, i)
+        out.extend(zip((i, i), interferer_indices(i), (agg.w1, agg.w2)))
+    return out
+
+
+def _cell_distortions(ch, q):
+    """Composite distance between each receiver's true and quantized
+    directions."""
+    out = []
+    for i in range(3):
+        Wq = aggregate_channel(q, i)
+        out.append(composite_distance(aggregate_channel(ch, i), (Wq.w1, Wq.w2)))
+    return out
 
 
 def test_quantize_recovers_exact_codeword():
+    # a cross channel that lies on one of its codewords is quantized to it
     rng = np.random.default_rng(49)
-    cb = random_composite_codebook(3, 4, rng)
-    W = AggregatedChannel(w1=cb.entries[5, 0], w2=cb.entries[5, 1])
-    idx, Wq = quantize(W, cb)
-    assert idx == 5
-    assert composite_distance(W, (Wq.w1, Wq.w2)) == pytest.approx(0.0, abs=1e-12)
+    ch = _draw(rng)
+    cbs = _codebooks(6, 50)
+    picks = rng.integers(8, size=6)
+    for (i, j, _), cb, k in zip(_links(ch), cbs, picks):
+        ch[i, j] = 3.0 * cb[k].reshape((2, 2), order="F")
+    q = quantized_channel_set(ch, 6, "rvq", np.random.default_rng(50))
+    for (i, j, w), (_, _, wq) in zip(_links(ch), _links(q)):
+        assert 1.0 - abs(np.vdot(wq, w)) ** 2 == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(q[i, j], ch[i, j], rtol=0.0, atol=1e-12)
 
 
 def test_quantize_exhaustive_argmin():
-    rng = np.random.default_rng(50)
-    cb = random_composite_codebook(1, 4, rng)
-    W = AggregatedChannel(w1=random_unit_vectors(1, 4, rng)[0],
-                          w2=random_unit_vectors(1, 4, rng)[0])
-    dists = [composite_distance(W, (cb.entries[k, 0], cb.entries[k, 1]))
-             for k in range(len(cb))]
-    idx, Wq = quantize(W, cb)
-    assert idx == int(np.argmin(dists))
-    assert composite_distance(W, (Wq.w1, Wq.w2)) == pytest.approx(min(dists),
+    # each link's codeword minimizes the chordal distance over its codebook
+    for seed in range(20):
+        ch = _draw(np.random.default_rng(seed))
+        cbs = _codebooks(8, seed + 100)
+        q = quantized_channel_set(ch, 8, "rvq", np.random.default_rng(seed + 100))
+        for (_, _, w), (_, _, wq), cb in zip(_links(ch), _links(q), cbs):
+            dists = 1.0 - np.abs(cb.conj() @ w) ** 2
+            best = cb[int(np.argmin(dists))]
+            assert abs(abs(np.vdot(best, wq)) - 1.0) < 1e-12
+            assert 1.0 - abs(np.vdot(wq, w)) ** 2 == pytest.approx(dists.min(),
                                                                   abs=1e-12)
-    with pytest.raises(ShapeMismatch):
-        quantize(AggregatedChannel(w1=np.array([1.0, 0.0]),
-                                   w2=np.array([0.0, 1.0])), cb)
 
 
 def test_rank_one_quantization_exact_mean_below_bound():
@@ -186,9 +208,8 @@ def test_quantize_individual_meets_component_bound(bits_per_vector):
     total = []
     for _ in range(1000):
         ch = _draw(rng)
-        W = aggregate_channel(ch, 0)
-        Wq = quantize_individual(W, 2 * bits_per_vector, rng)
-        total.append(composite_distance(W, (Wq.w1, Wq.w2)))
+        q = quantized_channel_set(ch, 2 * bits_per_vector, "rvq", rng)
+        total.extend(_cell_distortions(ch, q))
     bound = 2.0 * quantization_bound(2 ** bits_per_vector, P41)
     assert np.mean(total) <= bound
 
@@ -198,65 +219,51 @@ def test_quantize_individual_distortion_decreases_with_bits():
     m4, m12 = [], []
     for _ in range(1000):
         ch = _draw(rng)
-        W = aggregate_channel(ch, 0)
-        q4 = quantize_individual(W, 4, rng)
-        q12 = quantize_individual(W, 12, rng)
-        m4.append(composite_distance(W, (q4.w1, q4.w2)))
-        m12.append(composite_distance(W, (q12.w1, q12.w2)))
+        m4.extend(_cell_distortions(ch, quantized_channel_set(ch, 4, "rvq", rng)))
+        m12.extend(_cell_distortions(ch, quantized_channel_set(ch, 12, "rvq", rng)))
     assert np.mean(m12) < np.mean(m4)
 
 
 def test_quantize_individual_rejects_unsplittable_budgets():
     rng = np.random.default_rng(51)
-    W = AggregatedChannel(w1=random_unit_vectors(1, 4, rng)[0],
-                          w2=random_unit_vectors(1, 4, rng)[0])
-    for bits in (3, 1, 0):
-        with pytest.raises(OddBitSplit):
-            quantize_individual(W, bits, rng)
+    ch = _draw(rng)
+    for mode in ("rvq", "perturbation"):
+        for bits in (3, 1, 0):
+            with pytest.raises(OddBitSplit):
+                quantized_channel_set(ch, bits, mode, rng)
 
 
-def test_quantize_individual_matches_product_codebook():
-    seed = 52
-    rng = np.random.default_rng(seed)
-    W = AggregatedChannel(w1=random_unit_vectors(1, 4, rng)[0],
-                          w2=random_unit_vectors(1, 4, rng)[0])
-    state = np.random.default_rng(seed + 1)
-    Wq = quantize_individual(W, 4, state)
-    # rebuild the two component codebooks from the same stream: w1's
-    # codebook is drawn first
-    state = np.random.default_rng(seed + 1)
-    c1 = random_unit_vectors(4, 4, state)
-    c2 = random_unit_vectors(4, 4, state)
-    _, Wp = quantize(W, product_codebook(c1, c2))
-    assert np.allclose(Wq.w1, Wp.w1, atol=1e-12)
-    assert np.allclose(Wq.w2, Wp.w2, atol=1e-12)
-
-
-def test_product_codebook_layout():
-    rng = np.random.default_rng(53)
-    c1 = random_unit_vectors(2, 4, rng)
-    c2 = random_unit_vectors(4, 4, rng)
-    cb = product_codebook(c1, c2)
-    assert cb.bits == 3
-    assert np.allclose(cb.entries[5, 0], c1[1])
-    assert np.allclose(cb.entries[5, 1], c2[1])
-    with pytest.raises(ShapeMismatch):
-        product_codebook(c1[:1], c2[:3])
+@pytest.mark.parametrize("bits", [10, 16, 24, 28, 40])
+def test_quantization_kernel_matches_per_link_oracle(bits):
+    # same codewords (RVQ) or directions (perturbation), bit for bit, and
+    # the same rng position afterwards as the per-link code
+    mode = "rvq" if bits <= 24 else "perturbation"
+    for seed in range(12):
+        ch = _draw(np.random.default_rng(seed))
+        rng, ref_rng = np.random.default_rng([seed, bits]), np.random.default_rng([seed, bits])
+        q = quantized_channel_set(ch, bits, mode, rng)
+        ref, indices = ia_oracle.quantized_channel_set(ch, bits, mode, ref_rng)
+        assert len(indices) == (6 if mode == "rvq" else 0)
+        assert np.array_equal(q, ref)
+        assert rng.random() == ref_rng.random()
 
 
 def test_perturbation_model_hits_exact_distortion():
     rng = np.random.default_rng(54)
     for B in (1, 4, 12):
-        w = random_unit_vectors(1, 4, rng)[0]
-        wq = perturb_quantization_model(w, B, rng)
+        ch = _draw(rng)
+        q = quantized_channel_set(ch, 2 * B, "perturbation", rng)
         z = float(np.clip(quantization_bound(2 ** B, P41), 0.0, 1.0))
-        assert np.linalg.norm(wq) == pytest.approx(1.0, abs=1e-12)
-        assert 1.0 - abs(np.vdot(wq, w)) ** 2 == pytest.approx(z, abs=1e-10)
-    w = random_unit_vectors(1, 4, rng)[0]
-    wq = perturb_quantization_model(w, 150, rng)
-    assert 1.0 - abs(np.vdot(wq, w)) ** 2 < 1e-12
-    with pytest.raises(ShapeMismatch):
-        perturb_quantization_model(w, 0, rng)
+        for (i, j, w), (_, _, wq) in zip(_links(ch), _links(q)):
+            assert np.linalg.norm(q[i, j]) == pytest.approx(np.linalg.norm(ch[i, j]),
+                                                            rel=1e-12)
+            assert 1.0 - abs(np.vdot(wq, w)) ** 2 == pytest.approx(z, abs=1e-10)
+    ch = _draw(rng)
+    q = quantized_channel_set(ch, 300, "perturbation", rng)
+    for (_, _, w), (_, _, wq) in zip(_links(ch), _links(q)):
+        assert 1.0 - abs(np.vdot(wq, w)) ** 2 < 1e-12
+    with pytest.raises(OddBitSplit):
+        quantized_channel_set(ch, 0, "perturbation", rng)
 
 
 def test_perturbation_model_tracks_random_codebooks():
@@ -267,12 +274,9 @@ def test_perturbation_model_tracks_random_codebooks():
         d_rvq, d_pert = [], []
         for _ in range(500):
             ch = _draw(rng)
-            W = aggregate_channel(ch, 0)
-            Wq = quantize_individual(W, bits, rng)
-            d_rvq.append(composite_distance(W, (Wq.w1, Wq.w2)))
-            p1 = perturb_quantization_model(W.w1, bits // 2, rng)
-            p2 = perturb_quantization_model(W.w2, bits // 2, rng)
-            d_pert.append(composite_distance(W, (p1, p2)))
+            d_rvq.extend(_cell_distortions(ch, quantized_channel_set(ch, bits, "rvq", rng)))
+            d_pert.extend(_cell_distortions(
+                ch, quantized_channel_set(ch, bits, "perturbation", rng)))
         ratio = np.mean(d_rvq) / np.mean(d_pert)
         assert 0.7 <= ratio <= 1.3
 
@@ -281,9 +285,8 @@ def test_quantized_channel_set_modes():
     rng = np.random.default_rng(55)
     ch = _draw(rng)
     perfect = quantized_channel_set(ch, 10, "perfect", rng)
-    for i in range(3):
-        for j in range(3):
-            assert np.allclose(perfect[i][j], ch[i][j], atol=0.0)
+    assert np.array_equal(perfect, ch)
+    assert perfect is not ch
     q = quantized_channel_set(ch, 10, "rvq", np.random.default_rng(56))
     for i in range(3):
         assert np.allclose(q[i][i], ch[i][i], atol=0.0)
@@ -295,6 +298,8 @@ def test_quantized_channel_set_modes():
         quantized_channel_set(ch, 10, "vector", rng)
     with pytest.raises(OddBitSplit):
         quantized_channel_set(ch, 5, "rvq", rng)
+    with pytest.raises(ShapeMismatch):
+        quantized_channel_set(ch[:2], 10, "rvq", rng)
 
 
 def test_limited_feedback_rate_perfect_mode_is_exact():
@@ -364,3 +369,113 @@ def test_perturbation_distortion_cache_equals_direct_bound(bits, n):
                            0.0, 1.0))
     assert _perturbation_distortion(bits, n) == direct
     assert _perturbation_distortion(bits, n) == direct
+
+
+def test_stacked_closed_form_ia_matches_scalar_oracle():
+    # 600 solves (100 drops, each perfect and at five budgets) as one stack,
+    # given C-ordered, Fortran-ordered and as nested lists: precoders,
+    # filters and rates equal the one-drop oracle bit for bit
+    rng = np.random.default_rng(2024)
+    drops = complex_normal(rng, (100, 3, 3, 2, 2), INV_SQRT2)
+    budgets = (10, 16, 24, 28, 40)
+    stack = np.stack([[ch] + [quantized_channel_set(ch, b, "rvq" if b <= 24
+                                                    else "perturbation", rng)
+                              for b in budgets] for ch in drops])
+    P = 10.0 ** 2.5
+    ref = [[ia_oracle.closed_form_ia(q) for q in row] for row in stack]
+    ref_rates = [[ia_oracle.ia_link_rates(ch, sol, P) for sol in row]
+                 for ch, row in zip(drops, ref)]
+    for form in (stack, np.asfortranarray(stack), stack.tolist()):
+        sol = closed_form_ia(form)
+        assert sol.precoders.shape == sol.receive_filters.shape == (100, 6, 3, 2)
+        rates = ia_link_rates(drops[:, None], sol, P)
+        assert np.array_equal(sol.precoders,
+                              [[r.precoders for r in row] for row in ref])
+        assert np.array_equal(sol.receive_filters,
+                              [[r.receive_filters for r in row] for row in ref])
+        assert np.array_equal(rates, ref_rates)
+
+
+def test_closed_form_ia_flags_each_degenerate_drop():
+    rng = np.random.default_rng(46)
+    stack = complex_normal(rng, (5, 3, 3, 2, 2), INV_SQRT2)
+    stack[1, 0, 1] = [[1.0, 2.0], [0.5, 1.0]]       # rank 1
+    stack[3, 2, 0] = 0.0                            # 0/0 condition number
+    stack[4, 1, 2, 0, 1] = np.nan
+    for _ in range(2):
+        with pytest.raises(DegenerateChannel) as info:
+            closed_form_ia(stack)
+        assert info.value.where.tolist() == [False, True, False, True, True]
+    good = closed_form_ia(stack[[0, 2]])
+    assert np.array_equal(good.precoders[1], closed_form_ia(stack[2]).precoders)
+
+
+def test_vanishing_perturbation_direction_is_degenerate():
+    # a drawn direction within 1e-13 of parallel to w leaves nothing to
+    # perturb with: that link comes back NaN and the solve reports the drop
+    # as degenerate
+    ch = _draw(np.random.default_rng(47))
+    w = aggregate_channel(ch, 1).w2             # link 3: receiver 1, transmitter 0
+    c = 2.0 * w + 1e-13 * np.array([-np.conj(w[1]), np.conj(w[0]), 0.0, 0.0])
+
+    class ParallelDraw:
+        def standard_normal(self, shape):
+            g = np.random.default_rng(48).standard_normal(shape)
+            g[3, 0], g[3, 1] = c.real, c.imag
+            return g
+
+    q = quantized_channel_set(ch, 40, "perturbation", ParallelDraw())
+    assert np.isnan(q[1, 0]).all()
+    assert np.isfinite(np.delete(q.reshape(9, 4), 3, axis=0)).all()
+    with pytest.raises(DegenerateChannel):
+        closed_form_ia(q)
+
+
+@pytest.mark.parametrize("zero_link", [False, True])
+def test_fig6_trial_redraws_only_the_degenerate_budget(monkeypatch, zero_link):
+    # the first quantization of the 16-bit budget comes back rank 1 (or all
+    # zero): that budget alone is quantized again, after the others, and
+    # counted; every other row is the undisturbed one
+    cfg = make_config("fig6_oia_vs_ia", {"snr_db_grid": "20",
+                                         "K_rule": "fixed:10,16,40"})
+    clean = run_trial(cfg, 20.0, 0)
+    real = harness.quantized_channel_set
+    calls = []
+
+    def spoiled(ch, bits, mode, rng):
+        q = real(ch, bits, mode, rng)
+        calls.append(bits)
+        if bits == 16 and calls.count(16) % 2:       # the first of each trial
+            q[2, 0] = 0.0 if zero_link else [[1.0, 1.0], [2.0, 2.0]]
+        return q
+
+    monkeypatch.setattr(harness, "quantized_channel_set", spoiled)
+    runs = [run_trial(cfg, 20.0, 0) for _ in range(2)]
+    assert calls == [10, 16, 40, 16] * 2
+    for out in runs:
+        assert out.redraws == clean.redraws + 1
+        assert out.keys == clean.keys
+        redrawn = out.keys.index(("ia_individual", 16))
+        keep = [n for n in range(len(out.keys)) if n != redrawn]
+        assert np.array_equal(out.rows[keep], clean.rows[keep], equal_nan=True)
+        assert out.rows[redrawn, 0] != clean.rows[redrawn, 0]
+    assert np.array_equal(runs[0].rows, runs[1].rows, equal_nan=True)
+
+
+def test_fig6_trial_gives_up_on_a_budget_that_stays_degenerate(monkeypatch):
+    cfg = make_config("fig6_oia_vs_ia", {"snr_db_grid": "20", "K_rule": "fixed:10,16"})
+    real = harness.quantized_channel_set
+    calls = []
+
+    def always_rank_one(ch, bits, mode, rng):
+        q = real(ch, bits, mode, rng)
+        calls.append(bits)
+        if bits == 16:
+            q[0, 1] = [[1.0, 1.0], [1.0, 1.0]]
+        return q
+
+    monkeypatch.setattr(harness, "quantized_channel_set", always_rank_one)
+    monkeypatch.setattr(harness, "_MAX_REDRAWS", 5)
+    with pytest.raises(DegenerateChannel):
+        run_trial(cfg, 20.0, 0)
+    assert calls == [10] + [16] * 6
