@@ -19,12 +19,12 @@ from .grassmann import (ManifoldParams, Subspace, ball_volume,
                         chordal_distance_sq, metric_cdf, orthonormal_basis,
                         quantization_bound, sample_uniform_subspace)
 from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
-                      make_config, run_experiment, run_trial, write_csv)
-from .ia import (IaSolution, closed_form_ia, ia_limited_feedback_rate,
-                 ia_link_rates, ia_sum_rate, quantized_channel_set)
+                      make_config, run_experiment, run_trial, run_trials,
+                      write_csv)
+from .ia import IaSolution, closed_form_ia, ia_link_rates, quantized_channel_set
 from .oia import (SelectionOutcome, expected_eligible, expected_metric_one_bit,
                   expected_metric_upper_bound, outage_probability,
-                  select_conventional, select_one_bit)
+                  select_conventional, select_one_bit, select_one_bit_rows)
 from .threshold import (ThresholdSpec, lambert_w, min_expected_metric_d1,
                         optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)

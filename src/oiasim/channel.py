@@ -76,14 +76,16 @@ def interferer_indices(i):
     return (i + 1) % 3, (i + 2) % 3
 
 
-def generate_channels(rng: np.random.Generator, cfg: SystemConfig) -> ChannelSet:
-    """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries.
+def generate_channels(rng: np.random.Generator, cfg: SystemConfig,
+                      out: np.ndarray | None = None) -> ChannelSet:
+    """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries,
+    into out (a complex128 array or view of the drop's shape) when given.
 
     Bit-identical to (re + 1j * im) / np.sqrt(2) on the same random
     stream; see complex_normal.
     """
     shape = (3, 3, cfg.K, cfg.nr, cfg.nt)
-    return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2), cfg=cfg)
+    return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2, out), cfg=cfg)
 
 
 def user_metric(ch: ChannelSet, i: int, k: int) -> float:
@@ -99,6 +101,10 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
     """Selection metrics of all K users of cell i at once.
 
     Vectorized equivalent of user_metric over k; the harness hot path.
+    Each user's metric depends on its own channels only. Raises
+    DegenerateChannel when an interference channel of some user is zero
+    (d = 1) or rank deficient (d > 1); its `where` is the (K,) mask of
+    such users, which callers redraw.
     """
     p, q = interferer_indices(i)
     d = ch.cfg.d
@@ -110,44 +116,61 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
         b = np.ascontiguousarray(Hq).view(np.float64).reshape(len(Hq), 4)
         np_sq = np.einsum("kj,kj->k", a, a)
         nq_sq = np.einsum("kj,kj->k", b, b)
-        if np.any(np_sq <= 0) or np.any(nq_sq <= 0):
-            raise DegenerateChannel("zero interference channel draw")
+        bad = (np_sq <= 0) | (nq_sq <= 0)
+        if bad.any():
+            raise DegenerateChannel("zero interference channel draw", where=bad)
         # real and imaginary parts of h_p^H h_q
         re = np.einsum("kj,kj->k", a, b)
         im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
         m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
     else:
-        Qp, Qq = _orthonormal_rows(ch.h[i, [p, q]])
-        inner = np.einsum("kba,kca->kbc", Qp.conj(), Qq)     # Qp^H Qq
-        f = inner.reshape(len(inner), -1).view(np.float64)
-        m = d - np.einsum("kj,kj->k", f, f)
+        # columns, then entries, then (link, user): real and imaginary parts
+        X = ch.h[i, [p, q]].transpose(3, 2, 0, 1)
+        re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
+        bad = _orthonormalize_columns(re, im)
+        if bad.any():
+            raise DegenerateChannel("rank-deficient channel draw",
+                                    where=bad.any(axis=0))
+        # entry (b, c) of Qp^H Qq, real and imaginary part
+        pr, pi = re[:, None, :, 0], im[:, None, :, 0]
+        qr, qi = re[None, :, :, 1], im[None, :, :, 1]
+        sr = (pr * qr + pi * qi).sum(axis=2)
+        si = (pr * qi - pi * qr).sum(axis=2)
+        m = d - (sr * sr + si * si).sum(axis=(0, 1))
     return np.clip(m, 0.0, float(d))
 
 
-def _orthonormal_rows(H: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of each (n, d) matrix of a
-    stack, as the d rows of a (d, n) matrix, by modified Gram-Schmidt over
-    the columns; rank-deficient draws raise DegenerateChannel.
+def _orthonormalize_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of a stack of complex (n, d) matrices in
+    place, by modified Gram-Schmidt, and return the mask of the
+    rank-deficient matrices, whose columns are then meaningless.
 
+    re and im hold the real and imaginary parts with the column first, then
+    the entry, then the stack axes: shape (d, n, ...). Every operation
+    then runs on whole rows of the stack.
     The column norms after projection are |R_jj| of the QR factorization.
     A matrix whose smallest is at most RANK_RTOL times its largest is
-    rejected before anything is divided by it.
+    rank deficient; the mask is set before anything is divided by it.
     """
-    Q = np.array(H.swapaxes(-1, -2), order="C")
     lo = hi = None
-    for j in range(Q.shape[-2]):
-        v = Q[..., j, :]
+    bad = np.zeros(re.shape[2:], dtype=bool)
+    for j in range(len(re)):
+        vr, vi = re[j], im[j]
         for l in range(j):
-            u = Q[..., l, :]
-            v -= u * np.einsum("...a,...a->...", u.conj(), v)[..., None]
-        f = v.view(np.float64)
-        norm = np.sqrt(np.einsum("...a,...a->...", f, f))
+            ur, ui = re[l], im[l]
+            # u^H v, real and imaginary part
+            pr = (ur * vr + ui * vi).sum(axis=0)
+            pi = (ur * vi - ui * vr).sum(axis=0)
+            vr -= ur * pr - ui * pi
+            vi -= ur * pi + ui * pr
+        norm = np.sqrt((vr * vr + vi * vi).sum(axis=0))
         lo = norm if lo is None else np.minimum(lo, norm)
         hi = norm if hi is None else np.maximum(hi, norm)
-        if np.any(lo <= RANK_RTOL * hi):
-            raise DegenerateChannel("rank-deficient channel draw in batch")
-        v /= norm[..., None]
-    return Q
+        bad |= lo <= RANK_RTOL * hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vr /= norm
+            vi /= norm
+    return bad
 
 
 def _herm(M: np.ndarray) -> np.ndarray:

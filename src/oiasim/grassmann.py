@@ -185,9 +185,11 @@ def quantization_bound(K: int, p: ManifoldParams) -> float:
     return float(np.exp(log_gamma - np.log(D) - np.log(K * p.c) / D))
 
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """scale * (x + 1j y) for i.i.d. standard normal arrays x, y of the
-    given shape, x drawn first.
+    given shape, x drawn first, written into out (a complex128 array or
+    view of that shape) when given.
 
     Both are drawn into one float64 buffer and written scaled into the
     complex128 result: the stream and bits of (x + 1j * y) * scale, and with
@@ -195,7 +197,8 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0) -> np.nd
     a complex array by a real scalar by multiplying with the rounded
     reciprocal.
     """
-    out = np.empty(shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
     buf = rng.standard_normal(shape)
     np.multiply(buf, scale, out=out.real)
     rng.standard_normal(out=buf)

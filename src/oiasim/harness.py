@@ -4,6 +4,14 @@ Each experiment writes one CSV table. The random stream of trial t at
 grid point index p is np.random.default_rng([seed, p, t]), so results do
 not depend on execution order or on how trials are distributed over
 worker processes; schemes under comparison share each drop.
+
+Trials run in chunks (run_trials). Each trial of a chunk draws from its
+own stream, in the same order as when it runs alone (run_trial); the
+chunk then computes the metrics, the selections, the IA solutions and the
+rates of all its trials in one stacked call each. A chunk holds at most
+_CHUNK_BYTES of channel drops, and at least one trial, so memory stays
+bounded at large K. The CSV body therefore does not depend on the chunk
+size, nor on --workers, whose pool maps ranges of trials.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (SystemConfig, cell_metrics, generate_channels,
+from .channel import (ChannelSet, SystemConfig, cell_metrics, generate_channels,
                       interference_covariance, postfilter, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
@@ -30,7 +38,9 @@ from .errors import (ConfigError, DegenerateChannel, IoError, ShapeMismatch,
                      TooFewUsers, UnknownExperiment)
 from .grassmann import INV_SQRT2, ManifoldParams, complex_normal
 from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
-from .oia import select_conventional, select_one_bit
+# select_one_bit is not called here; perfbench/layertrace.py patches it in
+# this namespace, among the other layer entry points
+from .oia import select_conventional, select_one_bit, select_one_bit_rows  # noqa: F401
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
 
@@ -41,6 +51,10 @@ _RVQ_BIT_LIMIT = 24
 # bytes per complex channel entry of one drop: 16 for the array itself and 8
 # for the float64 buffer generate_channels draws into
 _DROP_BYTES_PER_ENTRY = 24
+# channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
+# (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
+# chunk is one trial and takes the memory of that one drop
+_CHUNK_BYTES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,11 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class TrialRows:
-    """One drop's results: row n of the (len(keys), 3) float array is, for
-    the (scheme, K) pair keys[n], the sum rate over the three cells, the
-    outage count and the eligible-count sum (NaN for a scheme without
-    eligibility). redraws counts the degenerate draws it rejected."""
+    """Results of one drop (run_trial), a (len(keys), 3) float array, or of
+    several (run_trials), a (trials, len(keys), 3) array. Row n of a drop
+    is, for the (scheme, K) pair keys[n], the sum rate over the three
+    cells, the outage count and the eligible-count sum (NaN for a scheme
+    without eligibility). redraws counts the degenerate draws rejected."""
 
     keys: tuple
     rows: np.ndarray
@@ -192,105 +207,118 @@ def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
     return complex_normal(rng, (3, 3, 2, 2), INV_SQRT2)
 
 
-def _oia_drop(cfg: ExperimentConfig, P: float, kmax: int,
-              rng: np.random.Generator):
-    """One non-degenerate OIA channel drop with its per-cell metric arrays."""
-    sys_cfg = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=kmax, P=P)
-    redraws = 0
+def _count_redraw(redraws: np.ndarray, t: int) -> None:
+    redraws[t] += 1
+    if redraws[t] > _MAX_REDRAWS:
+        raise DegenerateChannel(f"more than {_MAX_REDRAWS} degenerate draws in one trial")
+
+
+def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
+    """One non-degenerate OIA channel drop per rng, drawn in place into one
+    ChannelSet of len(rngs) * kmax users per cell (trial t's users at
+    t * kmax onwards), with its (trials, 3, kmax) metric array. A
+    degenerate drop is redrawn from its own rng, which has drawn nothing
+    else yet."""
+    drop = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=kmax, P=P)
+    T = len(rngs)
+    ch = ChannelSet(np.empty((3, 3, T * kmax, cfg.nr, cfg.nt), dtype=complex),
+                    dataclasses.replace(drop, K=T * kmax))
+    slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
+    for rng, slot in zip(rngs, slots):
+        generate_channels(rng, drop, out=slot)
     while True:
         try:
-            ch = generate_channels(rng, sys_cfg)
-            metrics = [cell_metrics(ch, i) for i in range(3)]
-            return ch, metrics, sys_cfg, redraws
-        except DegenerateChannel:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise
+            metrics = np.stack([cell_metrics(ch, i) for i in range(3)])
+            return ch, metrics.reshape(3, T, kmax).swapaxes(0, 1)
+        except DegenerateChannel as exc:
+            for t in np.flatnonzero(exc.where.reshape(T, kmax).any(axis=1)):
+                _count_redraw(redraws, t)
+                generate_channels(rngs[t], drop, out=slots[t])
 
 
-def _oia_rows(cfg, P, rng, ks, include_perfect):
-    """Rows of the 1-bit scheme (after perfect feedback, if included) for
-    each K in ks on one shared drop, smaller K as prefixes of the largest.
+def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect):
+    """Rows, (trials, keys, 3), of the 1-bit scheme (after perfect
+    feedback, if included) for each K in ks on each trial's shared drop,
+    smaller K as prefixes of the largest.
 
-    All selections come first, in the order that fixes the rng stream; the
-    served users' postfilters and rates then take one stacked call each.
+    All selections come first, each trial's in the order that fixes its rng
+    stream; the served users' postfilters and rates then take one stacked
+    call each.
     """
-    ch, metrics, sys_cfg, redraws = _oia_drop(cfg, P, max(ks), rng)
-    schemes = ("oia_perfect", "oia_1bit") if include_perfect else ("oia_1bit",)
-    served = []     # (cell, user, outage, eligible count) per K, cell, scheme
-    for K in ks:
-        x = threshold_value(cfg, K)
-        for i in range(3):
-            m = metrics[i][:K]
-            if include_perfect:
-                served.append((i, select_conventional(m), 0, np.nan))
-            sel = select_one_bit(m, x, rng)
-            served.append((i, sel.selected, sel.outage, sel.eligible_count))
-    cells, users, outage, eligible = (np.array(c) for c in zip(*served))
-    U = postfilter(interference_covariance(ch, cells, users), sys_cfg.d)
-    rate = user_rate(ch, cells, users, U, sys_cfg).rate
-    per_cell = np.stack([rate, outage, eligible], axis=-1).reshape(
-        len(ks), 3, len(schemes), 3)
+    kmax = max(ks)
+    ch, metrics = _oia_drops(cfg, P, kmax, rngs, redraws)
+    selected, eligible = select_one_bit_rows(
+        metrics, ks, [threshold_value(cfg, K) for K in ks], rngs)
+    # (trials, K, cell, scheme) arrays of served user, outage and eligible count
+    served = [(selected, eligible == 0, eligible)]
+    if include_perfect:
+        best = np.stack([select_conventional(metrics[..., :K]) for K in ks], axis=1)
+        served.insert(0, (best, np.zeros_like(best), np.full(best.shape, np.nan)))
+    users, outage, counts = (np.stack(c, axis=-1) for c in zip(*served))
+    users += (kmax * np.arange(len(rngs)))[:, None, None, None]
+    cells = np.broadcast_to(np.arange(3)[:, None], users.shape)
+    U = postfilter(interference_covariance(ch, cells, users), cfg.d)
+    rate = user_rate(ch, cells, users, U, ch.cfg).rate
+    per_cell = np.stack([rate, outage, counts], axis=-1)
     # summed over the cells in cell order, as a scalar running sum would
-    rows = per_cell[:, 0] + per_cell[:, 1] + per_cell[:, 2]
+    rows = per_cell[:, :, 0] + per_cell[:, :, 1] + per_cell[:, :, 2]
+    schemes = ("oia_perfect", "oia_1bit") if include_perfect else ("oia_1bit",)
     keys = tuple((s, K) for K in ks for s in schemes)
-    return keys, rows.reshape(-1, 3), redraws
+    return keys, rows.reshape(len(rngs), len(keys), 3)
 
 
 def _ia_rows(ch2, sol, P) -> np.ndarray:
     """Rows of IA solutions on ch2, one per solution: every cell served,
     none in outage, no eligibility."""
-    rates = ia_link_rates(ch2, sol, P).reshape(-1, 3)
-    rows = np.zeros((len(rates), 3))
-    rows[:, 0] = rates[:, 0] + rates[:, 1] + rates[:, 2]
-    rows[:, 2] = np.nan
+    rates = ia_link_rates(ch2, sol, P)
+    rows = np.zeros(rates.shape)
+    rows[..., 0] = rates[..., 0] + rates[..., 1] + rates[..., 2]
+    rows[..., 2] = np.nan
     return rows
 
 
-def _trial_fig2(cfg, P, rng):
-    keys, rows, redraws = _oia_rows(cfg, P, rng, _point_k_values(cfg, P),
-                                    include_perfect=True)
+def _trial_fig2(cfg, P, ks, rngs, redraws):
+    keys, rows = _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=True)
+    ch2 = np.stack([_draw_ia_channels(rng) for rng in rngs])
     while True:
-        ch2 = _draw_ia_channels(rng)
         try:
             sol = closed_form_ia(ch2)
             break
-        except DegenerateChannel:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise
-    return TrialRows(keys + (("ia_closed_form", 1),),
-                     np.vstack([rows, _ia_rows(ch2, sol, P)]), redraws)
+        except DegenerateChannel as exc:
+            for t in np.flatnonzero(exc.where):
+                _count_redraw(redraws, t)
+                ch2[t] = _draw_ia_channels(rngs[t])
+    return (keys + (("ia_closed_form", 1),),
+            np.concatenate([rows, _ia_rows(ch2, sol, P)[:, None]], axis=1))
 
 
-def _trial_oia_only(cfg, P, rng):
-    return TrialRows(*_oia_rows(cfg, P, rng, _point_k_values(cfg, P),
-                                include_perfect=False))
+def _trial_oia_only(cfg, P, ks, rngs, redraws):
+    return _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False)
 
 
-def _trial_fig6(cfg, P, rng):
-    """Every bit budget is quantized first, in ascending order; IA and its
-    rates then take one stacked call each. Budgets whose solve is
-    degenerate are quantized again, after all the others."""
-    bit_values = _point_k_values(cfg, P)
-    keys, rows, redraws = _oia_rows(cfg, P, rng, bit_values,
-                                    include_perfect=False)
-    ch2 = _draw_ia_channels(rng)
+def _trial_fig6(cfg, P, bit_values, rngs, redraws):
+    """Each trial quantizes every bit budget first, in ascending order; IA
+    and its rates then take one stacked call each. Budgets whose solve is
+    degenerate are quantized again, after all the others of their trial."""
+    keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws, include_perfect=False)
     modes = ["rvq" if b <= _RVQ_BIT_LIMIT else "perturbation" for b in bit_values]
-    quantized = np.stack([quantized_channel_set(ch2, b, mode, rng)
-                          for b, mode in zip(bit_values, modes)])
+    ch2 = np.empty((len(rngs), 3, 3, 2, 2), dtype=complex)
+    quantized = np.empty((len(rngs), len(bit_values), 3, 3, 2, 2), dtype=complex)
+    for t, rng in enumerate(rngs):
+        ch2[t] = _draw_ia_channels(rng)
+        for n, (b, mode) in enumerate(zip(bit_values, modes)):
+            quantized[t, n] = quantized_channel_set(ch2[t], b, mode, rng)
     while True:
         try:
             sol = closed_form_ia(quantized)
             break
         except DegenerateChannel as exc:
-            for n in np.flatnonzero(exc.where):
-                redraws += 1
-                if redraws > _MAX_REDRAWS:
-                    raise
-                quantized[n] = quantized_channel_set(ch2, bit_values[n], modes[n], rng)
-    return TrialRows(keys + tuple(("ia_individual", b) for b in bit_values),
-                     np.vstack([rows, _ia_rows(ch2, sol, P)]), redraws)
+            for t, n in zip(*np.nonzero(exc.where)):
+                _count_redraw(redraws, t)
+                quantized[t, n] = quantized_channel_set(ch2[t], bit_values[n],
+                                                        modes[n], rngs[t])
+    return (keys + tuple(("ia_individual", b) for b in bit_values),
+            np.concatenate([rows, _ia_rows(ch2[:, None], sol, P)], axis=1))
 
 
 _TRIAL_BUILDERS = {
@@ -301,29 +329,57 @@ _TRIAL_BUILDERS = {
 }
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRows:
-    """One Monte Carlo drop at one SNR grid point, all schemes evaluated.
+def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows:
+    """Monte Carlo drops trial_indices at one SNR grid point, all schemes
+    evaluated; rows has shape (trials, keys, 3).
 
-    The rng derives from (seed, grid index of snr_db, trial_index), so the
-    same triple always reproduces the same rows. The keys, and their order,
-    depend on the experiment and the grid point only.
+    Trial t draws from np.random.default_rng([seed, point, t]), in the same
+    order, exactly what run_trial(cfg, snr_db, t) draws, so its rows are
+    that call's bit for bit. The trials run in chunks holding at most
+    _CHUNK_BYTES of channel drops (at least one trial each), and each
+    stage of a chunk (metrics, selection, IA, rates) is one stacked call.
     """
     try:
         builder = _TRIAL_BUILDERS[cfg.experiment]
     except KeyError:
         raise UnknownExperiment(cfg.experiment) from None
+    trial_indices = list(trial_indices)
+    if not trial_indices:
+        raise ConfigError("run_trials needs at least one trial index")
     point = cfg.snr_db_grid.index(float(snr_db))
-    rng = np.random.default_rng([cfg.seed, point, trial_index])
     P = 10.0 ** (float(snr_db) / 10.0)
-    return builder(cfg, P, rng)
+    ks = _point_k_values(cfg, P)
+    drop_bytes = np.dtype(complex).itemsize * 9 * max(ks) * cfg.nr * cfg.nt
+    size = max(1, _CHUNK_BYTES // drop_bytes)
+    redraws = np.zeros(len(trial_indices), dtype=int)
+    rows = []
+    for start in range(0, len(trial_indices), size):
+        rngs = [np.random.default_rng([cfg.seed, point, t])
+                for t in trial_indices[start:start + size]]
+        keys, chunk = builder(cfg, P, ks, rngs, redraws[start:start + size])
+        rows.append(chunk)
+    return TrialRows(keys, np.concatenate(rows), int(redraws.sum()))
+
+
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRows:
+    """One Monte Carlo drop at one SNR grid point, all schemes evaluated;
+    the one-trial case of run_trials.
+
+    The rng derives from (seed, grid index of snr_db, trial_index), so the
+    same triple always reproduces the same rows. The keys, and their order,
+    depend on the experiment and the grid point only.
+    """
+    out = run_trials(cfg, snr_db, (trial_index,))
+    return TrialRows(out.keys, out.rows[0], out.redraws)
 
 
 def _map_trials(cfg, snr_db, pool, workers):
     if pool is None:
-        return [run_trial(cfg, snr_db, t) for t in range(cfg.trials)]
-    chunk = max(1, cfg.trials // (workers * 8))
-    return list(pool.map(run_trial, repeat(cfg), repeat(snr_db),
-                         range(cfg.trials), chunksize=chunk))
+        return [run_trials(cfg, snr_db, range(cfg.trials))]
+    step = max(1, cfg.trials // (workers * 8))
+    return list(pool.map(run_trials, repeat(cfg), repeat(snr_db),
+                         [range(s, min(s + step, cfg.trials))
+                          for s in range(0, cfg.trials, step)]))
 
 
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
@@ -384,7 +440,7 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
             outputs = _map_trials(cfg, snr_db, pool, workers)
             redraws += sum(o.redraws for o in outputs)
             rows.extend(_aggregate_point(cfg, snr_db, outputs[0].keys,
-                                         np.stack([o.rows for o in outputs])))
+                                         np.concatenate([o.rows for o in outputs])))
             print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
                   f"(snr {snr_db:g} dB) done", file=sys.stderr)
     total = cfg.trials * len(cfg.snr_db_grid)

@@ -149,11 +149,6 @@ def ia_link_rates(ch, sol: IaSolution, P: float) -> np.ndarray:
     return np.log2(1.0 + signal / (1.0 + leak))
 
 
-def ia_sum_rate(ch, sol: IaSolution, P: float):
-    """Sum over the three receivers of ia_link_rates."""
-    return ia_link_rates(ch, sol, P).sum(axis=-1)
-
-
 @lru_cache(maxsize=None)
 def _perturbation_distortion(bits_per_vector: int, n: int) -> float:
     """quantization_bound(2^bits_per_vector, (n, 1)) clipped to [0, 1]."""
@@ -227,19 +222,3 @@ def quantized_channel_set(ch, bits_total: int, mode: str,
     wq = quantizer(w, bits_total // 2, rng) * scale[:, None]
     H[_RX, _TX] = wq.reshape(6, 2, 2).transpose(0, 2, 1)
     return H
-
-
-def ia_limited_feedback_rate(ch, bits_total: int, mode: str, P: float,
-                             rng: np.random.Generator) -> float:
-    """Sum rate of IA computed from quantized cross channels of one drop.
-
-    Each receiver feeds back its two cross-channel directions using
-    bits_total bits split equally; mode "rvq" uses explicit random
-    codebooks, "perturbation" the statistical error model, and
-    "perfect" skips quantization (a consistency oracle). Precoders and
-    receive filters both come from closed_form_ia on the quantized
-    channel set; the rate is evaluated on the true channels, so
-    misalignment shows up as residual interference.
-    """
-    quantized = quantized_channel_set(ch, bits_total, mode, rng)
-    return float(ia_sum_rate(ch, closed_form_ia(quantized), P))

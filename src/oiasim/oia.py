@@ -36,16 +36,55 @@ class SelectionOutcome:
             raise ShapeMismatch("selected user did not report '1'")
 
 
-def select_conventional(metrics: np.ndarray) -> int:
-    """Index of the minimal metric; ties go to the lowest index."""
+def select_conventional(metrics: np.ndarray):
+    """Index of the minimal metric along the last axis, for one row or each
+    row of a stack; ties go to the lowest index."""
     metrics = np.asarray(metrics)
     if metrics.size < 1:
         raise ShapeMismatch("need at least one user")
-    return int(np.argmin(metrics))
+    return np.argmin(metrics, axis=-1)
+
+
+def select_one_bit_rows(metrics: np.ndarray, ks, thresholds, rngs):
+    """Threshold-based 1-bit selection on nested prefixes of metric rows.
+
+    metrics has shape (trials, ..., K) with K >= max(ks): every row holds
+    the metrics of K users. For each n, the first ks[n] users of every row
+    take part with threshold thresholds[n]: those below it report '1', and
+    the serving transmitter picks uniformly among the '1' reporters, or
+    uniformly among all ks[n] users on a scheduling outage.
+
+    Trial t makes all its picks with one rngs[t].integers call, in (n, row)
+    order; that call draws what one select_one_bit call per (n, row), in
+    that order, would draw. Returns the selected users and the eligible
+    counts, integer arrays of shape (trials, len(ks), ...); an eligible
+    count of 0 marks an outage.
+    """
+    metrics = np.asarray(metrics)
+    if (metrics.ndim < 2 or len(rngs) != len(metrics)
+            or min(ks) < 1 or max(ks) > metrics.shape[-1]):
+        raise ShapeMismatch(f"metrics of shape {metrics.shape} need one rng per "
+                            f"trial and prefixes of 1 to {metrics.shape[-1:]} users")
+    kmax = metrics.shape[-1]
+    lead = (len(ks),) + (1,) * (metrics.ndim - 1)
+    bits = metrics[:, None] < np.reshape(thresholds, lead)
+    for n, K in enumerate(ks):
+        bits[:, n, ..., K:] = False
+    # every '1' report, row after row
+    rows, users = np.divmod(np.flatnonzero(bits), kmax)
+    eligible = np.bincount(rows, minlength=bits.size // kmax).reshape(bits.shape[:-1])
+    highs = np.where(eligible > 0, eligible, np.reshape(ks, lead[:-1]))
+    draws = np.array([rng.integers(h) for rng, h in zip(rngs, highs)])
+    # the pick of a row is its draws-th report (users gets a pad for the
+    # rows in outage, whose pick is draws itself)
+    users = np.append(users, 0)
+    at = np.cumsum(eligible).reshape(eligible.shape) - eligible + draws
+    return np.where(eligible > 0, users[np.minimum(at, len(users) - 1)], draws), eligible
 
 
 def select_one_bit(metrics: np.ndarray, x: float, rng: np.random.Generator) -> SelectionOutcome:
-    """Threshold-based 1-bit selection.
+    """Threshold-based 1-bit selection among the K users of one row of
+    metrics; the one-row case of select_one_bit_rows.
 
     Users whose metric is below x report '1'; the serving transmitter picks
     uniformly among the '1' reporters, or uniformly among all K users on a
@@ -54,16 +93,11 @@ def select_one_bit(metrics: np.ndarray, x: float, rng: np.random.Generator) -> S
     metrics = np.asarray(metrics)
     if metrics.size < 1:
         raise ShapeMismatch("need at least one user")
-    bits = metrics < x
-    eligible = np.flatnonzero(bits)
-    if eligible.size:
-        selected = int(eligible[rng.integers(eligible.size)])
-        outage = False
-    else:
-        selected = int(rng.integers(metrics.size))
-        outage = True
-    return SelectionOutcome(selected=selected, outage=outage,
-                            eligible_count=int(eligible.size), feedback_bits=bits)
+    selected, eligible = select_one_bit_rows(metrics.reshape(1, -1), (metrics.size,),
+                                             (x,), (rng,))
+    count = int(eligible[0, 0])
+    return SelectionOutcome(selected=int(selected[0, 0]), outage=count == 0,
+                            eligible_count=count, feedback_bits=metrics < x)
 
 
 def outage_probability(x: float, K: int, p: ManifoldParams) -> float:

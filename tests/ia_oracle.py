@@ -3,7 +3,8 @@
 One 2x2 matrix, one 4-vector and one receiver at a time: closed-form IA,
 its link rates, and per-link quantization against an explicit random
 codebook or through the perturbation model, each drawn from the rng in
-the order the stacked kernels in oiasim.ia must reproduce.
+the order the stacked kernels in oiasim.ia must reproduce. Also the
+one-drop sum rates of the stacked kernels that only tests use.
 """
 
 from collections import namedtuple
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from oiasim import ia as kernels
 from oiasim.channel import interferer_indices
 from oiasim.errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from oiasim.grassmann import complex_normal
@@ -182,3 +184,18 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng):
             scale = np.linalg.norm(quantized[i][j])
             quantized[i][j] = (wq * scale).reshape((2, 2), order="F")
     return np.array(quantized), tuple(indices)
+
+
+def ia_sum_rate(ch, sol, P: float):
+    """Sum over the three receivers of the stacked oiasim.ia.ia_link_rates."""
+    return kernels.ia_link_rates(ch, sol, P).sum(axis=-1)
+
+
+def ia_limited_feedback_rate(ch, bits_total: int, mode: str, P: float, rng) -> float:
+    """Sum rate of IA computed by the stacked kernels from the quantized
+    cross channels of one drop and evaluated on the true ones, so that
+    misalignment shows up as residual interference. mode is "rvq",
+    "perturbation" or "perfect" (no quantization), as in
+    oiasim.ia.quantized_channel_set."""
+    quantized = kernels.quantized_channel_set(ch, bits_total, mode, rng)
+    return float(ia_sum_rate(ch, kernels.closed_form_ia(quantized), P))

@@ -16,7 +16,7 @@ import pytest
 from oiasim import (ManifoldParams, closed_form_ia, expected_metric_one_bit,
                     flops_ia_individual, flops_oia_1bit, lambert_w,
                     make_config, min_expected_metric_d1, optimal_threshold_d1,
-                    quantization_bound, run_experiment, run_trial,
+                    quantization_bound, run_experiment, run_trials,
                     sample_uniform_subspace, threshold_asymptotic,
                     threshold_lambert, threshold_numeric)
 from oiasim.channel import interferer_indices
@@ -57,10 +57,9 @@ def fig5_sums():
     ks = (10, 50, 100)
     sums = {K: np.empty((len(cfg.snr_db_grid), cfg.trials)) for K in ks}
     for point, snr in enumerate(cfg.snr_db_grid):
-        for t in range(cfg.trials):
-            out = run_trial(cfg, snr, t)
-            for K in ks:
-                sums[K][point, t] = out.rows[out.keys.index(("oia_1bit", K)), 0]
+        out = run_trials(cfg, snr, range(cfg.trials))
+        for K in ks:
+            sums[K][point] = out.rows[:, out.keys.index(("oia_1bit", K)), 0]
     return cfg.snr_db_grid, ks, sums
 
 

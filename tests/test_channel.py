@@ -311,6 +311,23 @@ def test_cell_metrics_rank_deficient_column(d, link):
     cell_metrics(bad, 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_metrics_degenerate_mask_marks_only_those_users(d):
+    # a zero interference channel (d = 1) or a zero first column (d > 1),
+    # and, for d > 1, a rank-deficient one: `where` marks just those users
+    cfg = _cfg(K=12, d=d)
+    h = generate_channels(np.random.default_rng(450 + d), cfg).h.copy()
+    p, q = interferer_indices(0)
+    h[0, p, 3, :, 0] = 0.0
+    bad = [3]
+    if d > 1:
+        h[0, q, 8, :, 1] = (0.3 - 1.7j) * h[0, q, 8, :, 0]
+        bad.append(8)
+    with pytest.raises(DegenerateChannel) as exc:
+        cell_metrics(ChannelSet(h=h, cfg=cfg), 0)
+    assert np.flatnonzero(exc.value.where).tolist() == bad
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
     rng = np.random.default_rng(500 + d)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy
 
-from oiasim import (ConfigError, ExperimentConfig, IoError, ResultRow,
-                    UnknownExperiment, harness, make_config, optimal_threshold_d1,
-                    run_experiment, run_trial, threshold_numeric, write_csv)
+from oiasim import (ConfigError, DegenerateChannel, ExperimentConfig, IoError,
+                    ResultRow, UnknownExperiment, harness, make_config,
+                    optimal_threshold_d1, run_experiment, run_trial, run_trials,
+                    threshold_numeric, write_csv)
 from oiasim.grassmann import ManifoldParams
 from oiasim.harness import load_config_file, parse_k_rule, threshold_value
 
@@ -173,6 +174,133 @@ def test_run_trial_unknown_experiment():
         run_trial(cfg, 30.0, 0)
 
 
+def _drop_bytes(cfg, snr_db):
+    """Bytes of one channel drop at an SNR point, as chunks count them."""
+    kmax = max(harness._point_k_values(cfg, 10.0 ** (snr_db / 10.0)))
+    return 16 * 9 * kmax * cfg.nr * cfg.nt
+
+
+@pytest.mark.parametrize("experiment, snr_db", [("fig2_sumrate_d1", 20.0),
+                                                ("fig3_eligible_users", 25.0),
+                                                ("fig5_sumrate_d2", 30.0),
+                                                ("fig6_oia_vs_ia", 20.0)])
+def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_db):
+    cfg = make_config(experiment, {"snr_db_grid": str(snr_db)})
+    n = 7
+    singles = [run_trial(cfg, snr_db, t) for t in range(n)]
+    expected = np.stack([o.rows for o in singles])
+    for per_chunk in (1, 2, 3, n, 10 ** 6):
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * _drop_bytes(cfg, snr_db))
+        out = run_trials(cfg, snr_db, range(n))
+        assert out.keys == singles[0].keys
+        assert out.redraws == 0
+        assert out.rows.shape == (n, len(out.keys), 3)
+        assert np.array_equal(out.rows, expected, equal_nan=True)
+    # any order and subset of trials: each row is its own trial's
+    out = run_trials(cfg, snr_db, [5, 0, 3])
+    assert np.array_equal(out.rows, expected[[5, 0, 3]], equal_nan=True)
+    with pytest.raises(ConfigError):
+        run_trials(cfg, snr_db, [])
+
+
+def _trial_of(rng):
+    return rng.bit_generator.seed_seq.entropy[2]
+
+
+def _spoil(monkeypatch, name, rng_arg, hit, spoil):
+    """Wrap harness.<name> so that spoil(result) runs on the calls for which
+    hit(trial, args) holds; returns the list of the trials of all calls, in
+    call order."""
+    real = getattr(harness, name)
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        out = real(*args, **kwargs)
+        t = _trial_of(args[rng_arg])
+        if hit(t, args):
+            spoil(out)
+        calls.append(t)
+        return out
+
+    monkeypatch.setattr(harness, name, spoiled)
+    return calls
+
+
+def _zero_link(ch):
+    ch.h[1, 2, 3] = 0.0                 # transmitter 2 interferes at cell 1
+
+
+def _rank_one_link(ch):
+    h = ch.h[2, 0, 5]                   # transmitter 0 interferes at cell 2
+    h[:, 1] = (0.3 - 1.7j) * h[:, 0]
+
+
+def _rank_one_ia_channel(ch2):
+    ch2[0, 1] = [[1.0, 1.0], [2.0, 2.0]]
+
+
+def _rank_one_budget(quantized):
+    quantized[2, 0] = [[1.0, 1.0], [2.0, 2.0]]
+
+
+@pytest.mark.parametrize("experiment, name, rng_arg, spoil", [
+    ("fig3_eligible_users", "generate_channels", 0, _zero_link),
+    ("fig5_sumrate_d2", "generate_channels", 0, _rank_one_link),
+    ("fig2_sumrate_d1", "_draw_ia_channels", 0, _rank_one_ia_channel),
+    ("fig6_oia_vs_ia", "quantized_channel_set", 3, _rank_one_budget),
+])
+def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experiment,
+                                                           name, rng_arg, spoil):
+    # the first draw of trial 2 of a five-trial chunk is degenerate (for
+    # fig6, that of its 16-bit budget): it alone draws again, from its own
+    # stream, as run_trial does, and the other trials keep their rows
+    cfg = make_config(experiment, {"snr_db_grid": "20",
+                                   "K_rule": "fixed:10,16,40"}
+                      if experiment == "fig6_oia_vs_ia" else {"snr_db_grid": "20"})
+    n, bad = 5, 2
+    clean = run_trials(cfg, 20.0, range(n))
+
+    matches = []
+
+    def first_of_a_run(t, args):
+        if t != bad or (experiment == "fig6_oia_vs_ia" and args[1] != 16):
+            return False
+        # every run draws it twice: the spoiled draw, then the redraw
+        matches.append(t)
+        return len(matches) % 2 == 1
+
+    calls = _spoil(monkeypatch, name, rng_arg, first_of_a_run, spoil)
+    chunk = run_trials(cfg, 20.0, range(n))
+    draws = [calls.count(t) for t in range(n)]
+    del calls[:]
+    singles = [run_trial(cfg, 20.0, t) for t in range(n)]
+    assert [calls.count(t) for t in range(n)] == draws
+    assert draws[bad] == draws[0] + 1
+    assert chunk.redraws == 1
+    assert [o.redraws for o in singles] == [0, 0, 1, 0, 0]
+    assert np.array_equal(chunk.rows, np.stack([o.rows for o in singles]),
+                          equal_nan=True)
+    keep = [t for t in range(n) if t != bad]
+    assert np.array_equal(chunk.rows[keep], clean.rows[keep], equal_nan=True)
+    assert not np.array_equal(chunk.rows[bad], clean.rows[bad], equal_nan=True)
+
+
+@pytest.mark.parametrize("experiment, spoil", [("fig3_eligible_users", _zero_link),
+                                               ("fig5_sumrate_d2", _rank_one_link)])
+def test_drop_that_stays_degenerate_gives_up_mid_chunk(monkeypatch, experiment, spoil):
+    cfg = make_config(experiment, {"snr_db_grid": "20"})
+    monkeypatch.setattr(harness, "_MAX_REDRAWS", 5)
+    calls = _spoil(monkeypatch, "generate_channels", 0,
+                   lambda t, args: t == 2, spoil)
+    with pytest.raises(DegenerateChannel):
+        run_trials(cfg, 20.0, range(5))
+    assert [calls.count(t) for t in range(5)] == [1, 1, 6, 1, 1]
+    del calls[:]
+    with pytest.raises(DegenerateChannel):
+        run_trial(cfg, 20.0, 2)
+    assert calls == [2] * 6
+
+
 def test_fig2_row_layout(tmp_path):
     out = tmp_path / "fig2.csv"
     cfg = make_config("fig2_sumrate_d1", {"trials": "1",
@@ -261,9 +389,12 @@ def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            mapped.append((fn, [task[-1] for task in tasks]))
+            return [fn(*task) for task in tasks]
 
+    mapped = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "stub.csv"
@@ -272,6 +403,11 @@ def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
                        "output_path": str(out)})
     run_experiment(cfg, workers=64)
     assert pools == [2]
+    # one map per grid point, over ranges of trials that cover each trial once
+    assert len(mapped) == 3
+    for fn, ranges in mapped:
+        assert fn is harness.run_trials
+        assert [t for r in ranges for t in r] == [0, 1, 2]
     serial = tmp_path / "serial.csv"
     run_experiment(dataclasses.replace(cfg, output_path=str(serial)))
     assert pools == [2]

@@ -12,12 +12,12 @@ from scipy.special import gammaln
 
 import ia_oracle
 from ia_oracle import (AggregatedChannel, aggregate_channel, composite_distance,
+                       ia_limited_feedback_rate, ia_sum_rate,
                        perturb_quantization_model, random_unit_vectors)
 from oiasim import (DegenerateChannel, ManifoldParams, OddBitSplit,
                     ShapeMismatch, Subspace, chordal_distance_sq,
-                    closed_form_ia, ia_limited_feedback_rate, ia_link_rates,
-                    ia_sum_rate, make_config, quantization_bound,
-                    quantized_channel_set, run_trial)
+                    closed_form_ia, ia_link_rates, make_config,
+                    quantization_bound, quantized_channel_set, run_trial)
 from oiasim import harness
 from oiasim.channel import interferer_indices
 from oiasim.grassmann import INV_SQRT2, complex_normal

@@ -1,0 +1,47 @@
+"""The benchmark's layer tracer (perfbench/layertrace.py) still fits the
+library: every function it patches resolves, and a traced run writes the
+CSV body of an untraced one."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from oiasim import harness, make_config, run_experiment
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves():
+    for module_name, attr, _ in _layertrace().TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            f"{module_name}.{attr}"
+
+
+def test_traced_run_writes_the_untraced_csv_body(tmp_path):
+    layertrace = _layertrace()
+    bodies = []
+    for traced in (False, True):
+        out = tmp_path / f"traced{int(traced)}.csv"
+        cfg = make_config("fig5_sumrate_d2", {"trials": "2", "snr_db_grid": "20",
+                                              "output_path": str(out)})
+        tracer = layertrace.Tracer()
+        if traced:
+            tracer.install()
+        try:
+            run_experiment(cfg)
+        finally:
+            tracer.restore()
+        bodies.append(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert bodies[0] == bodies[1]
+    metrics = layertrace.summarize(tracer)
+    assert metrics["channel.generate_channels.calls"] == 2
+    assert metrics["channel.users_scored"] == 3 * 2 * 100
+    assert harness.generate_channels is importlib.import_module(
+        "oiasim.channel").generate_channels

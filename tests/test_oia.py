@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from oiasim import (ManifoldParams, SelectionOutcome, ShapeMismatch,
                     expected_eligible, expected_metric_one_bit,
                     expected_metric_upper_bound, outage_probability,
-                    select_conventional, select_one_bit)
+                    select_conventional, select_one_bit, select_one_bit_rows)
 from oiasim.threshold import optimal_threshold_d1
 
 P21 = ManifoldParams(2, 1)
@@ -40,6 +40,12 @@ def test_select_conventional_exhaustive_oracle():
     for _ in range(10 ** 4):
         m = rng.random(rng.integers(1, 12))
         assert select_conventional(m) == int(np.argmin(m))
+    rows = rng.random((4, 3, 9))
+    rows[0, 0, 5] = rows[0, 0, 2] = -1.0
+    picks = select_conventional(rows)
+    assert picks.shape == (4, 3) and picks[0, 0] == 2
+    assert all(picks[t, i] == select_conventional(rows[t, i])
+               for t in range(4) for i in range(3))
 
 
 def test_select_one_bit_single_eligible():
@@ -58,6 +64,50 @@ def test_select_one_bit_outage():
     assert out.selected in (0, 1)
 
 
+def _sequential_one_bit(metrics, x, rng):
+    """Reference 1-bit selection on one row: (selected, eligible count),
+    with one scalar rng.integers call."""
+    eligible = np.flatnonzero(metrics < x)
+    if eligible.size:
+        return int(eligible[rng.integers(eligible.size)]), int(eligible.size)
+    return int(rng.integers(metrics.size)), 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_select_one_bit_rows_matches_sequential_selection(seed):
+    # nested prefixes of every row, each trial on its own stream: the picks
+    # and eligible counts of one scalar selection per (prefix, row) in that
+    # order, outages included, and every stream left at the same place
+    rng = np.random.default_rng(seed)
+    trials, rows, kmax = 4, 3, 40
+    metrics = rng.random((trials, rows, kmax))
+    ks = np.sort(rng.choice(np.arange(1, kmax + 1), size=4, replace=False))
+    xs = rng.choice([0.0, 0.02, 0.1, 0.5, 1.0], size=4)
+    streams = [np.random.default_rng([seed, t]) for t in range(trials)]
+    refs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    selected, eligible = select_one_bit_rows(metrics, ks, xs, streams)
+    assert selected.shape == eligible.shape == (trials, len(ks), rows)
+    for t in range(trials):
+        for n, (K, x) in enumerate(zip(ks, xs)):
+            for r in range(rows):
+                assert (selected[t, n, r], eligible[t, n, r]) == _sequential_one_bit(
+                    metrics[t, r, :K], x, refs[t])
+        assert streams[t].integers(7) == refs[t].integers(7)
+        assert streams[t].random() == refs[t].random()
+
+
+def test_select_one_bit_rows_validation():
+    m = np.random.default_rng(0).random((2, 3, 5))
+    rngs = [np.random.default_rng(t) for t in range(2)]
+    for ks in ((0, 3), (2, 6)):
+        with pytest.raises(ShapeMismatch):
+            select_one_bit_rows(m, ks, (0.5, 0.5), rngs)
+    with pytest.raises(ShapeMismatch):
+        select_one_bit_rows(m, (5,), (0.5,), rngs[:1])
+    with pytest.raises(ShapeMismatch):
+        select_one_bit_rows(m[0, 0], (5,), (0.5,), rngs[:1])
+
+
 def test_select_one_bit_outage_rate_matches_binomial():
     K = 50
     x = optimal_threshold_d1(K).x
@@ -70,15 +120,13 @@ def test_select_one_bit_outage_rate_matches_binomial():
 
 def test_select_one_bit_saturated_threshold_uniform():
     # x >= x_max: everyone eligible, never an outage, uniform choice
+    # (one call over all rows draws what one select_one_bit call per row would)
     rng = np.random.default_rng(424242)
     K = 10
-    counts = np.zeros(K, dtype=int)
     metrics = rng.random((10 ** 5, K))
-    for row in metrics:
-        out = select_one_bit(row, 1.0, rng)
-        assert not out.outage
-        assert out.eligible_count == K
-        counts[out.selected] += 1
+    selected, eligible = select_one_bit_rows(metrics[None], (K,), (1.0,), (rng,))
+    assert (eligible == K).all()
+    counts = np.bincount(selected.ravel(), minlength=K)
     expected = 10 ** 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < 21.67  # 99th percentile of chi-square with 9 dof
