@@ -11,14 +11,18 @@ is d_c^2(A, B) = (1/2) * ||A A^H - B B^H||_F^2 = d - ||A^H B||_F^2.
 For a fixed subspace and a Haar-uniform one, the CDF of d_c^2 behaves like
 F(x) = c_{n,d} * x^{d(n-d)} for small x (exact on [0, 1], and everywhere for
 d = 1).
+
+The d = 1 geometry needs numpy only (c_{n,1} = 1, and the distortion bound
+takes log Gamma from math.lgamma); ball_volume with d > 1 imports
+scipy.special.gammaln on its first call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateChannel, ShapeMismatch
 
@@ -117,6 +121,9 @@ def ball_volume(n: int, d: int) -> float:
     """
     if not 1 <= d <= n // 2:
         raise ShapeMismatch(f"ball_volume requires 1 <= d <= n/2, got ({n}, {d})")
+    if d == 1:  # the log-Gamma sum below cancels to exactly 0
+        return 1.0
+    from scipy.special import gammaln
     log_c = -gammaln(d * (n - d) + 1)
     for i in range(1, d + 1):
         log_c += gammaln(n - i + 1) - gammaln(d - i + 1)
@@ -181,8 +188,7 @@ def quantization_bound(K: int, p: ManifoldParams) -> float:
     if K < 1:
         raise ShapeMismatch("K must be at least 1")
     D = p.exponent
-    log_gamma = gammaln(1.0 / D)
-    return float(np.exp(log_gamma - np.log(D) - np.log(K * p.c) / D))
+    return float(np.exp(math.lgamma(1.0 / D) - np.log(D) - np.log(K * p.c) / D))
 
 
 def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,

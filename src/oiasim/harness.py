@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError("d, nr, nt must be at least 1")
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
+        if self.threshold_method != "closed_form_d1":
+            # a scipy-backed design: load it now, before any pool forks
+            import scipy.optimize  # noqa: F401  (brings scipy.special)
         kind, payload = parse_k_rule(self.K_rule)
         if kind == "ceil_P_pow" and payload % self.d:
             raise ConfigError(
@@ -533,7 +536,7 @@ EXPERIMENTS = {
                     "individual IA quantization (no Monte Carlo)",
         defaults=dict(snr_db_grid=(0.0,),
                       K_rule="fixed:" + ",".join(str(b) for b in range(2, 42, 2)),
-                      d=1, nr=2, nt=2, trials=1, threshold_method="numeric"),
+                      d=1, nr=2, nt=2, trials=1, threshold_method="closed_form_d1"),
         runner=_run_fig7),
 }
 

@@ -4,7 +4,7 @@ Conventional opportunistic selection feeds back the real-valued metric and
 the transmitter picks the argmin. The 1-bit protocol compares each user's
 metric against a threshold x, collects one bit per user, serves a uniformly
 random eligible user, and falls back to a uniformly random user when nobody
-is eligible (a scheduling outage).
+is eligible (a scheduling outage). The functionals are closed forms at every d.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ShapeMismatch
 from .grassmann import ManifoldParams, metric_cdf
@@ -109,9 +108,9 @@ def expected_metric_one_bit(x: float, K: int, p: ManifoldParams) -> float:
     """Expected selected-user metric of the 1-bit protocol at threshold x.
 
     (1 - P_out) E[D | D < x] + P_out E[D | D >= x] under the model density
-    f(t) = c D t^(D-1) on [0, x_max]. Closed form for d = 1 where the
-    metric is uniform; adaptive quadrature on the truncated densities for
-    d > 1.
+    f(t) = c D t^(D-1) on [0, x_max], in closed form at every d:
+    E[D | D < x] = D x / (D + 1) and
+    E[D | D >= x] = c D (x_max^(D+1) - x^(D+1)) / ((D + 1)(1 - F(x))).
     """
     x_max = p.x_max
     if not 0.0 < x <= x_max + 1e-12:
@@ -119,24 +118,12 @@ def expected_metric_one_bit(x: float, K: int, p: ManifoldParams) -> float:
     x = min(x, x_max)
     F = metric_cdf(x, p)
     p_out = (1.0 - F) ** K
-    if p.d == 1:
-        D = p.exponent
-        mean_low = D * x / (D + 1)
-        if p_out > 0.0:
-            mean_high = (p.c * D / (D + 1)) * (x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
-        else:
-            mean_high = x
+    D = p.exponent
+    mean_low = D * x / (D + 1)
+    if p_out > 0.0:
+        mean_high = (p.c * D / (D + 1)) * (x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
     else:
-        def weighted(t):
-            return t * p.c * p.exponent * t ** (p.exponent - 1)
-
-        low, _ = quad(weighted, 0.0, x, epsrel=1e-8)
-        mean_low = low / F if F > 0.0 else 0.0
-        if p_out > 0.0 and x < x_max:
-            high, _ = quad(weighted, x, x_max, epsrel=1e-8)
-            mean_high = high / (1.0 - F)
-        else:
-            mean_high = x
+        mean_high = x
     return (1.0 - p_out) * mean_low + p_out * mean_high
 
 

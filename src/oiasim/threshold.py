@@ -6,6 +6,9 @@ is minimized either exactly on a grid (numeric oracle), through the
 Lambert W function after an exponential approximation of the outage factor,
 or by the asymptotic form (A log K / (c K))^{1/d^2} that drops the
 constant term.
+
+lambert_w and threshold_numeric import their scipy routine on first call;
+the closed form and the asymptotic form need numpy only.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import golden
-from scipy.special import lambertw
 
 from .errors import LambertDomain, ShapeMismatch, TooFewUsers
 from .grassmann import ManifoldParams
@@ -90,6 +91,7 @@ def lambert_w(branch: int, z: float) -> float:
     z = max(z, _BRANCH_POINT)
     if z == _BRANCH_POINT:
         return -1.0
+    from scipy.special import lambertw
     return float(lambertw(z, branch).real)
 
 
@@ -167,6 +169,7 @@ def threshold_numeric(K: int, p: ManifoldParams, objective: str = "auto") -> Thr
     i = int(np.argmin(vals))
     x_star = float(grid[i])
     if 0 < i < len(grid) - 1:
+        from scipy.optimize import golden
         try:
             x_star = float(golden(fun, brack=(grid[i - 1], grid[i], grid[i + 1]),
                                   tol=1e-8))

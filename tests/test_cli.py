@@ -1,7 +1,26 @@
 """Exit codes and output of the oia-sim command line."""
 
+import hashlib
+
+import numpy as np
+import pytest
+import scipy
+
 from oiasim import ManifoldParams, threshold_numeric
 from oiasim.cli import main
+
+# Output of the threshold designs that import scipy on first use (golden,
+# lambertw, gammaln), recorded while scipy was still imported with the
+# package. Float results depend on the numpy/scipy builds, so other
+# versions skip.
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+_FIG4_BODY_SHA256 = "546863877f8f953a53eeffc922c6ba0db425a8241d6862d73a6aad510f29f713"
+
+
+def _skip_unless_pinned_versions():
+    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
+        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
+                    f"{_PINNED_VERSIONS[1]}")
 
 
 def test_list_names_every_experiment(capsys):
@@ -26,6 +45,24 @@ def test_threshold_numeric_value(capsys):
     assert rc == 0
     printed = capsys.readouterr().out.strip()
     assert printed == "%.9g" % threshold_numeric(100, ManifoldParams(4, 2)).x
+
+
+@pytest.mark.parametrize("method,printed", [("numeric", "0.522664091"),
+                                             ("lambert", "0.560934682")])
+def test_threshold_scipy_backed_values_pinned(capsys, method, printed):
+    _skip_unless_pinned_versions()
+    rc = main(["threshold", "--method", method, "--d", "2", "--nr", "4", "--K", "100"])
+    assert rc == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_fig4_csv_body_pinned(tmp_path):
+    _skip_unless_pinned_versions()
+    out = tmp_path / "fig4.csv"
+    assert main(["run", "fig4_threshold_compare", "--out", str(out)]) == 0
+    with open(out, "rb") as fh:
+        assert fh.readline().startswith(b"# generated_at=")
+        assert hashlib.sha256(fh.read()).hexdigest() == _FIG4_BODY_SHA256
 
 
 def test_run_with_config_and_out(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Subspace geometry: bases, chordal distance, CDF model, distortion bound."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -133,6 +135,35 @@ def test_quantization_bound_rank_one_formula():
     K = 2 ** 12
     expected = np.exp(gammaln(1.0 / 3.0)) / 3.0 * (K * p.c) ** (-1.0 / 3.0)
     assert quantization_bound(K, p) == pytest.approx(expected, rel=1e-12)
+
+
+def _ball_volume_gammaln(n, d):
+    log_c = -gammaln(d * (n - d) + 1)
+    for i in range(1, d + 1):
+        log_c += gammaln(n - i + 1) - gammaln(d - i + 1)
+    return float(np.exp(log_c))
+
+
+def test_ball_volume_d1_is_the_gammaln_formula_bit_for_bit():
+    # c_{n,1} = 1 is returned without scipy; the log-Gamma sum cancels to
+    # exactly 0, so the formula gives the same bits
+    for n in range(2, 65):
+        assert ball_volume(n, 1) == 1.0 == _ball_volume_gammaln(n, 1)
+    for n, d in ((4, 2), (6, 3), (8, 2), (16, 8)):
+        assert ball_volume(n, d) == _ball_volume_gammaln(n, d)
+
+
+def test_quantization_bound_matches_the_gammaln_formula():
+    # math.lgamma(1/D) stands in for scipy's gammaln: it is up to 4 ulp
+    # off for D <= 16, which moves the bound by at most about 1.1e-15
+    # relative over codebooks of up to 2^20 codewords
+    for D in range(1, 17):
+        ulp = np.spacing(gammaln(1.0 / D))
+        assert abs(math.lgamma(1.0 / D) - gammaln(1.0 / D)) <= 4 * ulp
+        p = ManifoldParams(D + 1, 1)
+        for K in 2 ** np.arange(21):
+            ref = float(np.exp(gammaln(1.0 / D) - np.log(D) - np.log(K * p.c) / D))
+            assert quantization_bound(int(K), p) == pytest.approx(ref, rel=1.5e-15, abs=0)
 
 
 def test_quantization_bound_dominates_line_quantizer_mean():

@@ -202,6 +202,19 @@ def test_rank_one_quantization_exact_mean_below_bound():
     assert exact >= 0.97 * quantization_bound(K, P41)
 
 
+def test_perturbation_distortion_of_fig6_budgets_matches_the_gammaln_formula():
+    # every fig6 budget above the RVQ limit goes through the perturbation
+    # model, whose distortion now takes log Gamma(1/3) from math.lgamma
+    _, budgets = harness.parse_k_rule(make_config("fig6_oia_vs_ia").K_rule)
+    budgets = [b for b in budgets if b > harness._RVQ_BIT_LIMIT]
+    assert budgets
+    for bits in budgets:
+        K = 2 ** (bits // 2)
+        ref = math.exp(gammaln(1.0 / 3.0) - np.log(3.0) - np.log(K * P41.c) / 3.0)
+        assert _perturbation_distortion(bits // 2, 4) == pytest.approx(
+            float(np.clip(ref, 0.0, 1.0)), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("bits_per_vector", [2, 4])
 def test_quantize_individual_meets_component_bound(bits_per_vector):
     rng = np.random.default_rng(505 + bits_per_vector)

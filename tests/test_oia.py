@@ -192,6 +192,24 @@ def test_conditional_means_bracket_threshold(p):
         assert low < x < high
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("K", [1, 10, 100, 1000])
+def test_expected_metric_one_bit_matches_quadrature(d, K):
+    # the closed-form conditional means against adaptive quadrature of the
+    # model density c D t^(D-1) on [0, x_max], x_max included
+    p = ManifoldParams(2 * d, d)
+    c, D, xm = p.c, p.exponent, p.x_max
+    weighted = lambda t: t * c * D * t ** (D - 1)
+    for x in (1e-3 * xm, 0.1 * xm, 0.5 * xm, 0.9 * xm, 0.999 * xm, xm):
+        F = min(c * x ** D, 1.0)
+        p_out = (1.0 - F) ** K
+        low = quad(weighted, 0.0, x, epsabs=0.0, epsrel=1e-13)[0] / F
+        high = (quad(weighted, x, xm, epsabs=0.0, epsrel=1e-13)[0] / (1.0 - F)
+                if p_out > 0.0 and x < xm else x)
+        exact = (1.0 - p_out) * low + p_out * high
+        assert expected_metric_one_bit(x, K, p) == pytest.approx(exact, rel=1e-12)
+
+
 def test_expected_metric_upper_bound_dominates_simulation_d2():
     # selected-user metric of the 1-bit protocol on G(4, 2) subspace draws
     rng = np.random.default_rng(21)
