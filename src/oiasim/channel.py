@@ -21,6 +21,11 @@ from .grassmann import (INV_SQRT2, RANK_RTOL, chordal_distance_sq, complex_norma
 
 _LOG2 = np.log(2.0)
 
+# channel entries per interference link in one block of cell_metrics:
+# 16384 users at d = 1 and 4096 at d = 2, whose temporaries take about
+# 1 and 3 MB; such blocks cost no more per user than one pass
+_BLOCK_ENTRIES = 32768
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -101,16 +106,48 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
     """Selection metrics of all K users of cell i at once.
 
     Vectorized equivalent of user_metric over k; the harness hot path.
-    Each user's metric depends on its own channels only. Raises
-    DegenerateChannel when an interference channel of some user is zero
-    (d = 1) or rank deficient (d > 1); its `where` is the (K,) mask of
-    such users, which callers redraw.
+    Each user's metric depends on its own channels only, so the users are
+    scored in blocks of at most _BLOCK_ENTRIES // (nr nt), with the same
+    arithmetic per user and the same bits as one pass, and the memory
+    beyond the (K,) result does not grow with K; up to one block is one
+    pass. Raises DegenerateChannel when an interference channel of some
+    user is zero (d = 1) or rank deficient (d > 1); its `where` is the (K,)
+    mask of such users, gathered over all blocks, which callers redraw.
     """
-    p, q = interferer_indices(i)
+    links = interferer_indices(i)
     d = ch.cfg.d
+    K, nr, nt = ch.h.shape[2:]
+    size = _BLOCK_ENTRIES // (nr * nt)
+    if K <= size:
+        return _block_metrics(ch.h[i], links, d)
+    m = np.empty(K)
+    bad = message = None
+    # blocks of equal size up to one user: none holds a single user, whose
+    # reductions numpy would run in another order than a longer block's
+    n = -(-K // size)
+    for b in range(n):
+        users = slice(K * b // n, K * (b + 1) // n)
+        try:
+            _block_metrics(ch.h[i, :, users], links, d, out=m[users])
+        except DegenerateChannel as exc:
+            if bad is None:
+                bad = np.zeros(K, dtype=bool)
+            bad[users] = exc.where
+            message = str(exc)
+    if bad is not None:
+        raise DegenerateChannel(message, where=bad)
+    return m
+
+
+def _block_metrics(hi: np.ndarray, links: tuple, d: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """cell_metrics of a block of users of one cell, whose channels from
+    the three transmitters are hi (3, users, nr, nt) and whose interferers
+    are links, written into out when given."""
+    p, q = links
     if d == 1:
-        Hp = ch.h[i, p]
-        Hq = ch.h[i, q]
+        Hp = hi[p]
+        Hq = hi[q]
         # float views, one row (re0, im0, re1, im1) per user since nr = 2
         a = np.ascontiguousarray(Hp).view(np.float64).reshape(len(Hp), 4)
         b = np.ascontiguousarray(Hq).view(np.float64).reshape(len(Hq), 4)
@@ -125,7 +162,7 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
         m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
     else:
         # columns, then entries, then (link, user): real and imaginary parts
-        X = ch.h[i, [p, q]].transpose(3, 2, 0, 1)
+        X = hi[[p, q]].transpose(3, 2, 0, 1)
         re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
         bad = _orthonormalize_columns(re, im)
         if bad.any():
@@ -137,7 +174,7 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
         sr = (pr * qr + pi * qi).sum(axis=2)
         si = (pr * qi - pi * qr).sum(axis=2)
         m = d - (sr * sr + si * si).sum(axis=(0, 1))
-    return np.clip(m, 0.0, float(d))
+    return np.clip(m, 0.0, float(d), out=out)
 
 
 def _orthonormalize_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -36,6 +36,11 @@ _ORTHO_TOL = 1e-10
 # fl(1/sqrt(2)), the scale of a unit-variance complex normal
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# normals per block of complex_normal's draw, its one buffer (256 KiB);
+# on a 2-CPU Xeon, blocks of 8192 drew d = 1 drops of K = 10^3-10^4 users
+# 2-3% slower than one pass, blocks of this size as fast
+_DRAW_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -195,21 +200,38 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,
                    out: np.ndarray | None = None) -> np.ndarray:
     """scale * (x + 1j y) for i.i.d. standard normal arrays x, y of the
     given shape, x drawn first, written into out (a complex128 array or
-    view of that shape) when given.
+    view of that shape, of any strides) when given.
 
-    Both are drawn into one float64 buffer and written scaled into the
-    complex128 result: the stream and bits of (x + 1j * y) * scale, and with
-    scale = INV_SQRT2 those of (x + 1j * y) / np.sqrt(2), since numpy divides
-    a complex array by a real scalar by multiplying with the rounded
-    reciprocal.
+    Each half is drawn in blocks of at most _DRAW_BLOCK normals into one
+    float64 buffer and written scaled into the complex128 result, so the
+    draw needs that buffer beside out and no more. standard_normal fills
+    sequentially, so the blocks give the stream and bits of
+    (x + 1j * y) * scale, and leave the stream where one draw of each half
+    would; with scale = INV_SQRT2 those of (x + 1j * y) / np.sqrt(2), since
+    numpy divides a complex array by a real scalar by multiplying with the
+    rounded reciprocal. A draw of at most one block is one fill per half.
     """
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
-    buf = rng.standard_normal(shape)
-    np.multiply(buf, scale, out=out.real)
-    rng.standard_normal(out=buf)
-    np.multiply(buf, scale, out=out.imag)
+    buf = np.empty(min(out.size, _DRAW_BLOCK))
+    for part in (out.real, out.imag):
+        for dst in _c_order_blocks(part, len(buf)):
+            src = buf[:dst.size]
+            rng.standard_normal(out=src)
+            np.multiply(src.reshape(dst.shape), scale, out=dst)
     return out
+
+
+def _c_order_blocks(a: np.ndarray, n: int) -> list:
+    """Views of a, of at most n elements each, that cover it in C order:
+    runs of whole entries of the first axis where one fits in n, else the
+    blocks of each entry in turn."""
+    if a.size <= n:
+        return [a]
+    run = n // (a.size // len(a))
+    if run:
+        return [a[s:s + run] for s in range(0, len(a), run)]
+    return [block for entry in a for block in _c_order_blocks(entry, n)]
 
 
 def sample_uniform_subspace(rng: np.random.Generator, n: int, d: int) -> Subspace:

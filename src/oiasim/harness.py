@@ -12,6 +12,12 @@ rates of all its trials in one stacked call each. A chunk holds at most
 _CHUNK_BYTES of channel drops, and at least one trial, so memory stays
 bounded at large K. The CSV body therefore does not depend on the chunk
 size, nor on --workers, whose pool maps ranges of trials.
+
+Within a chunk, the channel draw (grassmann.complex_normal) and the
+selection metrics (channel.cell_metrics) work in blocks of a fixed size,
+with the same stream and bits as one pass; so a run needs its largest
+drop, that drop's (3, K) metric array and a constant that does not grow
+with K, which is what it checks against physical memory before it starts.
 """
 
 from __future__ import annotations
@@ -46,11 +52,10 @@ from .threshold import (optimal_threshold_d1, threshold_asymptotic,
 
 _SNR_DEFAULT = tuple(float(s) for s in range(0, 45, 5))
 THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
+# the designs fig4 compares, whatever threshold_method says
+_FIG4_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
-# bytes per complex channel entry of one drop: 16 for the array itself and 8
-# for the float64 buffer generate_channels draws into
-_DROP_BYTES_PER_ENTRY = 24
 # channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
 # (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
 # chunk is one trial and takes the memory of that one drop
@@ -85,7 +90,16 @@ class ExperimentConfig:
             raise ConfigError("d, nr, nt must be at least 1")
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
-        if self.threshold_method != "closed_form_d1":
+        if self.experiment == "fig4_threshold_compare":
+            # fig4 runs no Monte Carlo, whose run-time check would refuse
+            # these dimensions: refuse them while parsing
+            _check_dimensions(self)
+            designs = _FIG4_METHODS
+        elif self.experiment == "fig7_complexity_table":
+            designs = ()
+        else:
+            designs = (self.threshold_method,)
+        if any(method != "closed_form_d1" for method in designs):
             # a scipy-backed design: load it now, before any pool forks
             import scipy.optimize  # noqa: F401  (brings scipy.special)
         kind, payload = parse_k_rule(self.K_rule)
@@ -219,9 +233,9 @@ def _count_redraw(redraws: np.ndarray, t: int) -> None:
 def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
     """One non-degenerate OIA channel drop per rng, drawn in place into one
     ChannelSet of len(rngs) * kmax users per cell (trial t's users at
-    t * kmax onwards), with its (trials, 3, kmax) metric array. A
-    degenerate drop is redrawn from its own rng, which has drawn nothing
-    else yet."""
+    t * kmax onwards), with its (trials, 3, kmax) metric array, a view of
+    one array the three cells' metrics are written into. A degenerate drop
+    is redrawn from its own rng, which has drawn nothing else yet."""
     drop = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=kmax, P=P)
     T = len(rngs)
     ch = ChannelSet(np.empty((3, 3, T * kmax, cfg.nr, cfg.nt), dtype=complex),
@@ -229,9 +243,11 @@ def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
     slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
     for rng, slot in zip(rngs, slots):
         generate_channels(rng, drop, out=slot)
+    metrics = np.empty((3, T * kmax))
     while True:
         try:
-            metrics = np.stack([cell_metrics(ch, i) for i in range(3)])
+            for i in range(3):
+                metrics[i] = cell_metrics(ch, i)
             return ch, metrics.reshape(3, T, kmax).swapaxes(0, 1)
         except DegenerateChannel as exc:
             for t in np.flatnonzero(exc.where.reshape(T, kmax).any(axis=1)):
@@ -410,9 +426,12 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
 
 
 def _check_drop_fits(cfg: ExperimentConfig) -> None:
-    """Refuse a run whose largest channel drop exceeds physical memory."""
+    """Refuse a run whose largest channel drop, with its (3, K) metric
+    array, exceeds physical memory; the draw and the metrics work in
+    blocks whose size does not grow with K."""
     kmax = max(max(_point_k_values(cfg, 10.0 ** (s / 10.0))) for s in cfg.snr_db_grid)
-    need = _DROP_BYTES_PER_ENTRY * 9 * kmax * cfg.nr * cfg.nt
+    need = (np.dtype(complex).itemsize * 9 * kmax * cfg.nr * cfg.nt
+            + np.dtype(float).itemsize * 3 * kmax)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -457,14 +476,11 @@ def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
     kind, ks = parse_k_rule(cfg.K_rule)
     if kind != "fixed":
         raise ConfigError("fig4_threshold_compare requires K_rule fixed:...")
-    params = ManifoldParams(cfg.nr, cfg.d)
     rows = []
     for K in ks:
-        for method, solver in (("numeric", threshold_numeric),
-                               ("lambert", threshold_lambert),
-                               ("asymptotic", threshold_asymptotic)):
+        for method in _FIG4_METHODS:
             try:
-                x = solver(K, params).x
+                x = design_threshold(method, K, cfg.nr, cfg.d)
             except TooFewUsers:
                 x = float("nan")
             rows.append(ResultRow(

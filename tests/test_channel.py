@@ -1,6 +1,7 @@
 """Channel generation, selection metric, covariance, postfilter, rates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
                     ia_link_rates, interference_covariance, interferer_indices,
                     make_config, postfilter, quantized_channel_set, run_trial,
                     select_conventional, select_one_bit, user_metric, user_rate)
+from oiasim import channel, grassmann
 from oiasim.grassmann import INV_SQRT2, complex_normal
 from oiasim.harness import parse_k_rule, threshold_value
 
@@ -59,22 +61,41 @@ def test_generate_channels_shape_and_determinism():
     assert np.array_equal(ch.h, again.h)
 
 
+def _reference_draw(seed, shape):
+    """(x + 1j*y)/np.sqrt(2) from one draw of each half, and the stream's
+    next random() after it."""
+    rng = np.random.default_rng(seed)
+    ref = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    return ref, rng.random()
+
+
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("K", [1, 7, 1000])
-def test_generate_channels_bit_identical_to_reference_draw(K, d):
-    # the in-place fill must match this expression bit for bit and leave
-    # the stream at the same position
+@pytest.mark.parametrize("K", [1, 7, 1000, 5000])
+def test_generate_channels_bit_identical_to_reference_draw(monkeypatch, K, d):
+    # the blocked in-place fill must match one draw of each half bit for bit
+    # and leave the stream at the same position: at the default block (K =
+    # 5000 is several blocks with a remainder), with the block set one
+    # below, at and one above the draw's size and to a third of it, and
+    # into the strided per-trial slots of a multi-trial drop
     cfg = _cfg(K=K, d=d)
     shape = (3, 3, K, cfg.nr, cfg.nt)
-    for seed in (0, 1, 12345, 2 ** 40 + 3):
-        ref_rng = np.random.default_rng(seed)
-        ref = (ref_rng.standard_normal(shape)
-               + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2)
-        rng = np.random.default_rng(seed)
-        ch = generate_channels(rng, cfg)
-        assert ch.h.dtype == np.complex128
-        assert np.array_equal(ch.h, ref)
-        assert rng.random() == ref_rng.random()
+    n = math.prod(shape)
+    for block in (grassmann._DRAW_BLOCK, n - 1, n, n + 1, n // 3 - 1):
+        monkeypatch.setattr(grassmann, "_DRAW_BLOCK", max(block, 1))
+        for seed in (0, 1, 12345, 2 ** 40 + 3):
+            ref, after = _reference_draw(seed, shape)
+            rng = np.random.default_rng(seed)
+            ch = generate_channels(rng, cfg)
+            assert ch.h.dtype == np.complex128
+            assert np.array_equal(ch.h, ref)
+            assert rng.random() == after
+        drops = np.full((3, 3, 3 * K, cfg.nr, cfg.nt), np.nan, dtype=complex)
+        for t in range(3):
+            rng = np.random.default_rng(t)
+            generate_channels(rng, cfg, out=drops[:, :, t * K:(t + 1) * K])
+            ref, after = _reference_draw(t, shape)
+            assert np.array_equal(drops[:, :, t * K:(t + 1) * K], ref)
+            assert rng.random() == after
 
 
 def test_generate_channels_unit_entry_variance():
@@ -326,6 +347,103 @@ def test_cell_metrics_degenerate_mask_marks_only_those_users(d):
     with pytest.raises(DegenerateChannel) as exc:
         cell_metrics(ChannelSet(h=h, cfg=cfg), 0)
     assert np.flatnonzero(exc.value.where).tolist() == bad
+
+
+def _one_pass_metrics(ch, i):
+    """cell_metrics of all users in one pass, as before the users were
+    scored in blocks; the reference of the blocked kernel."""
+    p, q = interferer_indices(i)
+    d = ch.cfg.d
+    if d == 1:
+        a = np.ascontiguousarray(ch.h[i, p]).view(np.float64).reshape(-1, 4)
+        b = np.ascontiguousarray(ch.h[i, q]).view(np.float64).reshape(-1, 4)
+        np_sq = np.einsum("kj,kj->k", a, a)
+        nq_sq = np.einsum("kj,kj->k", b, b)
+        re = np.einsum("kj,kj->k", a, b)
+        im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
+        m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
+    else:
+        X = ch.h[i, [p, q]].transpose(3, 2, 0, 1)
+        re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
+        assert not channel._orthonormalize_columns(re, im).any()
+        pr, pi = re[:, None, :, 0], im[:, None, :, 0]
+        qr, qi = re[None, :, :, 1], im[None, :, :, 1]
+        sr = (pr * qr + pi * qi).sum(axis=2)
+        si = (pr * qi - pi * qr).sum(axis=2)
+        m = d - (sr * sr + si * si).sum(axis=(0, 1))
+    return np.clip(m, 0.0, float(d))
+
+
+def _users_per_block(d):
+    return channel._BLOCK_ENTRIES // (2 * d * d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("block", [None, 64])
+def test_cell_metrics_blocks_equal_one_pass_bit_for_bit(monkeypatch, block, d):
+    # one block minus one, one block, one block plus one, and several
+    # blocks with a remainder, at the default block and at 64 users
+    if block is not None:
+        monkeypatch.setattr(channel, "_BLOCK_ENTRIES", block * 2 * d * d)
+    b = _users_per_block(d)
+    for K in (b - 1, b, b + 1, 3 * b + 5):
+        cfg = _cfg(K=K, d=d)
+        ch = generate_channels(np.random.default_rng(K + d), cfg)
+        for i in range(3):
+            assert np.array_equal(cell_metrics(ch, i), _one_pass_metrics(ch, i))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("planted", [(70,), (70, 190)])
+def test_cell_metrics_degenerate_mask_gathered_over_blocks(monkeypatch, d, planted):
+    # 197 users in four blocks of at most 64: users planted in the second
+    # (and last) block are exactly those `where` marks
+    monkeypatch.setattr(channel, "_BLOCK_ENTRIES", 64 * 2 * d * d)
+    cfg = _cfg(K=197, d=d)
+    h = generate_channels(np.random.default_rng(460 + d), cfg).h.copy()
+    p, q = interferer_indices(1)
+    for k in planted:
+        if d == 1:
+            h[1, q, k] = 0.0
+        else:
+            h[1, p, k, :, 1] = (0.3 - 1.7j) * h[1, p, k, :, 0]
+    with pytest.raises(DegenerateChannel) as exc:
+        cell_metrics(ChannelSet(h=h, cfg=cfg), 1)
+    assert exc.value.where.shape == (197,)
+    assert np.flatnonzero(exc.value.where).tolist() == list(planted)
+
+
+def _traced_peak(fn):
+    """Peak of the memory traced while fn runs, and fn's result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_channels_draws_through_a_small_buffer():
+    # d = 1, K = 1e5: a 28.8 MB drop; one draw of each half would allocate
+    # a 14.4 MB buffer beside it
+    cfg = _cfg(K=10 ** 5)
+    out = np.empty((3, 3, cfg.K, cfg.nr, cfg.nt), dtype=complex)
+    peak, _ = _traced_peak(lambda: generate_channels(np.random.default_rng(3), cfg,
+                                                     out=out))
+    assert peak < 10 ** 6
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cell_metrics_working_set_does_not_grow_with_k(d):
+    # beyond its (K,) result, one call needs what one block of users needs,
+    # at 3 and at 9 blocks alike
+    b = _users_per_block(d)
+    extra = []
+    for K in (3 * b, 9 * b):
+        ch = generate_channels(np.random.default_rng(470 + d), _cfg(K=K, d=d))
+        peak, m = _traced_peak(lambda: cell_metrics(ch, 0))
+        extra.append(peak - m.nbytes)
+    assert extra[1] <= 1.2 * extra[0]
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -113,6 +113,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     repeated.write_text("snr_db_grid = 10,10\n", encoding="utf-8")
     assert main(["run", "fig3_eligible_users", "--config", str(repeated),
                  "--out", out]) == 2
+    # fig4 designs with numeric, lambert and asymptotic whatever
+    # threshold_method says, but refuses what fig5 refuses
+    for text in ("threshold_method = closed_form_d1\n", "nr = 3\n"):
+        skewed.write_text(text, encoding="utf-8")
+        assert main(["run", "fig4_threshold_compare", "--config", str(skewed),
+                     "--out", out]) == 2
     assert not (tmp_path / "never.csv").exists()
 
 

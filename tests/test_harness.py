@@ -14,6 +14,7 @@ from oiasim import (ConfigError, DegenerateChannel, ExperimentConfig, IoError,
                     ResultRow, UnknownExperiment, harness, make_config,
                     optimal_threshold_d1, run_experiment, run_trial, run_trials,
                     threshold_numeric, write_csv)
+from oiasim.cli import main
 from oiasim.grassmann import ManifoldParams
 from oiasim.harness import load_config_file, parse_k_rule, threshold_value
 
@@ -424,6 +425,40 @@ def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
                       {"snr_db_grid": "130", "output_path": str(tmp_path / "x.csv")})
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(cfg)
+
+
+def _cfg_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
+    # a d = 1 drop of K users holds 16 B per channel entry (9 K nr nt of
+    # them) and 3 K float64 metrics: 312,000 B at K = 1000, which fits a
+    # memory of exactly that size; K = 1001 does not, and is refused
+    # before any drop is drawn
+    have = 16 * 9 * 1000 * 2 + 8 * 3 * 1000
+    real_sysconf = os.sysconf
+
+    def sysconf(name):
+        return {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}.get(name) or real_sysconf(name)
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    out = tmp_path / "fits.csv"
+    assert main(["run", "fig3_eligible_users", "--config", str(_cfg_file(
+        tmp_path, "snr_db_grid = 0\nK_rule = fixed:1000\ntrials = 2\n")),
+        "--out", str(out)]) == 0
+    assert out.exists()
+
+    def never(*args, **kwargs):
+        raise AssertionError("generate_channels called for an oversized drop")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    assert main(["run", "fig3_eligible_users", "--config", str(_cfg_file(
+        tmp_path, "snr_db_grid = 0\nK_rule = fixed:1001\ntrials = 2\n")),
+        "--out", str(tmp_path / "never.csv")]) == 2
+    assert not (tmp_path / "never.csv").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
