@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="override the output CSV path")
     run.add_argument("--workers", type=int, default=1,
                      help="worker processes for the trial loop (default 1, "
-                          "capped at the CPU count)")
+                          "capped at the CPUs this process may use)")
     run.set_defaults(func=_cmd_run)
 
     lst = sub.add_parser("list", help="list registered experiments")

@@ -11,7 +11,12 @@ chunk then computes the metrics, the selections, the IA solutions and the
 rates of all its trials in one stacked call each. A chunk holds at most
 _CHUNK_BYTES of channel drops, and at least one trial, so memory stays
 bounded at large K. The CSV body therefore does not depend on the chunk
-size, nor on --workers, whose pool maps ranges of trials.
+size, nor on --workers.
+
+A run is one list of (grid point, trial range) tasks (_trial_tasks),
+each about the same work, costliest first, mapped over one process pool
+(or, serially, the builtin map); the rows are regrouped by point,
+concatenated in trial order and reduced in grid order.
 
 Within a chunk, the channel draw (grassmann.complex_normal) and the
 selection metrics (channel.cell_metrics) work in blocks of a fixed size,
@@ -28,6 +33,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -90,15 +96,13 @@ class ExperimentConfig:
             raise ConfigError("d, nr, nt must be at least 1")
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
-        if self.experiment == "fig4_threshold_compare":
-            # fig4 runs no Monte Carlo, whose run-time check would refuse
-            # these dimensions: refuse them while parsing
-            _check_dimensions(self)
-            designs = _FIG4_METHODS
-        elif self.experiment == "fig7_complexity_table":
+        if self.experiment == "fig7_complexity_table":
+            # a FLOP table for any antenna counts; it draws no channel
             designs = ()
         else:
-            designs = (self.threshold_method,)
+            _check_dimensions(self)
+            designs = (_FIG4_METHODS if self.experiment == "fig4_threshold_compare"
+                       else (self.threshold_method,))
         if any(method != "closed_form_d1" for method in designs):
             # a scipy-backed design: load it now, before any pool forks
             import scipy.optimize  # noqa: F401  (brings scipy.special)
@@ -368,7 +372,7 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     point = cfg.snr_db_grid.index(float(snr_db))
     P = 10.0 ** (float(snr_db) / 10.0)
     ks = _point_k_values(cfg, P)
-    drop_bytes = np.dtype(complex).itemsize * 9 * max(ks) * cfg.nr * cfg.nt
+    drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, snr_db)
     size = max(1, _CHUNK_BYTES // drop_bytes)
     redraws = np.zeros(len(trial_indices), dtype=int)
     rows = []
@@ -392,13 +396,33 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
     return TrialRows(out.keys, out.rows[0], out.redraws)
 
 
-def _map_trials(cfg, snr_db, pool, workers):
-    if pool is None:
-        return [run_trials(cfg, snr_db, range(cfg.trials))]
-    step = max(1, cfg.trials // (workers * 8))
-    return list(pool.map(run_trials, repeat(cfg), repeat(snr_db),
-                         [range(s, min(s + step, cfg.trials))
-                          for s in range(0, cfg.trials, step)]))
+def _drop_entries(cfg: ExperimentConfig, snr_db: float) -> int:
+    """Channel entries of one drop at a grid point: 9 links of max(K)
+    users with nr x nt antennas each."""
+    kmax = max(_point_k_values(cfg, 10.0 ** (float(snr_db) / 10.0)))
+    return 9 * kmax * cfg.nr * cfg.nt
+
+
+def _trial_tasks(cfg: ExperimentConfig, workers: int) -> list:
+    """The run's (grid point, trial range) tasks, costliest first.
+
+    A task costs its trials times the point's drop entries. The point with
+    the largest drop is cut into ranges of trials // (8 workers) trials (a
+    serial run takes it whole), every other point into ranges of about the
+    same cost, so the trials at K = 1 and at K = 10^4 travel in tasks of
+    like size. Each trial is in exactly one task.
+    """
+    entries = [_drop_entries(cfg, snr_db) for snr_db in cfg.snr_db_grid]
+    step = cfg.trials if workers == 1 else max(1, cfg.trials // (workers * 8))
+    top = max(entries)
+    tasks = []
+    for point, n in enumerate(entries):
+        span = max(1, step * top // n)
+        tasks.extend((point, range(s, min(s + span, cfg.trials)))
+                     for s in range(0, cfg.trials, span))
+    # ties go to the larger drop
+    return sorted(tasks, key=lambda task: (-len(task[1]) * entries[task[0]],
+                                           -entries[task[0]]))
 
 
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
@@ -452,19 +476,27 @@ def _check_dimensions(cfg: ExperimentConfig) -> None:
 
 
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
-    _check_dimensions(cfg)
     _check_drop_fits(cfg)
-    rows = []
-    redraws = 0
+    tasks = _trial_tasks(cfg, workers)
+    left = Counter(point for point, _ in tasks)
+    outputs = {}
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        for point, snr_db in enumerate(cfg.snr_db_grid):
-            outputs = _map_trials(cfg, snr_db, pool, workers)
-            redraws += sum(o.redraws for o in outputs)
-            rows.extend(_aggregate_point(cfg, snr_db, outputs[0].keys,
-                                         np.concatenate([o.rows for o in outputs])))
-            print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
-                  f"(snr {snr_db:g} dB) done", file=sys.stderr)
+        mapped = (map if pool is None else pool.map)(
+            run_trials, repeat(cfg), [cfg.snr_db_grid[point] for point, _ in tasks],
+            [trials for _, trials in tasks])
+        for (point, trials), out in zip(tasks, mapped):
+            outputs[point, trials.start] = out
+            left[point] -= 1
+            if not left[point]:
+                print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
+                      f"(snr {cfg.snr_db_grid[point]:g} dB) done", file=sys.stderr)
+    rows = []
+    for point, snr_db in enumerate(cfg.snr_db_grid):
+        point_outputs = [outputs[key] for key in sorted(outputs) if key[0] == point]
+        rows.extend(_aggregate_point(cfg, snr_db, point_outputs[0].keys,
+                                     np.concatenate([o.rows for o in point_outputs])))
+    redraws = sum(o.redraws for o in outputs.values())
     total = cfg.trials * len(cfg.snr_db_grid)
     if redraws > 0.001 * total:
         print(f"{cfg.experiment}: {redraws} degenerate redraws over "
@@ -659,7 +691,9 @@ def write_csv(path: str, rows: list) -> None:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Produce all rows of one experiment and write them to cfg.output_path.
 
-    workers must be at least 1; more than os.cpu_count() are capped there.
+    workers must be at least 1; more than the CPUs this process may run on
+    (os.sched_getaffinity where it exists, else os.cpu_count()) are capped
+    there.
     """
     try:
         spec = EXPERIMENTS[cfg.experiment]
@@ -667,6 +701,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         raise UnknownExperiment(cfg.experiment) from None
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    rows = spec.runner(cfg, min(workers, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    rows = spec.runner(cfg, min(workers, cpus))
     write_csv(cfg.output_path, rows)
     return rows

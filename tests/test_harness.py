@@ -134,9 +134,11 @@ def test_threshold_value_dispatch():
     cfg2 = make_config("fig5_sumrate_d2")
     assert threshold_value(cfg2, 50) == threshold_numeric(
         50, ManifoldParams(4, 2)).x
-    bad = make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
+    # such a config is refused while parsing; the dispatch refuses it too
     with pytest.raises(ConfigError):
-        threshold_value(bad, 50)
+        make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
+    with pytest.raises(ConfigError):
+        harness.design_threshold("closed_form_d1", 50, 4, 2)
 
 
 def test_run_trial_deterministic():
@@ -377,6 +379,7 @@ def test_run_experiment_rejects_workers_below_one(tmp_path, workers):
 
 def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
     pools = []
+    mapped = []
 
     class StubPool:
         """Runs the trials in this process and records how it was opened."""
@@ -392,27 +395,57 @@ def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
 
         def map(self, fn, *iterables):
             tasks = list(zip(*iterables))
-            mapped.append((fn, [task[-1] for task in tasks]))
+            mapped.append((fn, tasks))
             return [fn(*task) for task in tasks]
 
-    mapped = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor", StubPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the CPUs this process may run on count, not the host's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    reduced = []
+    aggregate = harness._aggregate_point
+
+    def recording_aggregate(cfg, snr_db, keys, trial_rows):
+        reduced.append((snr_db, trial_rows))
+        return aggregate(cfg, snr_db, keys, trial_rows)
+
+    monkeypatch.setattr(harness, "_aggregate_point", recording_aggregate)
     out = tmp_path / "stub.csv"
     cfg = make_config("fig2_sumrate_d1",
-                      {"trials": "3", "snr_db_grid": "0,5,10",
+                      {"trials": "41", "snr_db_grid": "0,5,10",
                        "output_path": str(out)})
     run_experiment(cfg, workers=64)
     assert pools == [2]
-    # one map per grid point, over ranges of trials that cover each trial once
-    assert len(mapped) == 3
-    for fn, ranges in mapped:
-        assert fn is harness.run_trials
-        assert [t for r in ranges for t in r] == [0, 1, 2]
+    # one map per run, whose (point, trial range) tasks cover every trial of
+    # every point once
+    assert len(mapped) == 1
+    fn, tasks = mapped[0]
+    assert fn is harness.run_trials
+    covered = sorted((snr_db, t) for _, snr_db, trials in tasks for t in trials)
+    assert covered == [(snr_db, t) for snr_db in cfg.snr_db_grid for t in range(41)]
+    # K = 10 at 10 dB keeps the step trials // (8 workers) and goes first;
+    # K = 4 and K = 1 take ranges of about the same cost, 2.5x and 10x as long
+    assert tasks[0][1] == 10.0
+    assert [trials for _, snr_db, trials in tasks if snr_db == 10.0] == [
+        range(s, min(s + 2, 41)) for s in range(0, 41, 2)]
+    assert [len(trials) for _, snr_db, trials in tasks if snr_db == 5.0] == [5] * 8 + [1]
+    assert [len(trials) for _, snr_db, trials in tasks if snr_db == 0.0] == [20, 20, 1]
+    # costliest first: trials times K (the drop size over 9 nr nt)
+    costs = [len(trials) * math.ceil(10 ** (snr_db / 10)) for _, snr_db, trials in tasks]
+    assert costs == sorted(costs, reverse=True)
     serial = tmp_path / "serial.csv"
     run_experiment(dataclasses.replace(cfg, output_path=str(serial)))
     assert pools == [2]
     assert _body(str(out)) == _body(str(serial))
+    # the points are reduced in grid order, each on its rows in trial order
+    assert [snr_db for snr_db, _ in reduced] == 2 * list(cfg.snr_db_grid)
+    for (_, pooled), (_, whole) in zip(reduced[:3], reduced[3:]):
+        assert np.array_equal(pooled, whole, equal_nan=True)
+    # where the system cannot say, the CPU count caps
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_experiment(cfg, workers=64)
+    assert pools == [2, 3]
 
 
 def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
@@ -474,11 +507,10 @@ def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "generate_channels", never)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    cfg = make_config("fig5_sumrate_d2",
-                      dict(overrides, output_path=str(tmp_path / "x.csv")))
-    for workers in (1, 2):
-        with pytest.raises(ConfigError, match=message):
-            run_experiment(cfg, workers=workers)
+    # refused while parsing, so neither a run nor run_trials gets a config
+    with pytest.raises(ConfigError, match=message):
+        make_config("fig5_sumrate_d2",
+                    dict(overrides, output_path=str(tmp_path / "x.csv")))
     assert not (tmp_path / "x.csv").exists()
 
 

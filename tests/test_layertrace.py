@@ -4,6 +4,7 @@ CSV body of an untraced one."""
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 from oiasim import harness, make_config, run_experiment
@@ -45,3 +46,25 @@ def test_traced_run_writes_the_untraced_csv_body(tmp_path):
     assert metrics["channel.users_scored"] == 3 * 2 * 100
     assert harness.generate_channels is importlib.import_module(
         "oiasim.channel").generate_channels
+
+
+def test_pool_counter_sees_one_pool_per_run(tmp_path, monkeypatch):
+    layertrace = _layertrace()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bodies = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}.csv"
+        cfg = make_config("fig3_eligible_users", {"trials": "3", "snr_db_grid": "0,10,20",
+                                                  "output_path": str(out)})
+        counter = layertrace.PoolCounter()
+        if workers > 1:
+            counter.install()
+        try:
+            run_experiment(cfg, workers=workers)
+        finally:
+            counter.restore()
+        bodies.append(out.read_text(encoding="utf-8").splitlines()[1:])
+    assert bodies[0] == bodies[1]
+    assert counter.pool_starts == 1
+    assert counter.ipc_bytes > 0

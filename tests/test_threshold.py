@@ -8,7 +8,7 @@ import scipy.special
 
 from oiasim import (LambertDomain, ManifoldParams, ShapeMismatch, ThresholdSpec,
                     TooFewUsers, expected_metric_one_bit,
-                    expected_metric_upper_bound, lambert_w,
+                    expected_metric_upper_bound, lambert_w, metric_cdf,
                     min_expected_metric_d1, optimal_threshold_d1,
                     threshold_asymptotic, threshold_lambert, threshold_numeric)
 
@@ -195,6 +195,55 @@ def test_threshold_numeric_stationary_on_bound():
         return abs((f(t * (1 + eps)) - f(t * (1 - eps))) / (2 * t * eps))
     assert slope(x) < slope(0.9 * x)
     assert slope(x) < slope(1.1 * x)
+
+
+_SWEEP_KS = tuple(range(1, 120)) + (200, 500, 1000, 5000, 10000, 100000)
+
+
+def _scalar_loop_thresholds(p):
+    """threshold_numeric with its grid evaluated one scalar at a time, for
+    every K of _SWEEP_KS: {(objective, K): threshold}. One pass over the
+    grid serves all K; each value takes the operations, in the order, of
+    expected_metric_one_bit ("exact") or expected_metric_upper_bound
+    ("bound"), which a sample of the grid checks bit for bit."""
+    from scipy.optimize import golden
+    x_max, D = p.x_max, p.exponent
+    grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
+    vals = {(objective, K): [] for objective in ("exact", "bound") for K in _SWEEP_KS}
+    for x in grid.tolist():
+        xe = min(x, x_max)
+        Fe, Fb = metric_cdf(xe, p), metric_cdf(x, p)
+        low = D * xe / (D + 1)
+        high = ((p.c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
+                if Fe < 1.0 else xe)
+        for K in _SWEEP_KS:
+            q = (1.0 - Fe) ** K
+            vals["exact", K].append((1.0 - q) * low + q * (high if q > 0.0 else xe))
+            vals["bound", K].append(x + (p.d - x) * (1.0 - Fb) ** K)
+    funs = {"exact": expected_metric_one_bit, "bound": expected_metric_upper_bound}
+    out = {}
+    for (objective, K), v in vals.items():
+        fun = lambda x: funs[objective](x, K, p)
+        for j in range(0, len(grid), 997):
+            assert v[j] == fun(grid[j])
+        i = int(np.argmin(v))
+        out[objective, K] = float(grid[i])
+        if 0 < i < len(grid) - 1:
+            try:
+                out[objective, K] = float(golden(
+                    fun, brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
+            except ValueError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_threshold_numeric_equals_scalar_loop_reference(d):
+    # the grid values of the one numpy pass may differ in the last bits from
+    # the scalar functions', but its argmin, and so the threshold, may not
+    p = ManifoldParams(2 * d, d)
+    for (objective, K), x in _scalar_loop_thresholds(p).items():
+        assert threshold_numeric(K, p, objective=objective).x == x, (objective, K)
 
 
 def test_bound_objective_unimodal_on_grid():
