@@ -37,12 +37,12 @@ for K in (2, 5, 20, 50):
             # full feedback: the scheduler sees every metric
             k_star = select_conventional(m)
             U = postfilter(interference_covariance(ch, i, k_star), cfg.d)
-            perfect += user_rate(ch, i, k_star, U, cfg).rate
+            perfect += user_rate(ch, i, k_star, U).rate
 
             # 1-bit feedback: uniform pick among sub-threshold users
             sel = select_one_bit(m, x, rng)
             U = postfilter(interference_covariance(ch, i, sel.selected), cfg.d)
-            one_bit += user_rate(ch, i, sel.selected, U, cfg).rate
+            one_bit += user_rate(ch, i, sel.selected, U).rate
             outages += sel.outage
     perfect /= TRIALS
     one_bit /= TRIALS

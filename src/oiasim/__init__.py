@@ -9,9 +9,9 @@ model of the feedback workloads.
 
 from .channel import (ChannelSet, RateRecord, SystemConfig, cell_metrics,
                       generate_channels, interference_covariance,
-                      interferer_indices, postfilter, user_metric, user_rate)
-from .complexity import (FlopReport, flops_frobenius, flops_gso,
-                         flops_ia_individual, flops_ia_joint, flops_oia_1bit)
+                      interferer_indices, postfilter, user_rate)
+from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
+                         flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,
                      OddBitSplit, OiaSimError, ShapeMismatch, TooFewUsers,
                      UnknownExperiment)

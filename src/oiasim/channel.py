@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, ShapeMismatch
-from .grassmann import (INV_SQRT2, RANK_RTOL, chordal_distance_sq, complex_normal,
-                        orthonormal_basis)
+from .grassmann import INV_SQRT2, RANK_RTOL, complex_normal
 
 _LOG2 = np.log(2.0)
 
@@ -93,19 +92,11 @@ def generate_channels(rng: np.random.Generator, cfg: SystemConfig,
     return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2, out), cfg=cfg)
 
 
-def user_metric(ch: ChannelSet, i: int, k: int) -> float:
-    """Selection metric of user k in cell i: squared chordal distance
-    between the column spaces of its two interference channels."""
-    p, q = interferer_indices(i)
-    Qp = orthonormal_basis(ch.h[i, p, k])
-    Qq = orthonormal_basis(ch.h[i, q, k])
-    return chordal_distance_sq(Qp, Qq)
-
-
 def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
-    """Selection metrics of all K users of cell i at once.
+    """Selection metrics of all K users of cell i at once: each user's
+    squared chordal distance between the column spaces of its two
+    interference channels.
 
-    Vectorized equivalent of user_metric over k; the harness hot path.
     Each user's metric depends on its own channels only, so the users are
     scored in blocks of at most _BLOCK_ENTRIES // (nr nt), with the same
     arithmetic per user and the same bits as one pass, and the memory
@@ -235,8 +226,9 @@ def postfilter(R: np.ndarray, d: int) -> np.ndarray:
     return v[..., :d]
 
 
-def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig) -> RateRecord:
-    """Achievable rate of user k in cell i behind postfilter U.
+def user_rate(ch: ChannelSet, i, k, U: np.ndarray) -> RateRecord:
+    """Achievable rate of user k in cell i behind postfilter U, at the
+    power and stream count of ch.cfg.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
     B = (P/d) sum_{j != i} U^H H_ij H_ij^H U, computed through the exact
@@ -249,14 +241,14 @@ def user_rate(ch: ChannelSet, i, k, U: np.ndarray, cfg: SystemConfig) -> RateRec
     record then is an array of that shape.
     """
     p, q = interferer_indices(i)
-    scale = cfg.P / cfg.d
+    scale = ch.cfg.P / ch.cfg.d
     Uh = _herm(U)
     Gs = Uh @ ch.h[i, i, k]
     A = scale * (Gs @ _herm(Gs))
     Gp = Uh @ ch.h[i, p, k]
     Gq = Uh @ ch.h[i, q, k]
     B = scale * (Gp @ _herm(Gp) + Gq @ _herm(Gq))
-    eye = np.eye(cfg.d)
+    eye = np.eye(ch.cfg.d)
     gain = np.linalg.slogdet(eye + A + B)[1] / _LOG2
     loss = np.linalg.slogdet(eye + B)[1] / _LOG2
     return RateRecord(rate=gain - loss, rate_gain=gain, rate_loss=loss)

@@ -46,18 +46,6 @@ def _check_bits(n_bits: int):
             " a 64-bit count")
 
 
-def flops_frobenius(m: int, n: int) -> int:
-    """Frobenius norm of an m x n complex matrix: 4mn."""
-    _check_dims(m, n)
-    return 4 * m * n
-
-
-def flops_gso(m: int, n: int) -> int:
-    """Gram-Schmidt orthogonalization of n columns of length m: 8n^2 m - 2mn."""
-    _check_dims(m, n)
-    return 8 * n * n * m - 2 * m * n
-
-
 def flops_oia_1bit(nr: int, d: int, n_bits: int) -> int:
     """Per-cell cost of n_bits users each computing and thresholding one
     chordal metric: n_bits (32 nr d^2 - 2 nr d)."""

@@ -95,15 +95,13 @@ class ManifoldParams:
 
     n: int
     d: int
-    c: float = field(default=0.0)
-    exponent: int = field(default=0)
+    c: float = field(init=False)
+    exponent: int = field(init=False)
 
     def __post_init__(self):
-        if self.c == 0.0:
-            object.__setattr__(self, "c", ball_volume(self.n, self.d))
-        if self.exponent == 0:
-            object.__setattr__(self, "exponent", self.d * (self.n - self.d))
-        if self.c <= 0 or self.exponent < 1:
+        object.__setattr__(self, "c", ball_volume(self.n, self.d))
+        object.__setattr__(self, "exponent", self.d * (self.n - self.d))
+        if self.c <= 0:
             raise ShapeMismatch("invalid manifold constants")
         if self.x_max > self.d + 1e-12:
             raise ShapeMismatch("CDF support edge exceeds the metric range d")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -62,6 +63,9 @@ THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 _FIG4_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
+# the largest even bit budget b with 2^(b/2) codewords a finite double
+_MAX_BITS = 2046
+_INT_FIELDS = ("d", "nr", "nt", "trials", "seed")
 # channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
 # (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
 # chunk is one trial and takes the memory of that one drop
@@ -84,6 +88,14 @@ class ExperimentConfig:
     output_path: str = ""
 
     def __post_init__(self):
+        try:
+            spec = EXPERIMENTS[self.experiment]
+        except KeyError:
+            raise UnknownExperiment(self.experiment) from None
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         grid = tuple(float(s) for s in self.snr_db_grid)
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
@@ -92,24 +104,42 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_db_grid", grid)
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if min(self.d, self.nr, self.nt) < 1:
             raise ConfigError("d, nr, nt must be at least 1")
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
-        if self.experiment == "fig7_complexity_table":
-            # a FLOP table for any antenna counts; it draws no channel
-            designs = ()
-        else:
-            _check_dimensions(self)
-            designs = (_FIG4_METHODS if self.experiment == "fig4_threshold_compare"
-                       else (self.threshold_method,))
-        if any(method != "closed_form_d1" for method in designs):
-            # a scipy-backed design: load it now, before any pool forks
-            import scipy.optimize  # noqa: F401  (brings scipy.special)
         kind, payload = parse_k_rule(self.K_rule)
         if kind == "ceil_P_pow" and payload % self.d:
             raise ConfigError(
                 f"ceil_P_pow exponent {payload} is not a multiple of d={self.d}")
+        if spec.k_rule != "any" and kind != "fixed":
+            raise ConfigError(f"{self.experiment} requires K_rule fixed:...")
+        if spec.k_rule == "bits" and any(b % 2 or b > _MAX_BITS for b in payload):
+            raise ConfigError(f"{self.experiment} needs even bit budgets of at most "
+                              f"{_MAX_BITS}, got {self.K_rule!r}")
+        for snr_db in grid:
+            try:
+                P = 10.0 ** (snr_db / 10.0)
+                ok = 0.0 < P < math.inf and min(_point_k_values(self, P)) >= 1
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ConfigError(f"snr_db {snr_db} gives no finite power P > 0 "
+                                  f"with K >= 1 under K_rule {self.K_rule!r}")
+        designs = (self.threshold_method,) if spec.designs is None else spec.designs
+        if designs:
+            # antenna counts a channel drop cannot have (nr = 2d, nt = d),
+            # and a threshold method that does not apply to them
+            try:
+                SystemConfig(d=self.d, nr=self.nr, nt=self.nt, K=1, P=1.0)
+            except ShapeMismatch as exc:
+                raise ConfigError(f"d={self.d}, nr={self.nr}, nt={self.nt}: {exc}") from exc
+            _check_threshold_method(self.threshold_method, self.nr, self.d)
+        if any(method != "closed_form_d1" for method in designs):
+            # a scipy-backed design: load it now, before any pool forks
+            import scipy.optimize  # noqa: F401  (brings scipy.special)
         if not self.output_path:
             object.__setattr__(self, "output_path",
                                os.path.join("results", f"{self.experiment}.csv"))
@@ -259,7 +289,7 @@ def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
                 generate_channels(rngs[t], drop, out=slots[t])
 
 
-def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect):
+def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     """Rows, (trials, keys, 3), of the 1-bit scheme (after perfect
     feedback, if included) for each K in ks on each trial's shared drop,
     smaller K as prefixes of the largest.
@@ -281,7 +311,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect):
     users += (kmax * np.arange(len(rngs)))[:, None, None, None]
     cells = np.broadcast_to(np.arange(3)[:, None], users.shape)
     U = postfilter(interference_covariance(ch, cells, users), cfg.d)
-    rate = user_rate(ch, cells, users, U, ch.cfg).rate
+    rate = user_rate(ch, cells, users, U).rate
     per_cell = np.stack([rate, outage, counts], axis=-1)
     # summed over the cells in cell order, as a scalar running sum would
     rows = per_cell[:, :, 0] + per_cell[:, :, 1] + per_cell[:, :, 2]
@@ -315,15 +345,11 @@ def _trial_fig2(cfg, P, ks, rngs, redraws):
             np.concatenate([rows, _ia_rows(ch2, sol, P)[:, None]], axis=1))
 
 
-def _trial_oia_only(cfg, P, ks, rngs, redraws):
-    return _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False)
-
-
 def _trial_fig6(cfg, P, bit_values, rngs, redraws):
     """Each trial quantizes every bit budget first, in ascending order; IA
     and its rates then take one stacked call each. Budgets whose solve is
     degenerate are quantized again, after all the others of their trial."""
-    keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws, include_perfect=False)
+    keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws)
     modes = ["rvq" if b <= _RVQ_BIT_LIMIT else "perturbation" for b in bit_values]
     ch2 = np.empty((len(rngs), 3, 3, 2, 2), dtype=complex)
     quantized = np.empty((len(rngs), len(bit_values), 3, 3, 2, 2), dtype=complex)
@@ -344,14 +370,6 @@ def _trial_fig6(cfg, P, bit_values, rngs, redraws):
             np.concatenate([rows, _ia_rows(ch2[:, None], sol, P)], axis=1))
 
 
-_TRIAL_BUILDERS = {
-    "fig2_sumrate_d1": _trial_fig2,
-    "fig3_eligible_users": _trial_oia_only,
-    "fig5_sumrate_d2": _trial_oia_only,
-    "fig6_oia_vs_ia": _trial_fig6,
-}
-
-
 def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows:
     """Monte Carlo drops trial_indices at one SNR grid point, all schemes
     evaluated; rows has shape (trials, keys, 3).
@@ -362,10 +380,9 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     _CHUNK_BYTES of channel drops (at least one trial each), and each
     stage of a chunk (metrics, selection, IA, rates) is one stacked call.
     """
-    try:
-        builder = _TRIAL_BUILDERS[cfg.experiment]
-    except KeyError:
-        raise UnknownExperiment(cfg.experiment) from None
+    trial = EXPERIMENTS[cfg.experiment].trial
+    if trial is None:
+        raise UnknownExperiment(f"{cfg.experiment} runs no Monte Carlo trials")
     trial_indices = list(trial_indices)
     if not trial_indices:
         raise ConfigError("run_trials needs at least one trial index")
@@ -379,7 +396,7 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     for start in range(0, len(trial_indices), size):
         rngs = [np.random.default_rng([cfg.seed, point, t])
                 for t in trial_indices[start:start + size]]
-        keys, chunk = builder(cfg, P, ks, rngs, redraws[start:start + size])
+        keys, chunk = trial(cfg, P, ks, rngs, redraws[start:start + size])
         rows.append(chunk)
     return TrialRows(keys, np.concatenate(rows), int(redraws.sum()))
 
@@ -453,9 +470,9 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
     """Refuse a run whose largest channel drop, with its (3, K) metric
     array, exceeds physical memory; the draw and the metrics work in
     blocks whose size does not grow with K."""
-    kmax = max(max(_point_k_values(cfg, 10.0 ** (s / 10.0))) for s in cfg.snr_db_grid)
-    need = (np.dtype(complex).itemsize * 9 * kmax * cfg.nr * cfg.nt
-            + np.dtype(float).itemsize * 3 * kmax)
+    entries = max(_drop_entries(cfg, s) for s in cfg.snr_db_grid)
+    kmax = entries // (9 * cfg.nr * cfg.nt)
+    need = np.dtype(complex).itemsize * entries + np.dtype(float).itemsize * 3 * kmax
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -463,16 +480,6 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
     if need > have:
         raise ConfigError(f"one channel drop with K={kmax} needs about {need:.3g} B, "
                           f"more than the {have:.3g} B of physical memory")
-
-
-def _check_dimensions(cfg: ExperimentConfig) -> None:
-    """Refuse antenna counts a channel drop cannot have (nr = 2d, nt = d)
-    and a threshold method that does not apply to them."""
-    try:
-        SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=1, P=1.0)
-    except ShapeMismatch as exc:
-        raise ConfigError(f"d={cfg.d}, nr={cfg.nr}, nt={cfg.nt}: {exc}") from exc
-    _check_threshold_method(cfg.threshold_method, cfg.nr, cfg.d)
 
 
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
@@ -505,11 +512,8 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 
 def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
-    kind, ks = parse_k_rule(cfg.K_rule)
-    if kind != "fixed":
-        raise ConfigError("fig4_threshold_compare requires K_rule fixed:...")
     rows = []
-    for K in ks:
+    for K in parse_k_rule(cfg.K_rule)[1]:
         for method in _FIG4_METHODS:
             try:
                 x = design_threshold(method, K, cfg.nr, cfg.d)
@@ -524,11 +528,8 @@ def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 
 def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
-    kind, bit_values = parse_k_rule(cfg.K_rule)
-    if kind != "fixed":
-        raise ConfigError("fig7_complexity_table requires K_rule fixed:...")
     rows = []
-    for b in bit_values:
+    for b in parse_k_rule(cfg.K_rule)[1]:
         rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(cfg.nr, cfg.d, b)))
         rows.append(FlopReport("ia_joint", b, flops_ia_joint(cfg.nr, cfg.nt, b)))
         rows.append(FlopReport("ia_individual", b,
@@ -538,11 +539,19 @@ def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registry entry: CLI description, config defaults, row producer."""
+    """Registry entry: CLI description, config defaults, row producer;
+    trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
+    redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
+    runs (None: the config's threshold_method); and its K rule, "any",
+    "fixed" (a fixed: list) or "bits" (even bit budgets up to _MAX_BITS).
+    """
 
     description: str
     defaults: dict
     runner: object
+    trial: object = None
+    designs: tuple | None = None
+    k_rule: str = "any"
 
 
 EXPERIMENTS = {
@@ -551,19 +560,19 @@ EXPERIMENTS = {
                     "perfect-feedback OIA and closed-form IA",
         defaults=dict(K_rule="ceil_P", d=1, nr=2, nt=1, trials=2000,
                       threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo),
+        runner=_run_monte_carlo, trial=_trial_fig2),
     "fig3_eligible_users": Experiment(
         description="d=1 eligible-user counts vs SNR under the 1-bit "
                     "threshold, K=ceil(P)",
         defaults=dict(K_rule="ceil_P", d=1, nr=2, nt=1, trials=2000,
                       threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo),
+        runner=_run_monte_carlo, trial=_oia_rows),
     "fig4_threshold_compare": Experiment(
         description="d=2 threshold design table: numeric vs Lambert vs "
                     "asymptotic over a K grid (no Monte Carlo)",
         defaults=dict(snr_db_grid=(30.0,), K_rule="fixed:100,316,1000,3162,10000",
                       d=2, nr=4, nt=2, trials=1, threshold_method="numeric"),
-        runner=_run_fig4),
+        runner=_run_fig4, designs=_FIG4_METHODS, k_rule="fixed"),
     "fig5_sumrate_d2": Experiment(
         description="d=2 sum rate vs SNR for K in {10,50,100}, 1-bit "
                     "feedback with the numeric threshold",
@@ -572,24 +581,24 @@ EXPERIMENTS = {
         defaults=dict(snr_db_grid=tuple(float(s) for s in range(10, 45, 5)),
                       K_rule="fixed:10,50,100", d=2, nr=4, nt=2, trials=500,
                       threshold_method="numeric"),
-        runner=_run_monte_carlo),
+        runner=_run_monte_carlo, trial=_oia_rows),
     "fig6_oia_vs_ia": Experiment(
         description="1-bit OIA with K=n_bits users against limited-feedback "
                     "IA at the same per-cell bit budget",
         defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", d=1, nr=2, nt=1,
                       trials=500, threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo),
+        runner=_run_monte_carlo, trial=_trial_fig6, k_rule="bits"),
     "fig7_complexity_table": Experiment(
         description="feedback FLOP counts per cell: 1-bit OIA vs joint and "
                     "individual IA quantization (no Monte Carlo)",
         defaults=dict(snr_db_grid=(0.0,),
                       K_rule="fixed:" + ",".join(str(b) for b in range(2, 42, 2)),
                       d=1, nr=2, nt=2, trials=1, threshold_method="closed_form_d1"),
-        runner=_run_fig7),
+        # a FLOP table for any antenna counts: it draws no channel
+        runner=_run_fig7, designs=(), k_rule="bits"),
 }
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-_INT_FIELDS = ("d", "nr", "nt", "trials", "seed")
 
 
 def _coerce(key: str, value):
@@ -650,8 +659,6 @@ def make_config(experiment: str, overrides: dict | None = None) -> ExperimentCon
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return "%.9g" % value
     return str(value)
@@ -695,16 +702,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     (os.sched_getaffinity where it exists, else os.cpu_count()) are capped
     there.
     """
-    try:
-        spec = EXPERIMENTS[cfg.experiment]
-    except KeyError:
-        raise UnknownExperiment(cfg.experiment) from None
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    rows = spec.runner(cfg, min(workers, cpus))
+    rows = EXPERIMENTS[cfg.experiment].runner(cfg, min(workers, cpus))
     write_csv(cfg.output_path, rows)
     return rows

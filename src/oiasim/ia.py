@@ -197,17 +197,14 @@ def quantized_channel_set(ch, bits_total: int, mode: str,
 
     Each receiver splits bits_total equally over its two cross channels.
     mode "rvq" quantizes against fresh random codebooks, "perturbation"
-    uses the statistical error model, "perfect" returns a copy. The six
-    links draw in receiver order, first interferer (i+1 mod 3) first. A
-    zero cross channel, or a perturbation direction that vanishes, leaves
-    NaN or a zero matrix behind, which closed_form_ia reports as
-    degenerate.
+    uses the statistical error model. The six links draw in receiver
+    order, first interferer (i+1 mod 3) first. A zero cross channel, or a
+    perturbation direction that vanishes, leaves NaN or a zero matrix
+    behind, which closed_form_ia reports as degenerate.
     """
     H = _as_drops(ch)
     if H.ndim != 4:
         raise ShapeMismatch("quantized_channel_set takes the channels of one drop")
-    if mode == "perfect":
-        return H
     if bits_total < 2 or bits_total % 2:
         raise OddBitSplit(
             f"total bits {bits_total} cannot be split equally over two vectors")

@@ -14,7 +14,7 @@ the closed form and the asymptotic form need numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,13 @@ class ThresholdSpec:
     """A designed threshold with its provenance.
 
     x is the threshold value, method one of closed_form_d1 / lambert /
-    asymptotic / numeric, aux carries method internals (alpha, y, A, B)
-    for the general-d methods.
+    asymptotic / numeric.
     """
 
     x: float
     method: str
     K: int
     params: ManifoldParams
-    aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x_max = self.params.x_max
@@ -115,35 +113,31 @@ def threshold_lambert(K: int, p: ManifoldParams) -> ThresholdSpec:
     alpha = 1.0 / dsq - 1.0
     if d == 1:
         y = math.log(K) / K if K > 1 else 0.0
-        aux = {"alpha": alpha, "y": y}
     else:
         arg = K * p.c * (d**3 * K) ** (1.0 / alpha) / alpha
         if not _BRANCH_POINT <= arg < 0.0:
             raise TooFewUsers(f"Lambert argument {arg:.6g} outside [-1/e, 0)")
-        w = lambert_w(-1, arg)
-        y = alpha / K * w
-        aux = {"alpha": alpha, "y": y, "w_arg": arg, "w": w}
+        y = alpha / K * lambert_w(-1, arg)
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"stationary point y={y:.6g} outside (0, 1)")
     x = (y / p.c) ** (1.0 / dsq)
-    return ThresholdSpec(x=x, method="lambert", K=K, params=p, aux=aux)
+    return ThresholdSpec(x=x, method="lambert", K=K, params=p)
 
 
-def threshold_asymptotic(K: int, p: ManifoldParams, B: float = 0.0) -> ThresholdSpec:
-    """Asymptotic threshold x = ((A log K + B)/(c K))^(1/d^2) with
-    A = 1/d^2 and the constant B defaulting to 0 (it does not affect the
+def threshold_asymptotic(K: int, p: ManifoldParams) -> ThresholdSpec:
+    """Asymptotic threshold x = (A log K/(c K))^(1/d^2) with A = 1/d^2;
+    the constant term of the paper's form is 0 (it does not affect the
     achieved degrees of freedom)."""
     _require_full_dof_setup(p)
     if K < 2:
         raise TooFewUsers("asymptotic form requires K >= 2")
     dsq = p.d * p.d
     A = 1.0 / dsq
-    y = (A * math.log(K) + B) / K
+    y = A * math.log(K) / K
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"asymptotic y={y:.6g} outside (0, 1)")
     x = (y / p.c) ** (1.0 / dsq)
-    return ThresholdSpec(x=x, method="asymptotic", K=K, params=p,
-                         aux={"A": A, "B": B, "y": y})
+    return ThresholdSpec(x=x, method="asymptotic", K=K, params=p)
 
 
 def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
@@ -162,25 +156,18 @@ def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
     return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
 
 
-def threshold_numeric(K: int, p: ManifoldParams, objective: str = "auto") -> ThresholdSpec:
+def threshold_numeric(K: int, p: ManifoldParams) -> ThresholdSpec:
     """Grid-plus-golden-section minimizer of the expected selected metric:
     the argmin of a 10,000-point log grid, evaluated in one numpy pass,
     then golden-section search on the scalar objective around it.
 
-    objective "exact" minimizes expected_metric_one_bit, "bound" the
-    closed-form upper bound; "auto" picks exact for d = 1 (where the
-    conditional means are closed-form) and bound otherwise.
+    The objective is expected_metric_one_bit for d = 1 (where the metric
+    law is exact) and the closed-form upper bound otherwise.
     """
     if K < 1:
         raise TooFewUsers("K must be at least 1")
-    if objective == "auto":
-        objective = "exact" if p.d == 1 else "bound"
-    if objective == "exact":
-        fun = lambda x: expected_metric_one_bit(x, K, p)
-    elif objective == "bound":
-        fun = lambda x: expected_metric_upper_bound(x, K, p)
-    else:
-        raise ShapeMismatch(f"unknown objective {objective!r}")
+    objective = "exact" if p.d == 1 else "bound"
+    scalar = expected_metric_one_bit if p.d == 1 else expected_metric_upper_bound
     x_max = p.x_max
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
     i = int(np.argmin(_objective_on_grid(objective, grid, K, p)))
@@ -188,10 +175,9 @@ def threshold_numeric(K: int, p: ManifoldParams, objective: str = "auto") -> Thr
     if 0 < i < len(grid) - 1:
         from scipy.optimize import golden
         try:
-            x_star = float(golden(fun, brack=(grid[i - 1], grid[i], grid[i + 1]),
-                                  tol=1e-8))
+            x_star = float(golden(lambda x: scalar(x, K, p),
+                                  brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
         except ValueError:
             # flat bracket; the grid point is already within tolerance
             pass
-    return ThresholdSpec(x=x_star, method="numeric", K=K, params=p,
-                         aux={"objective": objective})
+    return ThresholdSpec(x=x_star, method="numeric", K=K, params=p)

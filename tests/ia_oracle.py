@@ -194,8 +194,9 @@ def ia_sum_rate(ch, sol, P: float):
 def ia_limited_feedback_rate(ch, bits_total: int, mode: str, P: float, rng) -> float:
     """Sum rate of IA computed by the stacked kernels from the quantized
     cross channels of one drop and evaluated on the true ones, so that
-    misalignment shows up as residual interference. mode is "rvq",
-    "perturbation" or "perfect" (no quantization), as in
-    oiasim.ia.quantized_channel_set."""
-    quantized = kernels.quantized_channel_set(ch, bits_total, mode, rng)
+    misalignment shows up as residual interference. mode is "rvq" or
+    "perturbation", as in oiasim.ia.quantized_channel_set, or "perfect"
+    (no quantization)."""
+    quantized = (np.array(ch, dtype=complex) if mode == "perfect"
+                 else kernels.quantized_channel_set(ch, bits_total, mode, rng))
     return float(ia_sum_rate(ch, kernels.closed_form_ia(quantized), P))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
-                    cell_metrics, closed_form_ia, generate_channels,
-                    ia_link_rates, interference_covariance, interferer_indices,
-                    make_config, postfilter, quantized_channel_set, run_trial,
-                    select_conventional, select_one_bit, user_metric, user_rate)
+                    cell_metrics, chordal_distance_sq, closed_form_ia,
+                    generate_channels, ia_link_rates, interference_covariance,
+                    interferer_indices, make_config, orthonormal_basis,
+                    postfilter, quantized_channel_set, run_trial,
+                    select_conventional, select_one_bit, user_rate)
 from oiasim import channel, grassmann
 from oiasim.grassmann import INV_SQRT2, complex_normal
 from oiasim.harness import parse_k_rule, threshold_value
@@ -104,6 +105,14 @@ def test_generate_channels_unit_entry_variance():
     power = np.abs(ch.h) ** 2
     assert power.size >= 10 ** 5
     assert 0.95 <= power.mean() <= 1.05
+
+
+def user_metric(ch, i, k):
+    """Scalar oracle of cell_metrics: the squared chordal distance between
+    the column spaces of user k's two interference channels in cell i."""
+    p, q = interferer_indices(i)
+    return chordal_distance_sq(orthonormal_basis(ch.h[i, p, k]),
+                               orthonormal_basis(ch.h[i, q, k]))
 
 
 def test_user_metric_identical_and_orthogonal_interference():
@@ -225,7 +234,7 @@ def test_user_rate_point_to_point_reduction():
         return np.zeros((2, 1))
     ch = _engineered(cfg, only_direct)
     U = np.array([[1.0], [0.0]], dtype=complex)
-    rec = user_rate(ch, 0, 0, U, cfg)
+    rec = user_rate(ch, 0, 0, U)
     g = (U.conj().T @ ch.h[0, 0, 0])[0, 0]
     assert rec.rate == pytest.approx(np.log2(1 + 5.0 * abs(g) ** 2), abs=1e-9)
     assert rec.rate_loss == pytest.approx(0.0, abs=1e-12)
@@ -235,7 +244,7 @@ def test_user_rate_vanishes_at_zero_power():
     cfg = _cfg(P=1e-9)
     ch = generate_channels(np.random.default_rng(13), cfg)
     U = postfilter(interference_covariance(ch, 0, 0), 1)
-    assert user_rate(ch, 0, 0, U, cfg).rate < 1e-7
+    assert user_rate(ch, 0, 0, U).rate < 1e-7
 
 
 def test_user_rate_engineered_scalar_case():
@@ -244,7 +253,7 @@ def test_user_rate_engineered_scalar_case():
     e1 = np.array([[1.0], [0.0]], dtype=complex)
     cfg = _cfg(P=1.0)
     ch = _engineered(cfg, lambda i, j, k: e1)
-    rec = user_rate(ch, 0, 0, e1, cfg)
+    rec = user_rate(ch, 0, 0, e1)
     assert rec.rate == pytest.approx(np.log2(4.0 / 3.0), abs=1e-9)
 
 
@@ -254,7 +263,7 @@ def test_user_rate_decomposition_identity():
     for _ in range(1000):
         ch = generate_channels(rng, cfg)
         U = postfilter(interference_covariance(ch, 0, 0), 1)
-        rec = user_rate(ch, 0, 0, U, cfg)
+        rec = user_rate(ch, 0, 0, U)
         assert rec.rate == pytest.approx(rec.rate_gain - rec.rate_loss, abs=1e-9)
         assert rec.rate_gain >= 0.0
         assert rec.rate_loss >= 0.0
@@ -277,7 +286,7 @@ def test_user_rate_loss_vanishes_with_aligned_interference():
     ch = _engineered(cfg, fill)
     assert user_metric(ch, 0, 0) < 1e-6
     U = postfilter(interference_covariance(ch, 0, 0), 1)
-    rec = user_rate(ch, 0, 0, U, cfg)
+    rec = user_rate(ch, 0, 0, U)
     assert rec.rate_loss < 0.01
 
 
@@ -288,7 +297,7 @@ def test_user_rate_monotone_in_power():
         cfg = _cfg(P=P)
         ch = ChannelSet(h=ch1.h, cfg=cfg)
         U = postfilter(interference_covariance(ch, 0, 0), 1)
-        rates.append(user_rate(ch, 0, 0, U, cfg).rate)
+        rates.append(user_rate(ch, 0, 0, U).rate)
     assert rates[0] <= rates[1] <= rates[2]
 
 
@@ -455,12 +464,12 @@ def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
     users = rng.integers(cfg.K, size=21)
     R = interference_covariance(ch, cells, users)
     U = postfilter(R, d)
-    rec = user_rate(ch, cells, users, U, cfg)
+    rec = user_rate(ch, cells, users, U)
     assert U.shape == (21, cfg.nr, d)
     for n, (i, k) in enumerate(zip(cells.tolist(), users.tolist())):
         R1 = interference_covariance(ch, i, k)
         U1 = postfilter(R1, d)
-        one = user_rate(ch, i, k, U1, cfg)
+        one = user_rate(ch, i, k, U1)
         assert np.array_equal(R[n], R1)
         assert np.array_equal(U[n], U1)
         assert rec.rate[n] == one.rate
@@ -492,7 +501,7 @@ def _replay_trial(cfg, snr_db, t):
     replay = {}
     for key, cells in served.items():
         rates = [user_rate(ch, i, k, postfilter(interference_covariance(ch, i, k),
-                                                cfg.d), sys_cfg).rate
+                                                cfg.d)).rate
                  for i, k, _, _ in cells]
         eligible = [e for *_, e in cells]
         row = (sum(rates), sum(o for *_, o, _ in cells),

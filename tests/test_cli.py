@@ -119,6 +119,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         skewed.write_text(text, encoding="utf-8")
         assert main(["run", "fig4_threshold_compare", "--config", str(skewed),
                      "--out", out]) == 2
+    # odd, too large or power-coupled bit budgets, and grid points without a
+    # finite power P > 0: refused while parsing, not after the first drops
+    # or with a traceback
+    for experiment, text in (("fig6_oia_vs_ia", "K_rule = fixed:10,15\n"),
+                             ("fig6_oia_vs_ia", "K_rule = fixed:2100\n"),
+                             ("fig6_oia_vs_ia", "K_rule = ceil_P\n"),
+                             ("fig2_sumrate_d1", "snr_db_grid = nan\n"),
+                             ("fig2_sumrate_d1", "snr_db_grid = inf\n"),
+                             ("fig2_sumrate_d1", "snr_db_grid = 1e308\n"),
+                             ("fig3_eligible_users", "snr_db_grid = 0,-4000\n")):
+        skewed.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", experiment, "--config", str(skewed), "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err, text
+    assert main(["run", "fig2_sumrate_d1", "--seed", "-1", "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
 
 

@@ -2,27 +2,9 @@
 
 import pytest
 
-from oiasim import (FlopReport, OddBitSplit, ShapeMismatch, flops_frobenius,
-                    flops_gso, flops_ia_individual, flops_ia_joint,
-                    flops_oia_1bit)
+from oiasim import (FlopReport, OddBitSplit, ShapeMismatch, flops_ia_individual,
+                    flops_ia_joint, flops_oia_1bit)
 from oiasim.complexity import SCHEMES
-
-
-def test_frobenius_counts():
-    assert flops_frobenius(1, 1) == 4
-    assert flops_frobenius(1, 2) == 8
-    assert flops_frobenius(2, 4) == 32
-    with pytest.raises(ShapeMismatch):
-        flops_frobenius(0, 1)
-    with pytest.raises(ShapeMismatch):
-        flops_frobenius(1, 0)
-
-
-def test_gso_and_gram_counts():
-    assert flops_gso(2, 1) == 12
-    assert flops_gso(4, 2) == 112
-    with pytest.raises(ShapeMismatch):
-        flops_gso(1, 0)
 
 
 def test_oia_counts():
@@ -66,6 +48,10 @@ def test_ia_to_oia_ratio_grows():
 
 
 def test_bit_budget_guards():
+    with pytest.raises(ShapeMismatch):
+        flops_oia_1bit(0, 1, 1)
+    with pytest.raises(ShapeMismatch):
+        flops_ia_individual(2, 0, 2)
     with pytest.raises(ShapeMismatch):
         flops_ia_joint(2, 2, 63)
     with pytest.raises(ShapeMismatch):

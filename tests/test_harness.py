@@ -111,6 +111,30 @@ def test_experiment_config_validation():
     cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2, nr=4, nt=2,
                            K_rule="ceil_P_pow:2", threshold_method="numeric")
     assert cfg.output_path == os.path.join("results", "fig5_sumrate_d2.csv")
+    with pytest.raises(UnknownExperiment):
+        ExperimentConfig(experiment="fig9_mystery")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(experiment="fig2_sumrate_d1", seed=-1)
+    for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("nr", None)):
+        with pytest.raises(ConfigError, match=key):
+            make_config("fig2_sumrate_d1", {key: value})
+
+
+@pytest.mark.parametrize("experiment, K_rule", [
+    ("fig4_threshold_compare", "ceil_P"),
+    ("fig6_oia_vs_ia", "ceil_P_pow:1"),
+    ("fig6_oia_vs_ia", "fixed:10,15"),
+    ("fig6_oia_vs_ia", "fixed:2,2048"),
+    ("fig7_complexity_table", "fixed:2,3"),
+])
+def test_registry_k_rule_refused_while_parsing(experiment, K_rule):
+    with pytest.raises(ConfigError):
+        make_config(experiment, {"K_rule": K_rule})
+
+
+def test_registry_largest_bit_budget_accepted():
+    cfg = make_config("fig6_oia_vs_ia", {"K_rule": "fixed:2,2046"})
+    assert parse_k_rule(cfg.K_rule) == ("fixed", (2, 2046))
 
 
 def test_result_row_validation():

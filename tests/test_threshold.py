@@ -154,11 +154,11 @@ def test_threshold_asymptotic_values():
 
 
 def test_threshold_asymptotic_constant_term():
-    base = threshold_asymptotic(1000, P42)
-    shifted = threshold_asymptotic(1000, P42, B=0.5)
-    assert shifted.x > base.x
-    y = 0.25 * math.log(1000.0) + 0.5
-    assert shifted.x == pytest.approx((y / 1000.0 / 0.5) ** 0.25, rel=1e-12)
+    # the constant term of ((A log K + B)/(c K))^(1/d^2) is B = 0
+    for K, p in ((1000, P42), (50, ManifoldParams(6, 3))):
+        dsq = p.d * p.d
+        y = (1.0 / dsq) * math.log(K) / K
+        assert threshold_asymptotic(K, p).x == (y / p.c) ** (1.0 / dsq)
 
 
 def test_threshold_asymptotic_below_lambert_and_converging():
@@ -174,17 +174,6 @@ def test_threshold_asymptotic_below_lambert_and_converging():
 def test_threshold_numeric_exact_mode_matches_closed_form():
     assert threshold_numeric(10, P21).x == pytest.approx(
         optimal_threshold_d1(10).x, abs=1e-6)
-    assert threshold_numeric(10, P21).aux["objective"] == "exact"
-
-
-def test_threshold_numeric_bound_mode_d1():
-    # bound objective x + (1-x)^(K+1) has minimizer 1 - (1/(K+1))^(1/K)
-    K = 10
-    expected = 1.0 - (1.0 / (K + 1)) ** (1.0 / K)
-    assert threshold_numeric(K, P21, objective="bound").x == pytest.approx(
-        expected, abs=1e-6)
-    with pytest.raises(ShapeMismatch):
-        threshold_numeric(K, P21, objective="what")
 
 
 def test_threshold_numeric_stationary_on_bound():
@@ -202,48 +191,53 @@ _SWEEP_KS = tuple(range(1, 120)) + (200, 500, 1000, 5000, 10000, 100000)
 
 def _scalar_loop_thresholds(p):
     """threshold_numeric with its grid evaluated one scalar at a time, for
-    every K of _SWEEP_KS: {(objective, K): threshold}. One pass over the
-    grid serves all K; each value takes the operations, in the order, of
-    expected_metric_one_bit ("exact") or expected_metric_upper_bound
-    ("bound"), which a sample of the grid checks bit for bit."""
+    every K of _SWEEP_KS: {K: threshold}. One pass over the grid serves
+    all K; each value takes the operations, in the order, of the objective
+    of p.d, expected_metric_one_bit at d = 1 and
+    expected_metric_upper_bound otherwise, which a sample of the grid
+    checks bit for bit."""
     from scipy.optimize import golden
     x_max, D = p.x_max, p.exponent
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
-    vals = {(objective, K): [] for objective in ("exact", "bound") for K in _SWEEP_KS}
+    vals = {K: [] for K in _SWEEP_KS}
     for x in grid.tolist():
-        xe = min(x, x_max)
-        Fe, Fb = metric_cdf(xe, p), metric_cdf(x, p)
-        low = D * xe / (D + 1)
-        high = ((p.c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
-                if Fe < 1.0 else xe)
-        for K in _SWEEP_KS:
-            q = (1.0 - Fe) ** K
-            vals["exact", K].append((1.0 - q) * low + q * (high if q > 0.0 else xe))
-            vals["bound", K].append(x + (p.d - x) * (1.0 - Fb) ** K)
-    funs = {"exact": expected_metric_one_bit, "bound": expected_metric_upper_bound}
+        if p.d == 1:
+            xe = min(x, x_max)
+            Fe = metric_cdf(xe, p)
+            low = D * xe / (D + 1)
+            high = ((p.c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
+                    if Fe < 1.0 else xe)
+            for K in _SWEEP_KS:
+                q = (1.0 - Fe) ** K
+                vals[K].append((1.0 - q) * low + q * (high if q > 0.0 else xe))
+        else:
+            Fb = metric_cdf(x, p)
+            for K in _SWEEP_KS:
+                vals[K].append(x + (p.d - x) * (1.0 - Fb) ** K)
+    scalar = expected_metric_one_bit if p.d == 1 else expected_metric_upper_bound
     out = {}
-    for (objective, K), v in vals.items():
-        fun = lambda x: funs[objective](x, K, p)
+    for K, v in vals.items():
+        fun = lambda x: scalar(x, K, p)
         for j in range(0, len(grid), 997):
             assert v[j] == fun(grid[j])
         i = int(np.argmin(v))
-        out[objective, K] = float(grid[i])
+        out[K] = float(grid[i])
         if 0 < i < len(grid) - 1:
             try:
-                out[objective, K] = float(golden(
+                out[K] = float(golden(
                     fun, brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
             except ValueError:
                 pass
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_threshold_numeric_equals_scalar_loop_reference(d):
     # the grid values of the one numpy pass may differ in the last bits from
     # the scalar functions', but its argmin, and so the threshold, may not
     p = ManifoldParams(2 * d, d)
-    for (objective, K), x in _scalar_loop_thresholds(p).items():
-        assert threshold_numeric(K, p, objective=objective).x == x, (objective, K)
+    for K, x in _scalar_loop_thresholds(p).items():
+        assert threshold_numeric(K, p).x == x, K
 
 
 def test_bound_objective_unimodal_on_grid():
