@@ -34,9 +34,9 @@ print("\nthresholds for n=4, d=2   (numeric / lambert / asymptotic)")
 print(f"{'K':>6} {'numeric':>10} {'lambert':>10} {'asympt':>10} "
       f"{'E[eligible]':>12} {'P[outage]':>10}")
 for K in (10, 100, 1000, 10000):
-    xn = threshold_numeric(K, p42).x
-    xl = threshold_lambert(K, p42).x
-    xa = threshold_asymptotic(K, p42).x
+    xn = threshold_numeric(K, p42)
+    xl = threshold_lambert(K, p42)
+    xa = threshold_asymptotic(K, p42)
     print(f"{K:6d} {xn:10.5f} {xl:10.5f} {xa:10.5f} "
           f"{expected_eligible(xn, K, p42):12.3f} "
           f"{outage_probability(xn, K, p42):10.2e}")
@@ -48,9 +48,9 @@ p21 = ManifoldParams(2, 1)
 print("\nsingle-stream closed form vs numeric (n=2, d=1)")
 print(f"{'K':>6} {'closed form':>12} {'numeric':>10} {'E[metric]':>12}")
 for K in (2, 10, 100, 1000):
-    spec = optimal_threshold_d1(K)
-    xn = threshold_numeric(K, p21).x
-    print(f"{K:6d} {spec.x:12.6f} {xn:10.6f} "
+    xc = optimal_threshold_d1(K)
+    xn = threshold_numeric(K, p21)
+    print(f"{K:6d} {xc:12.6f} {xn:10.6f} "
           f"{min_expected_metric_d1(K):12.6f}")
 
 print("\nthe achieved expected metric decays like log(K)/(2K): residual "

@@ -26,7 +26,7 @@ print(f"{'K':>4} {'threshold':>10} {'perfect':>9} {'one bit':>9} "
 
 for K in (2, 5, 20, 50):
     cfg = SystemConfig(d=1, nr=2, nt=1, K=K, P=10.0 ** (P_DB / 10.0))
-    x = optimal_threshold_d1(K).x
+    x = optimal_threshold_d1(K)
     perfect = one_bit = 0.0
     outages = 0
     for _ in range(TRIALS):
@@ -37,13 +37,13 @@ for K in (2, 5, 20, 50):
             # full feedback: the scheduler sees every metric
             k_star = select_conventional(m)
             U = postfilter(interference_covariance(ch, i, k_star), cfg.d)
-            perfect += user_rate(ch, i, k_star, U).rate
+            perfect += user_rate(ch, i, k_star, U)
 
             # 1-bit feedback: uniform pick among sub-threshold users
-            sel = select_one_bit(m, x, rng)
-            U = postfilter(interference_covariance(ch, i, sel.selected), cfg.d)
-            one_bit += user_rate(ch, i, sel.selected, U).rate
-            outages += sel.outage
+            k, eligible = select_one_bit(m, x, rng)
+            U = postfilter(interference_covariance(ch, i, k), cfg.d)
+            one_bit += user_rate(ch, i, k, U)
+            outages += eligible == 0
     perfect /= TRIALS
     one_bit /= TRIALS
     print(f"{K:4d} {x:10.4f} {perfect:9.3f} {one_bit:9.3f} "

@@ -7,9 +7,9 @@ interference-alignment baseline with limited feedback, and a FLOP-count
 model of the feedback workloads.
 """
 
-from .channel import (ChannelSet, RateRecord, SystemConfig, cell_metrics,
-                      generate_channels, interference_covariance,
-                      interferer_indices, postfilter, user_rate)
+from .channel import (ChannelSet, SystemConfig, cell_metrics, generate_channels,
+                      interference_covariance, interferer_indices, postfilter,
+                      user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,
@@ -22,11 +22,10 @@ from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold
                       make_config, run_experiment, run_trial, run_trials,
                       write_csv)
 from .ia import IaSolution, closed_form_ia, ia_link_rates, quantized_channel_set
-from .oia import (SelectionOutcome, expected_eligible, expected_metric_one_bit,
+from .oia import (expected_eligible, expected_metric_one_bit,
                   expected_metric_upper_bound, outage_probability,
                   select_conventional, select_one_bit, select_one_bit_rows)
-from .threshold import (ThresholdSpec, lambert_w, min_expected_metric_d1,
-                        optimal_threshold_d1, threshold_asymptotic,
-                        threshold_lambert, threshold_numeric)
+from .threshold import (lambert_w, min_expected_metric_d1, optimal_threshold_d1,
+                        threshold_asymptotic, threshold_lambert, threshold_numeric)
 
 __version__ = "0.1.0"

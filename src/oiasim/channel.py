@@ -64,16 +64,6 @@ class ChannelSet:
             raise ShapeMismatch(f"channel array shape {self.h.shape}, expected {expected}")
 
 
-@dataclass(frozen=True)
-class RateRecord:
-    """Rate decomposition rate = rate_gain - rate_loss of one served user;
-    a stacked user_rate call holds arrays with one entry per (cell, user)."""
-
-    rate: float
-    rate_gain: float
-    rate_loss: float
-
-
 def interferer_indices(i):
     """The two transmitters interfering with receiver cell i (0-based),
     elementwise for an integer array of cells."""
@@ -226,19 +216,18 @@ def postfilter(R: np.ndarray, d: int) -> np.ndarray:
     return v[..., :d]
 
 
-def user_rate(ch: ChannelSet, i, k, U: np.ndarray) -> RateRecord:
+def user_rate(ch: ChannelSet, i, k, U: np.ndarray):
     """Achievable rate of user k in cell i behind postfilter U, at the
     power and stream count of ch.cfg.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
     B = (P/d) sum_{j != i} U^H H_ij H_ij^H U, computed through the exact
-    decomposition rate = rate_gain - rate_loss where rate_gain uses the
-    desired-plus-interference covariance and rate_loss the interference-only
-    one.
+    decomposition rate = gain - loss, where gain uses the
+    desired-plus-interference covariance and loss the interference-only one.
 
     i and k may be integer arrays of one shape, with U stacking one filter
-    per (cell, user) pair as postfilter returns it; every field of the
-    record then is an array of that shape.
+    per (cell, user) pair as postfilter returns it; the rate then is an
+    array of that shape.
     """
     p, q = interferer_indices(i)
     scale = ch.cfg.P / ch.cfg.d
@@ -251,4 +240,4 @@ def user_rate(ch: ChannelSet, i, k, U: np.ndarray) -> RateRecord:
     eye = np.eye(ch.cfg.d)
     gain = np.linalg.slogdet(eye + A + B)[1] / _LOG2
     loss = np.linalg.slogdet(eye + B)[1] / _LOG2
-    return RateRecord(rate=gain - loss, rate_gain=gain, rate_loss=loss)
+    return gain - loss

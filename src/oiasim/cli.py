@@ -40,6 +40,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    if args.K < 1:
+        raise ConfigError(f"--K must be at least 1, got {args.K}")
     print("%.9g" % design_threshold(args.method, args.K, args.nr, args.d))
     return 0
 

@@ -96,7 +96,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        grid = tuple(float(s) for s in self.snr_db_grid)
+        try:
+            grid = tuple(float(s) for s in self.snr_db_grid)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"snr_db_grid must be a list of numbers, "
+                              f"got {self.snr_db_grid!r}") from exc
         if not grid:
             raise ConfigError("snr_db_grid must not be empty")
         if len(set(grid)) != len(grid):
@@ -189,6 +193,8 @@ def parse_k_rule(rule: str):
     comparison the fixed values double as the per-cell feedback bit
     budgets, with K = n_bits users.
     """
+    if not isinstance(rule, str):
+        raise ConfigError(f"K_rule must be a string, got {rule!r}")
     parts = rule.split(":", 1)
     kind = parts[0].strip()
     if kind == "ceil_P":
@@ -241,12 +247,12 @@ def design_threshold(method: str, K: int, nr: int, d: int) -> float:
     _check_threshold_method(method, nr, d)
     params = ManifoldParams(nr, d)
     if method == "closed_form_d1":
-        return optimal_threshold_d1(K).x
+        return optimal_threshold_d1(K)
     if method == "lambert":
-        return threshold_lambert(K, params).x
+        return threshold_lambert(K, params)
     if method == "asymptotic":
-        return threshold_asymptotic(K, params).x
-    return threshold_numeric(K, params).x
+        return threshold_asymptotic(K, params)
+    return threshold_numeric(K, params)
 
 
 def threshold_value(cfg: ExperimentConfig, K: int) -> float:
@@ -311,7 +317,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     users += (kmax * np.arange(len(rngs)))[:, None, None, None]
     cells = np.broadcast_to(np.arange(3)[:, None], users.shape)
     U = postfilter(interference_covariance(ch, cells, users), cfg.d)
-    rate = user_rate(ch, cells, users, U).rate
+    rate = user_rate(ch, cells, users, U)
     per_cell = np.stack([rate, outage, counts], axis=-1)
     # summed over the cells in cell order, as a scalar running sum would
     rows = per_cell[:, :, 0] + per_cell[:, :, 1] + per_cell[:, :, 2]

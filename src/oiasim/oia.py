@@ -9,30 +9,10 @@ is eligible (a scheduling outage). The functionals are closed forms at every d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch
 from .grassmann import ManifoldParams, metric_cdf
-
-
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Result of one 1-bit selection round in one cell."""
-
-    selected: int
-    outage: bool
-    eligible_count: int
-    feedback_bits: np.ndarray
-
-    def __post_init__(self):
-        if self.eligible_count != int(np.count_nonzero(self.feedback_bits)):
-            raise ShapeMismatch("eligible_count inconsistent with feedback bits")
-        if (self.eligible_count == 0) != self.outage:
-            raise ShapeMismatch("outage flag inconsistent with eligible count")
-        if not self.outage and not self.feedback_bits[self.selected]:
-            raise ShapeMismatch("selected user did not report '1'")
 
 
 def select_conventional(metrics: np.ndarray):
@@ -81,22 +61,20 @@ def select_one_bit_rows(metrics: np.ndarray, ks, thresholds, rngs):
     return np.where(eligible > 0, users[np.minimum(at, len(users) - 1)], draws), eligible
 
 
-def select_one_bit(metrics: np.ndarray, x: float, rng: np.random.Generator) -> SelectionOutcome:
+def select_one_bit(metrics: np.ndarray, x: float,
+                   rng: np.random.Generator) -> tuple[int, int]:
     """Threshold-based 1-bit selection among the K users of one row of
     metrics; the one-row case of select_one_bit_rows.
 
     Users whose metric is below x report '1'; the serving transmitter picks
     uniformly among the '1' reporters, or uniformly among all K users on a
-    scheduling outage.
+    scheduling outage. Returns the selected user and the eligible count,
+    ints; an eligible count of 0 marks an outage.
     """
     metrics = np.asarray(metrics)
-    if metrics.size < 1:
-        raise ShapeMismatch("need at least one user")
     selected, eligible = select_one_bit_rows(metrics.reshape(1, -1), (metrics.size,),
                                              (x,), (rng,))
-    count = int(eligible[0, 0])
-    return SelectionOutcome(selected=int(selected[0, 0]), outage=count == 0,
-                            eligible_count=count, feedback_bits=metrics < x)
+    return int(selected[0, 0]), int(eligible[0, 0])
 
 
 def outage_probability(x: float, K: int, p: ManifoldParams) -> float:

@@ -14,7 +14,6 @@ the closed form and the asymptotic form need numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,30 +24,7 @@ from .oia import expected_metric_one_bit, expected_metric_upper_bound
 _BRANCH_POINT = -1.0 / math.e
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """A designed threshold with its provenance.
-
-    x is the threshold value, method one of closed_form_d1 / lambert /
-    asymptotic / numeric.
-    """
-
-    x: float
-    method: str
-    K: int
-    params: ManifoldParams
-
-    def __post_init__(self):
-        x_max = self.params.x_max
-        if not 0.0 < self.x <= x_max + 1e-12:
-            raise ShapeMismatch(f"threshold {self.x} outside (0, {x_max:.6g}]")
-        if self.method in ("lambert", "asymptotic"):
-            y = self.params.c * self.x**self.params.exponent
-            if not 0.0 < y < 1.0:
-                raise TooFewUsers(f"method {self.method} gave y={y:.6g} outside (0, 1)")
-
-
-def optimal_threshold_d1(K: int) -> ThresholdSpec:
+def optimal_threshold_d1(K: int) -> float:
     """Exact optimal threshold for d = 1: x = 1 - (1/K)^(1/(K-1)).
 
     K = 1 returns the continuity limit 1 - 1/e; selection is forced anyway.
@@ -56,11 +32,8 @@ def optimal_threshold_d1(K: int) -> ThresholdSpec:
     if K < 1:
         raise TooFewUsers("K must be at least 1")
     if K == 1:
-        x = 1.0 - math.exp(-1.0)
-    else:
-        x = 1.0 - (1.0 / K) ** (1.0 / (K - 1))
-    return ThresholdSpec(x=x, method="closed_form_d1", K=K,
-                         params=ManifoldParams(2, 1))
+        return 1.0 - math.exp(-1.0)
+    return 1.0 - (1.0 / K) ** (1.0 / (K - 1))
 
 
 def min_expected_metric_d1(K: int) -> float:
@@ -98,7 +71,7 @@ def _require_full_dof_setup(p: ManifoldParams):
         raise ShapeMismatch("threshold formulas assume nr = 2d (exponent d^2)")
 
 
-def threshold_lambert(K: int, p: ManifoldParams) -> ThresholdSpec:
+def threshold_lambert(K: int, p: ManifoldParams) -> float:
     """Threshold from the Lambert W_{-1} stationary point of the
     exponential-approximation objective (y/c)^(1/d^2) + d e^{-K y}.
 
@@ -120,11 +93,10 @@ def threshold_lambert(K: int, p: ManifoldParams) -> ThresholdSpec:
         y = alpha / K * lambert_w(-1, arg)
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"stationary point y={y:.6g} outside (0, 1)")
-    x = (y / p.c) ** (1.0 / dsq)
-    return ThresholdSpec(x=x, method="lambert", K=K, params=p)
+    return (y / p.c) ** (1.0 / dsq)
 
 
-def threshold_asymptotic(K: int, p: ManifoldParams) -> ThresholdSpec:
+def threshold_asymptotic(K: int, p: ManifoldParams) -> float:
     """Asymptotic threshold x = (A log K/(c K))^(1/d^2) with A = 1/d^2;
     the constant term of the paper's form is 0 (it does not affect the
     achieved degrees of freedom)."""
@@ -136,8 +108,7 @@ def threshold_asymptotic(K: int, p: ManifoldParams) -> ThresholdSpec:
     y = A * math.log(K) / K
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"asymptotic y={y:.6g} outside (0, 1)")
-    x = (y / p.c) ** (1.0 / dsq)
-    return ThresholdSpec(x=x, method="asymptotic", K=K, params=p)
+    return (y / p.c) ** (1.0 / dsq)
 
 
 def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
@@ -156,7 +127,7 @@ def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
     return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
 
 
-def threshold_numeric(K: int, p: ManifoldParams) -> ThresholdSpec:
+def threshold_numeric(K: int, p: ManifoldParams) -> float:
     """Grid-plus-golden-section minimizer of the expected selected metric:
     the argmin of a 10,000-point log grid, evaluated in one numpy pass,
     then golden-section search on the scalar objective around it.
@@ -180,4 +151,4 @@ def threshold_numeric(K: int, p: ManifoldParams) -> ThresholdSpec:
         except ValueError:
             # flat bracket; the grid point is already within tolerance
             pass
-    return ThresholdSpec(x=x_star, method="numeric", K=K, params=p)
+    return x_star

@@ -118,9 +118,9 @@ def test_criterion_03_eligible_users(tmp_path):
 def test_criterion_04_threshold_agreement():
     gaps = []
     for K in (100, 1000, 10000):
-        xn = threshold_numeric(K, P42).x
-        xl = threshold_lambert(K, P42).x
-        xa = threshold_asymptotic(K, P42).x
+        xn = threshold_numeric(K, P42)
+        xl = threshold_lambert(K, P42)
+        xa = threshold_asymptotic(K, P42)
         gaps.append(abs(xl - xn) / xn)
         assert xa < xl
     ok = all(g < 0.1 for g in gaps) and gaps[0] > gaps[1] > gaps[2]
@@ -267,7 +267,7 @@ def test_criterion_09_property_suite():
 
     # (f) closed-form expected metric vs uniform-metric Monte Carlo
     K = 50
-    x = optimal_threshold_d1(K).x
+    x = optimal_threshold_d1(K)
     target = expected_metric_one_bit(x, K, P21)
     rng = np.random.default_rng(99)
     total = 0.0

@@ -44,7 +44,7 @@ def test_threshold_numeric_value(capsys):
                "--nr", "4", "--K", "100"])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
-    assert printed == "%.9g" % threshold_numeric(100, ManifoldParams(4, 2)).x
+    assert printed == "%.9g" % threshold_numeric(100, ManifoldParams(4, 2))
 
 
 @pytest.mark.parametrize("method,printed", [("numeric", "0.522664091"),
@@ -96,6 +96,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "fig2_sumrate_d1", "--config", str(cfg)]) == 2
     assert main(["threshold", "--method", "closed_form_d1", "--d", "2",
                  "--nr", "4", "--K", "100"]) == 2
+    # fewer than one user is a usage error for every method
+    for method, d, nr, K in (("numeric", "2", "4", "0"),
+                             ("closed_form_d1", "1", "2", "-3"),
+                             ("lambert", "2", "4", "0"),
+                             ("asymptotic", "1", "2", "-1")):
+        assert main(["threshold", "--method", method, "--d", d, "--nr", nr,
+                     "--K", K]) == 2
     out = str(tmp_path / "never.csv")
     assert main(["run", "fig2_sumrate_d1", "--workers", "0", "--out", out]) == 2
     huge = tmp_path / "huge.cfg"

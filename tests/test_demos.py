@@ -1,4 +1,5 @@
-"""The demo scripts run to completion against the current API.
+"""The demo scripts run to completion against the current API, and the
+ones whose stdout is pinned print the same bytes.
 
 Each demo runs in a fresh interpreter with the package that the tests
 import on its path. demos/01_subspace_geometry.py is left out because it
@@ -6,26 +7,63 @@ takes about 22 s (Monte Carlo geometry checks), longer than the other
 four together.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import oiasim
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = str(Path(oiasim.__file__).resolve().parent.parent)
 
+# sha256 of the stdout; float output depends on the numpy/scipy builds,
+# so other versions skip
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+_PINNED_STDOUT = {
+    "02_threshold_design.py":
+        "b380c49232adc14f2bed93e91a537a60bc1c2ce998cdeddb6a9df36dda10d44b",
+    "03_one_bit_scheduling.py":
+        "54016e935b36da45eab5a1160afa3ab29eec6dae10709e35e4a881a82e7f5b2b",
+}
+
+
+@pytest.fixture(scope="module")
+def run_demo(tmp_path_factory):
+    """Run a demo once per module in its own directory; later calls for the
+    same demo return the first run."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = subprocess.run(
+                [sys.executable, str(DEMOS / name)], cwd=tmp_path_factory.mktemp("demo"),
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, timeout=300)
+        return runs[name]
+    return run
+
 
 @pytest.mark.parametrize("name", ["02_threshold_design.py",
                                   "03_one_bit_scheduling.py",
                                   "04_alignment_vs_opportunism.py",
                                   "05_experiment_harness.py"])
-def test_demo_exits_0(tmp_path, name):
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr[-2000:]
+def test_demo_exits_0(run_demo, name):
+    done = run_demo(name)
+    assert done.returncode == 0, done.stderr[-2000:].decode(errors="replace")
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STDOUT))
+def test_demo_stdout_pinned(run_demo, name):
+    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
+        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
+                    f"{_PINNED_VERSIONS[1]}")
+    done = run_demo(name)
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == _PINNED_STDOUT[name]

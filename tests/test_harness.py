@@ -115,7 +115,9 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig9_mystery")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", seed=-1)
-    for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("nr", None)):
+    for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("nr", None),
+                       ("snr_db_grid", [None]), ("snr_db_grid", 5),
+                       ("snr_db_grid", ["x"]), ("K_rule", 5), ("K_rule", None)):
         with pytest.raises(ConfigError, match=key):
             make_config("fig2_sumrate_d1", {key: value})
 
@@ -154,10 +156,9 @@ def test_result_row_validation():
 
 def test_threshold_value_dispatch():
     cfg = make_config("fig2_sumrate_d1")
-    assert threshold_value(cfg, 100) == optimal_threshold_d1(100).x
+    assert threshold_value(cfg, 100) == optimal_threshold_d1(100)
     cfg2 = make_config("fig5_sumrate_d2")
-    assert threshold_value(cfg2, 50) == threshold_numeric(
-        50, ManifoldParams(4, 2)).x
+    assert threshold_value(cfg2, 50) == threshold_numeric(50, ManifoldParams(4, 2))
     # such a config is refused while parsing; the dispatch refuses it too
     with pytest.raises(ConfigError):
         make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
@@ -341,7 +342,7 @@ def test_fig2_row_layout(tmp_path):
         assert r.stderr == 0.0
         if r.scheme == "oia_1bit":
             assert r.K == math.ceil(10.0 ** (r.snr_db / 10.0))
-            assert r.threshold_used == optimal_threshold_d1(r.K).x
+            assert r.threshold_used == optimal_threshold_d1(r.K)
             assert 0.0 <= r.mean_eligible <= r.K
         else:
             assert math.isnan(r.threshold_used)

@@ -4,27 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oiasim import (ManifoldParams, SelectionOutcome, ShapeMismatch,
-                    expected_eligible, expected_metric_one_bit,
-                    expected_metric_upper_bound, outage_probability,
-                    select_conventional, select_one_bit, select_one_bit_rows)
+from oiasim import (ManifoldParams, ShapeMismatch, expected_eligible,
+                    expected_metric_one_bit, expected_metric_upper_bound,
+                    outage_probability, select_conventional, select_one_bit,
+                    select_one_bit_rows)
 from oiasim.threshold import optimal_threshold_d1
 
 P21 = ManifoldParams(2, 1)
 P42 = ManifoldParams(4, 2)
-
-
-def test_selection_outcome_consistency_checks():
-    bits = np.array([True, False])
-    with pytest.raises(ShapeMismatch):
-        SelectionOutcome(selected=0, outage=False, eligible_count=2,
-                         feedback_bits=bits)
-    with pytest.raises(ShapeMismatch):
-        SelectionOutcome(selected=0, outage=True, eligible_count=1,
-                         feedback_bits=bits)
-    with pytest.raises(ShapeMismatch):
-        SelectionOutcome(selected=1, outage=False, eligible_count=1,
-                         feedback_bits=bits)
 
 
 def test_select_conventional_examples():
@@ -51,17 +38,15 @@ def test_select_conventional_exhaustive_oracle():
 def test_select_one_bit_single_eligible():
     out = select_one_bit(np.array([0.9, 0.05, 0.8]), 0.1,
                          np.random.default_rng(0))
-    assert out.selected == 1
-    assert not out.outage
-    assert out.eligible_count == 1
-    assert list(out.feedback_bits) == [False, True, False]
+    assert out == (1, 1)
+    assert all(type(v) is int for v in out)
 
 
 def test_select_one_bit_outage():
-    out = select_one_bit(np.array([0.9, 0.8]), 0.1, np.random.default_rng(0))
-    assert out.outage
-    assert out.eligible_count == 0
-    assert out.selected in (0, 1)
+    selected, eligible = select_one_bit(np.array([0.9, 0.8]), 0.1,
+                                        np.random.default_rng(0))
+    assert eligible == 0
+    assert selected in (0, 1)
 
 
 def _sequential_one_bit(metrics, x, rng):
@@ -110,7 +95,7 @@ def test_select_one_bit_rows_validation():
 
 def test_select_one_bit_outage_rate_matches_binomial():
     K = 50
-    x = optimal_threshold_d1(K).x
+    x = optimal_threshold_d1(K)
     p_out = (1.0 - x) ** K
     rng = np.random.default_rng(11)
     hits = (rng.random((10 ** 5, K)).min(axis=1) >= x).mean()
@@ -153,7 +138,7 @@ def test_expected_metric_one_bit_matches_uniform_simulation():
     # pick among eligible reporters
     K = 50
     rng = np.random.default_rng(99)
-    for x in (optimal_threshold_d1(K).x, 0.2):
+    for x in (optimal_threshold_d1(K), 0.2):
         target = expected_metric_one_bit(x, K, P21)
         total = 0.0
         for _ in range(10):
@@ -247,7 +232,7 @@ def test_conventional_selection_dominates_one_bit():
 
 def test_expected_eligible_values():
     K = 1000
-    x = optimal_threshold_d1(K).x
+    x = optimal_threshold_d1(K)
     value = expected_eligible(x, K, P21)
     assert value == pytest.approx(1000.0 * (1.0 - (1.0 / 1000.0) ** (1.0 / 999.0)),
                                   rel=1e-12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oiasim import (LambertDomain, ManifoldParams, ShapeMismatch, ThresholdSpec,
-                    TooFewUsers, expected_metric_one_bit,
+from oiasim import (LambertDomain, ManifoldParams, ShapeMismatch, TooFewUsers,
+                    expected_metric_one_bit,
                     expected_metric_upper_bound, lambert_w, metric_cdf,
                     min_expected_metric_d1, optimal_threshold_d1,
                     threshold_asymptotic, threshold_lambert, threshold_numeric)
@@ -16,21 +16,12 @@ P21 = ManifoldParams(2, 1)
 P42 = ManifoldParams(4, 2)
 
 
-def test_threshold_spec_invariants():
-    with pytest.raises(ShapeMismatch):
-        ThresholdSpec(x=0.0, method="numeric", K=10, params=P21)
-    with pytest.raises(ShapeMismatch):
-        ThresholdSpec(x=1.5, method="numeric", K=10, params=P21)
-    with pytest.raises(TooFewUsers):
-        ThresholdSpec(x=1.0, method="lambert", K=10, params=P21)
-
-
 def test_optimal_threshold_d1_values():
-    assert optimal_threshold_d1(2).x == pytest.approx(0.5, rel=1e-12)
-    assert optimal_threshold_d1(10).x == pytest.approx(1.0 - 0.1 ** (1.0 / 9.0),
-                                                       rel=1e-12)
-    assert optimal_threshold_d1(1).x == pytest.approx(1.0 - math.exp(-1.0),
-                                                      rel=1e-12)
+    assert optimal_threshold_d1(2) == pytest.approx(0.5, rel=1e-12)
+    assert optimal_threshold_d1(10) == pytest.approx(1.0 - 0.1 ** (1.0 / 9.0),
+                                                     rel=1e-12)
+    assert optimal_threshold_d1(1) == pytest.approx(1.0 - math.exp(-1.0),
+                                                    rel=1e-12)
     with pytest.raises(TooFewUsers):
         optimal_threshold_d1(0)
 
@@ -41,7 +32,7 @@ def test_optimal_threshold_d1_grid_search_oracle():
     xs = np.arange(1e-5, 1.0, 1e-5)
     surv = (1.0 - xs) ** K
     vals = (1.0 - surv) * xs / 2.0 + surv * (1.0 + xs) / 2.0
-    assert abs(xs[np.argmin(vals)] - optimal_threshold_d1(K).x) < 1e-4
+    assert abs(xs[np.argmin(vals)] - optimal_threshold_d1(K)) < 1e-4
 
 
 def test_min_expected_metric_d1_values():
@@ -52,7 +43,7 @@ def test_min_expected_metric_d1_values():
 
 def test_min_expected_metric_d1_consistency():
     for K in (2, 10, 100, 1000):
-        x = optimal_threshold_d1(K).x
+        x = optimal_threshold_d1(K)
         assert min_expected_metric_d1(K) == pytest.approx(
             expected_metric_one_bit(x, K, P21), abs=1e-12)
 
@@ -113,8 +104,8 @@ def test_lambert_w_residuals_both_branches():
 def test_threshold_lambert_close_to_numeric_and_converging():
     gaps = []
     for K in (100, 1000, 10000):
-        xl = threshold_lambert(K, P42).x
-        xn = threshold_numeric(K, P42).x
+        xl = threshold_lambert(K, P42)
+        xn = threshold_numeric(K, P42)
         gaps.append(abs(xl - xn) / xn)
     assert gaps[0] < 0.1
     assert gaps[0] > gaps[1] > gaps[2]
@@ -124,7 +115,7 @@ def test_threshold_lambert_stationarity_of_its_objective():
     # the closed form targets x + d exp(-K c x^(d^2)); its derivative at
     # the returned x is smaller in magnitude than 10% to either side
     K = 100
-    x = threshold_lambert(K, P42).x
+    x = threshold_lambert(K, P42)
     obj = lambda t: t + P42.d * math.exp(-K * P42.c * t ** P42.exponent)
     def slope(t, eps=1e-7):
         return abs((obj(t * (1 + eps)) - obj(t * (1 - eps))) / (2 * t * eps))
@@ -134,8 +125,8 @@ def test_threshold_lambert_stationarity_of_its_objective():
 
 def test_threshold_lambert_d1_reduction():
     for K in (10, 100, 1000):
-        assert threshold_lambert(K, P21).x == pytest.approx(math.log(K) / K,
-                                                            rel=1e-12)
+        assert threshold_lambert(K, P21) == pytest.approx(math.log(K) / K,
+                                                          rel=1e-12)
 
 
 def test_threshold_lambert_too_few_users():
@@ -144,11 +135,11 @@ def test_threshold_lambert_too_few_users():
 
 
 def test_threshold_asymptotic_values():
-    assert threshold_asymptotic(7, P21).x == pytest.approx(math.log(7.0) / 7.0,
-                                                           rel=1e-12)
+    assert threshold_asymptotic(7, P21) == pytest.approx(math.log(7.0) / 7.0,
+                                                         rel=1e-12)
     expected = (0.25 * math.log(10 ** 4) / (0.5 * 10 ** 4)) ** 0.25
-    assert threshold_asymptotic(10 ** 4, P42).x == pytest.approx(expected,
-                                                                 rel=1e-12)
+    assert threshold_asymptotic(10 ** 4, P42) == pytest.approx(expected,
+                                                               rel=1e-12)
     with pytest.raises(TooFewUsers):
         threshold_asymptotic(1, P42)
 
@@ -158,27 +149,27 @@ def test_threshold_asymptotic_constant_term():
     for K, p in ((1000, P42), (50, ManifoldParams(6, 3))):
         dsq = p.d * p.d
         y = (1.0 / dsq) * math.log(K) / K
-        assert threshold_asymptotic(K, p).x == (y / p.c) ** (1.0 / dsq)
+        assert threshold_asymptotic(K, p) == (y / p.c) ** (1.0 / dsq)
 
 
 def test_threshold_asymptotic_below_lambert_and_converging():
     ratios = []
     for K in (10 ** 3, 10 ** 5, 10 ** 7):
-        xa = threshold_asymptotic(K, P42).x
-        xl = threshold_lambert(K, P42).x
+        xa = threshold_asymptotic(K, P42)
+        xl = threshold_lambert(K, P42)
         assert xa < xl
         ratios.append(xa / xl)
     assert abs(ratios[0] - 1) > abs(ratios[1] - 1) > abs(ratios[2] - 1)
 
 
 def test_threshold_numeric_exact_mode_matches_closed_form():
-    assert threshold_numeric(10, P21).x == pytest.approx(
-        optimal_threshold_d1(10).x, abs=1e-6)
+    assert threshold_numeric(10, P21) == pytest.approx(
+        optimal_threshold_d1(10), abs=1e-6)
 
 
 def test_threshold_numeric_stationary_on_bound():
     K = 100
-    x = threshold_numeric(K, P42).x
+    x = threshold_numeric(K, P42)
     f = lambda t: expected_metric_upper_bound(t, K, P42)
     def slope(t, eps=1e-7):
         return abs((f(t * (1 + eps)) - f(t * (1 - eps))) / (2 * t * eps))
@@ -237,7 +228,7 @@ def test_threshold_numeric_equals_scalar_loop_reference(d):
     # the scalar functions', but its argmin, and so the threshold, may not
     p = ManifoldParams(2 * d, d)
     for K, x in _scalar_loop_thresholds(p).items():
-        assert threshold_numeric(K, p).x == x, K
+        assert threshold_numeric(K, p) == x, K
 
 
 def test_bound_objective_unimodal_on_grid():
@@ -257,7 +248,7 @@ def test_dof_loss_proxy_decreases_with_power(d, p):
     seq = []
     for P in (10.0, 100.0, 1000.0, 10000.0):
         K = math.ceil(P ** d)
-        x = optimal_threshold_d1(K).x if d == 1 else threshold_numeric(K, p).x
+        x = optimal_threshold_d1(K) if d == 1 else threshold_numeric(K, p)
         seq.append(math.log2(P * expected_metric_upper_bound(x, K, p))
                    / math.log2(P))
     assert all(a > b for a, b in zip(seq, seq[1:]))
