@@ -25,7 +25,7 @@ print(f"{'K':>4} {'threshold':>10} {'perfect':>9} {'one bit':>9} "
       f"{'ratio':>7} {'outage':>8}")
 
 for K in (2, 5, 20, 50):
-    cfg = SystemConfig(d=1, nr=2, nt=1, K=K, P=10.0 ** (P_DB / 10.0))
+    cfg = SystemConfig(d=1, K=K, P=10.0 ** (P_DB / 10.0))
     x = optimal_threshold_d1(K)
     perfect = one_bit = 0.0
     outages = 0

@@ -4,14 +4,14 @@ postfilter, and achievable rate.
 Receiver cell i (0-based) is interfered by transmitters p = (i+1) mod 3 and
 q = (i+2) mod 3. Every user sees i.i.d. unit-variance circularly-symmetric
 complex Gaussian channel matrices of shape (nr, nt), noise variance is 1,
-so the linear SNR equals the transmit power P. The configuration is pinned
-to nr = 2d and nt = d, the smallest antenna setup that supports d streams
+so the linear SNR equals the transmit power P. The antenna counts follow
+from d: nr = 2d and nt = d, the smallest setup that supports d streams
 per transmitter with full degrees of freedom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,22 +30,22 @@ _BLOCK_ENTRIES = 32768
 class SystemConfig:
     """Dimensions and power of one simulation point.
 
-    d streams per transmitter, nr = 2d receive and nt = d transmit antennas,
-    K candidate users per cell, transmit power P (linear SNR).
+    d streams per transmitter, K candidate users per cell, transmit power
+    P (linear SNR); nr = 2d receive and nt = d transmit antennas follow
+    from d.
     """
 
     d: int
-    nr: int
-    nt: int
     K: int
     P: float
-    cells: int = 3
+    nr: int = field(init=False)
+    nt: int = field(init=False)
 
     def __post_init__(self):
-        if self.nr != 2 * self.d or self.nt != self.d:
-            raise ShapeMismatch("configuration requires nr = 2d and nt = d")
-        if self.K < 1 or self.P <= 0 or self.cells != 3:
-            raise ShapeMismatch("need K >= 1, P > 0, cells = 3")
+        if self.d < 1 or self.K < 1 or self.P <= 0:
+            raise ShapeMismatch("need d >= 1, K >= 1, P > 0")
+        object.__setattr__(self, "nr", 2 * self.d)
+        object.__setattr__(self, "nt", self.d)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def _cmd_list(args) -> int:
 def _cmd_threshold(args) -> int:
     if args.K < 1:
         raise ConfigError(f"--K must be at least 1, got {args.K}")
-    print("%.9g" % design_threshold(args.method, args.K, args.nr, args.d))
+    print("%.9g" % design_threshold(args.method, args.K, args.d))
     return 0
 
 
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     thr = sub.add_parser("threshold", help="print one designed threshold")
     thr.add_argument("--d", type=int, required=True, help="streams per user")
-    thr.add_argument("--nr", type=int, required=True, help="receive antennas")
     thr.add_argument("--K", type=int, required=True, help="users per cell")
     thr.add_argument("--method", required=True, choices=THRESHOLD_METHODS)
     thr.set_defaults(func=_cmd_threshold)

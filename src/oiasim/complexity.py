@@ -14,8 +14,6 @@ from .errors import OddBitSplit, ShapeMismatch
 
 SCHEMES = ("oia_1bit", "ia_joint", "ia_individual")
 
-_MAX_EXPONENT = 62
-
 
 @dataclass(frozen=True)
 class FlopReport:
@@ -40,10 +38,6 @@ def _check_dims(m: int, n: int):
 def _check_bits(n_bits: int):
     if n_bits < 0:
         raise ShapeMismatch("n_bits must be nonnegative")
-    if n_bits > _MAX_EXPONENT:
-        raise ShapeMismatch(
-            f"n_bits {n_bits} exceeds {_MAX_EXPONENT}; 2^n_bits would overflow"
-            " a 64-bit count")
 
 
 def flops_oia_1bit(nr: int, d: int, n_bits: int) -> int:

@@ -47,8 +47,8 @@ from .channel import (ChannelSet, SystemConfig, cell_metrics, generate_channels,
                       interference_covariance, postfilter, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
-from .errors import (ConfigError, DegenerateChannel, IoError, ShapeMismatch,
-                     TooFewUsers, UnknownExperiment)
+from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
+                     UnknownExperiment)
 from .grassmann import INV_SQRT2, ManifoldParams, complex_normal
 from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
 # select_one_bit is not called here; perfbench/layertrace.py patches it in
@@ -65,7 +65,7 @@ _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
 # the largest even bit budget b with 2^(b/2) codewords a finite double
 _MAX_BITS = 2046
-_INT_FIELDS = ("d", "nr", "nt", "trials", "seed")
+_INT_FIELDS = ("d", "trials", "seed")
 # channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
 # (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
 # chunk is one trial and takes the memory of that one drop
@@ -74,14 +74,13 @@ _CHUNK_BYTES = 1_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: grids, dimensions, trial count, seed, output."""
+    """One experiment run: grids, streams per transmitter d (nr = 2d and
+    nt = d follow), trial count, seed, output."""
 
     experiment: str
     snr_db_grid: tuple = _SNR_DEFAULT
     K_rule: str = "ceil_P"
     d: int = 1
-    nr: int = 2
-    nt: int = 1
     trials: int = 2000
     seed: int = 12345
     threshold_method: str = "closed_form_d1"
@@ -96,8 +95,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        grid = self.snr_db_grid
+        if isinstance(grid, str):
+            grid = grid.split(",")
         try:
-            grid = tuple(float(s) for s in self.snr_db_grid)
+            grid = tuple(float(s) for s in grid)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"snr_db_grid must be a list of numbers, "
                               f"got {self.snr_db_grid!r}") from exc
@@ -110,8 +112,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
-        if min(self.d, self.nr, self.nt) < 1:
-            raise ConfigError("d, nr, nt must be at least 1")
+        if self.d < 1:
+            raise ConfigError("d must be at least 1")
         if self.threshold_method not in THRESHOLD_METHODS:
             raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
         kind, payload = parse_k_rule(self.K_rule)
@@ -134,13 +136,7 @@ class ExperimentConfig:
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
         designs = (self.threshold_method,) if spec.designs is None else spec.designs
         if designs:
-            # antenna counts a channel drop cannot have (nr = 2d, nt = d),
-            # and a threshold method that does not apply to them
-            try:
-                SystemConfig(d=self.d, nr=self.nr, nt=self.nt, K=1, P=1.0)
-            except ShapeMismatch as exc:
-                raise ConfigError(f"d={self.d}, nr={self.nr}, nt={self.nt}: {exc}") from exc
-            _check_threshold_method(self.threshold_method, self.nr, self.d)
+            _check_threshold_method(self.threshold_method, self.d)
         if any(method != "closed_form_d1" for method in designs):
             # a scipy-backed design: load it now, before any pool forks
             import scipy.optimize  # noqa: F401  (brings scipy.special)
@@ -235,17 +231,17 @@ def _point_k_values(cfg: ExperimentConfig, P: float) -> tuple:
     return payload
 
 
-def _check_threshold_method(method: str, nr: int, d: int) -> None:
-    if method == "closed_form_d1" and (d != 1 or nr != 2):
-        raise ConfigError("closed_form_d1 threshold requires d=1, nr=2")
+def _check_threshold_method(method: str, d: int) -> None:
+    if method == "closed_form_d1" and d != 1:
+        raise ConfigError("closed_form_d1 threshold requires d=1")
 
 
 @lru_cache(maxsize=None)
-def design_threshold(method: str, K: int, nr: int, d: int) -> float:
+def design_threshold(method: str, K: int, d: int) -> float:
     """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
-    for K candidate users with nr receive antennas and d streams, cached."""
-    _check_threshold_method(method, nr, d)
-    params = ManifoldParams(nr, d)
+    for K candidate users with d streams, on G(2d, d), cached."""
+    _check_threshold_method(method, d)
+    params = ManifoldParams(2 * d, d)
     if method == "closed_form_d1":
         return optimal_threshold_d1(K)
     if method == "lambert":
@@ -257,7 +253,7 @@ def design_threshold(method: str, K: int, nr: int, d: int) -> float:
 
 def threshold_value(cfg: ExperimentConfig, K: int) -> float:
     """The 1-bit threshold this configuration uses for K candidate users."""
-    return design_threshold(cfg.threshold_method, K, cfg.nr, cfg.d)
+    return design_threshold(cfg.threshold_method, K, cfg.d)
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
@@ -276,9 +272,9 @@ def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
     t * kmax onwards), with its (trials, 3, kmax) metric array, a view of
     one array the three cells' metrics are written into. A degenerate drop
     is redrawn from its own rng, which has drawn nothing else yet."""
-    drop = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=kmax, P=P)
+    drop = SystemConfig(d=cfg.d, K=kmax, P=P)
     T = len(rngs)
-    ch = ChannelSet(np.empty((3, 3, T * kmax, cfg.nr, cfg.nt), dtype=complex),
+    ch = ChannelSet(np.empty((3, 3, T * kmax, drop.nr, drop.nt), dtype=complex),
                     dataclasses.replace(drop, K=T * kmax))
     slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
     for rng, slot in zip(rngs, slots):
@@ -421,9 +417,9 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
 
 def _drop_entries(cfg: ExperimentConfig, snr_db: float) -> int:
     """Channel entries of one drop at a grid point: 9 links of max(K)
-    users with nr x nt antennas each."""
+    users with nr x nt = 2d x d antennas each."""
     kmax = max(_point_k_values(cfg, 10.0 ** (float(snr_db) / 10.0)))
-    return 9 * kmax * cfg.nr * cfg.nt
+    return 18 * kmax * cfg.d ** 2
 
 
 def _trial_tasks(cfg: ExperimentConfig, workers: int) -> list:
@@ -477,7 +473,7 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
     array, exceeds physical memory; the draw and the metrics work in
     blocks whose size does not grow with K."""
     entries = max(_drop_entries(cfg, s) for s in cfg.snr_db_grid)
-    kmax = entries // (9 * cfg.nr * cfg.nt)
+    kmax = entries // (18 * cfg.d ** 2)
     need = np.dtype(complex).itemsize * entries + np.dtype(float).itemsize * 3 * kmax
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -522,7 +518,7 @@ def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
     for K in parse_k_rule(cfg.K_rule)[1]:
         for method in _FIG4_METHODS:
             try:
-                x = design_threshold(method, K, cfg.nr, cfg.d)
+                x = design_threshold(method, K, cfg.d)
             except TooFewUsers:
                 x = float("nan")
             rows.append(ResultRow(
@@ -534,12 +530,13 @@ def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 
 def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
+    """OIA counted at nr = 2d, IA at the 2 x 2 links of the IA baseline,
+    the only ones oiasim.ia handles."""
     rows = []
     for b in parse_k_rule(cfg.K_rule)[1]:
-        rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(cfg.nr, cfg.d, b)))
-        rows.append(FlopReport("ia_joint", b, flops_ia_joint(cfg.nr, cfg.nt, b)))
-        rows.append(FlopReport("ia_individual", b,
-                               flops_ia_individual(cfg.nr, cfg.nt, b)))
+        rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(2 * cfg.d, cfg.d, b)))
+        rows.append(FlopReport("ia_joint", b, flops_ia_joint(2, 2, b)))
+        rows.append(FlopReport("ia_individual", b, flops_ia_individual(2, 2, b)))
     return rows
 
 
@@ -564,20 +561,20 @@ EXPERIMENTS = {
     "fig2_sumrate_d1": Experiment(
         description="d=1 sum rate vs SNR, K=ceil(P): 1-bit OIA against "
                     "perfect-feedback OIA and closed-form IA",
-        defaults=dict(K_rule="ceil_P", d=1, nr=2, nt=1, trials=2000,
+        defaults=dict(K_rule="ceil_P", d=1, trials=2000,
                       threshold_method="closed_form_d1"),
         runner=_run_monte_carlo, trial=_trial_fig2),
     "fig3_eligible_users": Experiment(
         description="d=1 eligible-user counts vs SNR under the 1-bit "
                     "threshold, K=ceil(P)",
-        defaults=dict(K_rule="ceil_P", d=1, nr=2, nt=1, trials=2000,
+        defaults=dict(K_rule="ceil_P", d=1, trials=2000,
                       threshold_method="closed_form_d1"),
         runner=_run_monte_carlo, trial=_oia_rows),
     "fig4_threshold_compare": Experiment(
         description="d=2 threshold design table: numeric vs Lambert vs "
                     "asymptotic over a K grid (no Monte Carlo)",
         defaults=dict(snr_db_grid=(30.0,), K_rule="fixed:100,316,1000,3162,10000",
-                      d=2, nr=4, nt=2, trials=1, threshold_method="numeric"),
+                      d=2, trials=1, threshold_method="numeric"),
         runner=_run_fig4, designs=_FIG4_METHODS, k_rule="fixed"),
     "fig5_sumrate_d2": Experiment(
         description="d=2 sum rate vs SNR for K in {10,50,100}, 1-bit "
@@ -585,22 +582,21 @@ EXPERIMENTS = {
         # below 10 dB the noise-limited rates of the three K values
         # coincide, so the grid starts where user scaling matters
         defaults=dict(snr_db_grid=tuple(float(s) for s in range(10, 45, 5)),
-                      K_rule="fixed:10,50,100", d=2, nr=4, nt=2, trials=500,
+                      K_rule="fixed:10,50,100", d=2, trials=500,
                       threshold_method="numeric"),
         runner=_run_monte_carlo, trial=_oia_rows),
     "fig6_oia_vs_ia": Experiment(
         description="1-bit OIA with K=n_bits users against limited-feedback "
                     "IA at the same per-cell bit budget",
-        defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", d=1, nr=2, nt=1,
-                      trials=500, threshold_method="closed_form_d1"),
+        defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", d=1, trials=500,
+                      threshold_method="closed_form_d1"),
         runner=_run_monte_carlo, trial=_trial_fig6, k_rule="bits"),
     "fig7_complexity_table": Experiment(
         description="feedback FLOP counts per cell: 1-bit OIA vs joint and "
                     "individual IA quantization (no Monte Carlo)",
         defaults=dict(snr_db_grid=(0.0,),
                       K_rule="fixed:" + ",".join(str(b) for b in range(2, 42, 2)),
-                      d=1, nr=2, nt=2, trials=1, threshold_method="closed_form_d1"),
-        # a FLOP table for any antenna counts: it draws no channel
+                      d=1, trials=1, threshold_method="closed_form_d1"),
         runner=_run_fig7, designs=(), k_rule="bits"),
 }
 
@@ -611,14 +607,12 @@ def _coerce(key: str, value):
     if not isinstance(value, str):
         return value
     value = value.strip()
+    if key not in _INT_FIELDS:
+        return value
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key == "snr_db_grid":
-            return tuple(float(v) for v in value.split(","))
+        return int(value)
     except ValueError as exc:
         raise ConfigError(f"bad value {value!r} for {key}") from exc
-    return value
 
 
 def load_config_file(path: str) -> dict:

@@ -72,7 +72,9 @@ def select_one_bit(metrics: np.ndarray, x: float,
     ints; an eligible count of 0 marks an outage.
     """
     metrics = np.asarray(metrics)
-    selected, eligible = select_one_bit_rows(metrics.reshape(1, -1), (metrics.size,),
+    if metrics.ndim != 1:
+        raise ShapeMismatch(f"need one row of metrics, got shape {metrics.shape}")
+    selected, eligible = select_one_bit_rows(metrics[None], (metrics.size,),
                                              (x,), (rng,))
     return int(selected[0, 0]), int(eligible[0, 0])
 

@@ -1,5 +1,6 @@
 """Channel generation, selection metric, covariance, postfilter, rates."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from oiasim.harness import parse_k_rule, threshold_value
 
 
 def _cfg(K=1, d=1, P=1.0):
-    return SystemConfig(d=d, nr=2 * d, nt=d, K=K, P=P)
+    return SystemConfig(d=d, K=K, P=P)
 
 
 def _engineered(cfg, fill):
@@ -31,15 +32,17 @@ def _engineered(cfg, fill):
     return ChannelSet(h=h, cfg=cfg)
 
 
-def test_system_config_enforces_antenna_coupling():
-    with pytest.raises(ShapeMismatch):
-        SystemConfig(d=1, nr=3, nt=1, K=1, P=1.0)
-    with pytest.raises(ShapeMismatch):
-        SystemConfig(d=2, nr=4, nt=1, K=1, P=1.0)
-    with pytest.raises(ShapeMismatch):
-        SystemConfig(d=1, nr=2, nt=1, K=0, P=1.0)
-    with pytest.raises(ShapeMismatch):
-        SystemConfig(d=1, nr=2, nt=1, K=1, P=1.0, cells=4)
+def test_system_config_derives_antenna_counts():
+    cfg = SystemConfig(d=2, K=1, P=1.0)
+    assert (cfg.nr, cfg.nt) == (4, 2)
+    assert dataclasses.replace(cfg, d=3, K=7).nr == 6
+    # nr = 2d and nt = d are not settings
+    for extra in ({"nr": 4}, {"nt": 2}, {"cells": 3}):
+        with pytest.raises(TypeError):
+            SystemConfig(d=2, K=1, P=1.0, **extra)
+    for d, K, P in ((0, 1, 1.0), (1, 0, 1.0), (1, 1, 0.0)):
+        with pytest.raises(ShapeMismatch):
+            SystemConfig(d=d, K=K, P=P)
 
 
 def test_channel_set_shape_checked():
@@ -100,7 +103,7 @@ def test_generate_channels_bit_identical_to_reference_draw(monkeypatch, K, d):
 
 
 def test_generate_channels_unit_entry_variance():
-    cfg = SystemConfig(d=1, nr=2, nt=1, K=5556, P=1.0)
+    cfg = SystemConfig(d=1, K=5556, P=1.0)
     ch = generate_channels(np.random.default_rng(1), cfg)
     power = np.abs(ch.h) ** 2
     assert power.size >= 10 ** 5
@@ -161,7 +164,7 @@ def test_cell_metrics_zero_interference_column_d1():
 
 def test_cell_metrics_empirical_distribution_d1():
     # d = 1 metric is uniform on [0, 1]
-    cfg = SystemConfig(d=1, nr=2, nt=1, K=10 ** 5, P=1.0)
+    cfg = SystemConfig(d=1, K=10 ** 5, P=1.0)
     ch = generate_channels(np.random.default_rng(7), cfg)
     m = np.sort(cell_metrics(ch, 0))
     sup = np.max(np.abs(np.arange(1, m.size + 1) / m.size - m))
@@ -487,7 +490,7 @@ def _replay_trial(cfg, snr_db, t):
     P = 10.0 ** (snr_db / 10.0)
     kind, fixed = parse_k_rule(cfg.K_rule)
     ks = (math.ceil(P),) if kind == "ceil_P" else fixed
-    sys_cfg = SystemConfig(d=cfg.d, nr=cfg.nr, nt=cfg.nt, K=max(ks), P=P)
+    sys_cfg = SystemConfig(d=cfg.d, K=max(ks), P=P)
     rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
     ch = generate_channels(rng, sys_cfg)
     metrics = [cell_metrics(ch, i) for i in range(3)]

@@ -34,14 +34,14 @@ def test_list_names_every_experiment(capsys):
 
 def test_threshold_closed_form_value(capsys):
     rc = main(["threshold", "--method", "closed_form_d1", "--d", "1",
-               "--nr", "2", "--K", "1000"])
+               "--K", "1000"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.00689081863"
 
 
 def test_threshold_numeric_value(capsys):
     rc = main(["threshold", "--method", "numeric", "--d", "2",
-               "--nr", "4", "--K", "100"])
+               "--K", "100"])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
     assert printed == "%.9g" % threshold_numeric(100, ManifoldParams(4, 2))
@@ -51,7 +51,7 @@ def test_threshold_numeric_value(capsys):
                                              ("lambert", "0.560934682")])
 def test_threshold_scipy_backed_values_pinned(capsys, method, printed):
     _skip_unless_pinned_versions()
-    rc = main(["threshold", "--method", method, "--d", "2", "--nr", "4", "--K", "100"])
+    rc = main(["threshold", "--method", method, "--d", "2", "--K", "100"])
     assert rc == 0
     assert capsys.readouterr().out == printed + "\n"
 
@@ -95,24 +95,30 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cfg.write_text("wat = 1\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(cfg)]) == 2
     assert main(["threshold", "--method", "closed_form_d1", "--d", "2",
-                 "--nr", "4", "--K", "100"]) == 2
+                 "--K", "100"]) == 2
     # fewer than one user is a usage error for every method
-    for method, d, nr, K in (("numeric", "2", "4", "0"),
-                             ("closed_form_d1", "1", "2", "-3"),
-                             ("lambert", "2", "4", "0"),
-                             ("asymptotic", "1", "2", "-1")):
-        assert main(["threshold", "--method", method, "--d", d, "--nr", nr,
-                     "--K", K]) == 2
+    for method, d, K in (("numeric", "2", "0"), ("closed_form_d1", "1", "-3"),
+                         ("lambert", "2", "0"), ("asymptotic", "1", "-1")):
+        assert main(["threshold", "--method", method, "--d", d, "--K", K]) == 2
+    # the receive antennas follow from d: --nr is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--method", "numeric", "--d", "2", "--nr", "4",
+              "--K", "100"])
+    assert exc.value.code == 2
     out = str(tmp_path / "never.csv")
     assert main(["run", "fig2_sumrate_d1", "--workers", "0", "--out", out]) == 2
     huge = tmp_path / "huge.cfg"
     huge.write_text("snr_db_grid = 130\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(huge),
                  "--out", out]) == 2
+    # nr = 2d and nt = d are no config keys, even at the values they take
     skewed = tmp_path / "skewed.cfg"
-    skewed.write_text("nr = 3\n", encoding="utf-8")
-    assert main(["run", "fig5_sumrate_d2", "--config", str(skewed),
-                 "--out", out]) == 2
+    for text in ("nr = 4\n", "nt = 2\n"):
+        skewed.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "fig5_sumrate_d2", "--config", str(skewed),
+                     "--out", out]) == 2
+        assert "unknown key" in capsys.readouterr().err, text
     repeated = tmp_path / "repeated.cfg"
     repeated.write_text("K_rule = fixed:10,10\n", encoding="utf-8")
     assert main(["run", "fig5_sumrate_d2", "--config", str(repeated),
@@ -122,10 +128,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", out]) == 2
     # fig4 designs with numeric, lambert and asymptotic whatever
     # threshold_method says, but refuses what fig5 refuses
-    for text in ("threshold_method = closed_form_d1\n", "nr = 3\n"):
-        skewed.write_text(text, encoding="utf-8")
-        assert main(["run", "fig4_threshold_compare", "--config", str(skewed),
-                     "--out", out]) == 2
+    skewed.write_text("threshold_method = closed_form_d1\n", encoding="utf-8")
+    assert main(["run", "fig4_threshold_compare", "--config", str(skewed),
+                 "--out", out]) == 2
     # odd, too large or power-coupled bit budgets, and grid points without a
     # finite power P > 0: refused while parsing, not after the first drops
     # or with a traceback
@@ -147,7 +152,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
     assert main(["threshold", "--method", "lambert", "--d", "2",
-                 "--nr", "4", "--K", "2"]) == 3
+                 "--K", "2"]) == 3
     assert "error:" in capsys.readouterr().err
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not dir", encoding="utf-8")

@@ -53,10 +53,10 @@ def test_bit_budget_guards():
     with pytest.raises(ShapeMismatch):
         flops_ia_individual(2, 0, 2)
     with pytest.raises(ShapeMismatch):
-        flops_ia_joint(2, 2, 63)
-    with pytest.raises(ShapeMismatch):
         flops_oia_1bit(2, 1, -1)
     assert flops_ia_joint(2, 1, 62) == 2 ** 62 * 120
+    # exact Python ints, beyond any fixed-width count
+    assert flops_ia_joint(2, 2, 63) == 2 ** 63 * 240
 
 
 def test_flop_report_validation():

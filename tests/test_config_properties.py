@@ -1,13 +1,18 @@
-"""Properties of config parsing: every accepted SNR grid and seed gives grid
-points with a finite power P > 0 and at least one user, and fixed: K lists
-round-trip through parse_k_rule."""
+"""Properties of config parsing and CSV output: every accepted SNR grid and
+seed gives grid points with a finite power P > 0 and at least one user,
+fixed: K lists round-trip through parse_k_rule, a config written as a
+key=value file reads back to the same config, and CSV rows parse back to
+9 significant digits."""
 
 import math
+import os
+import tempfile
 
 import pytest
 
-from oiasim import ConfigError, make_config
-from oiasim.harness import _point_k_values, parse_k_rule
+from oiasim import EXPERIMENTS, ConfigError, ResultRow, make_config, write_csv
+from oiasim.harness import (THRESHOLD_METHODS, _point_k_values, load_config_file,
+                            parse_k_rule)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -42,3 +47,81 @@ def test_fixed_k_rule_round_trips(values, sep):
     kind, ks = parse_k_rule(rule)
     assert (kind, ks) == ("fixed", tuple(sorted(values)))
     assert parse_k_rule("fixed:" + ",".join(str(k) for k in ks)) == (kind, ks)
+
+
+_CONFIG_VALUES = {
+    "snr_db_grid": st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=4),
+    "K_rule": st.sampled_from(["ceil_P", "ceil_P_pow:2", "fixed:10,50",
+                               "fixed:2,64,2046"]),
+    "d": st.integers(1, 3),
+    "trials": st.integers(-2, 10 ** 6),
+    "seed": st.integers(-1, 2 ** 64),
+    "threshold_method": st.sampled_from(THRESHOLD_METHODS),
+    "output_path": st.from_regex(r"[A-Za-z0-9_./-]{1,30}", fullmatch=True),
+}
+
+
+def _as_text(value):
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return str(value)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
+                  values=st.fixed_dictionaries({}, optional=_CONFIG_VALUES))
+def test_config_file_reads_back_to_the_same_config(experiment, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"experiment = {experiment}\n")
+            fh.writelines(f"{key} = {_as_text(v)}\n" for key, v in values.items())
+        try:
+            direct = make_config(experiment, values)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                make_config(experiment, load_config_file(path))
+            return
+        assert make_config(experiment, load_config_file(path)) == direct
+
+
+_FLOATS = st.floats(allow_subnormal=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_subnormal=False) | st.just(math.nan)
+_FRACTION = st.floats(0.0, 1.0, allow_subnormal=False) | st.just(math.nan)
+
+
+def _parses_back(cell, value):
+    """cell is value with at most 9 significant digits, so within half a
+    unit of the ninth."""
+    parsed = float(cell)
+    if not math.isfinite(value):
+        return parsed == value or (math.isnan(parsed) and math.isnan(value))
+    digits = cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+    return len(digits) <= 9 and math.isclose(parsed, value, rel_tol=5.0000001e-9)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(rows=st.lists(st.builds(
+    ResultRow, experiment=st.sampled_from(sorted(EXPERIMENTS)), snr_db=_FLOATS,
+    K=st.integers(1, 10 ** 12), scheme=st.sampled_from(["oia_1bit", "ia_joint"]),
+    mean_sum_rate=_FLOATS, stderr=_NONNEGATIVE, outage_rate=_FRACTION,
+    mean_eligible=_FLOATS, threshold_used=_FLOATS, trials=st.integers(0, 10 ** 6)),
+    min_size=1, max_size=5))
+def test_csv_rows_parse_back_to_9_significant_digits(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, rows)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    assert lines[0].startswith("# generated_at=")
+    names = lines[1].split(",")
+    assert len(lines) == 2 + len(rows)
+    for row, line in zip(rows, lines[2:]):
+        cells = dict(zip(names, line.split(",")))
+        assert cells.keys() == set(names)
+        for name, cell in cells.items():
+            value = getattr(row, name)
+            if isinstance(value, float):
+                assert _parses_back(cell, value), (name, cell, value)
+            else:
+                assert cell == str(value)

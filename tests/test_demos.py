@@ -1,5 +1,6 @@
-"""The demo scripts run to completion against the current API, and the
-ones whose stdout is pinned print the same bytes.
+"""The demo scripts run to completion against the current API, the ones
+whose stdout is pinned print the same bytes, and README's Python example
+prints what its comment says.
 
 Each demo runs in a fresh interpreter with the package that the tests
 import on its path. demos/01_subspace_geometry.py is left out because it
@@ -20,6 +21,7 @@ import scipy
 import oiasim
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 SRC = str(Path(oiasim.__file__).resolve().parent.parent)
 
 # sha256 of the stdout; float output depends on the numpy/scipy builds,
@@ -33,19 +35,29 @@ _PINNED_STDOUT = {
 }
 
 
+def _skip_unless_pinned_versions():
+    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
+        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
+                    f"{_PINNED_VERSIONS[1]}")
+
+
+def _python(args, cwd):
+    """Run python with args in cwd, with the tested package on its path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def run_demo(tmp_path_factory):
     """Run a demo once per module in its own directory; later calls for the
     same demo return the first run."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     runs = {}
 
     def run(name):
         if name not in runs:
-            runs[name] = subprocess.run(
-                [sys.executable, str(DEMOS / name)], cwd=tmp_path_factory.mktemp("demo"),
-                env={**os.environ, "PYTHONPATH": path},
-                capture_output=True, timeout=300)
+            runs[name] = _python([str(DEMOS / name)], tmp_path_factory.mktemp("demo"))
         return runs[name]
     return run
 
@@ -61,9 +73,18 @@ def test_demo_exits_0(run_demo, name):
 
 @pytest.mark.parametrize("name", sorted(_PINNED_STDOUT))
 def test_demo_stdout_pinned(run_demo, name):
-    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
-        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
-                    f"{_PINNED_VERSIONS[1]}")
+    _skip_unless_pinned_versions()
     done = run_demo(name)
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == _PINNED_STDOUT[name]
+
+
+def test_readme_example_prints_its_comment(tmp_path):
+    # the block's last line is a print whose comment starts with its output
+    _skip_unless_pinned_versions()
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    comment = block.rstrip().splitlines()[-1].split("# ", 1)[1]
+    done = _python(["-c", block], tmp_path)
+    assert done.returncode == 0, done.stderr[-2000:].decode(errors="replace")
+    assert done.stdout.decode() == comment.split(":", 1)[0] + "\n"

@@ -51,7 +51,10 @@ def test_make_config_defaults():
     cfg = make_config("fig2_sumrate_d1")
     assert cfg.trials == 2000
     assert cfg.seed == 12345
-    assert cfg.d == 1 and cfg.nr == 2 and cfg.nt == 1
+    assert cfg.d == 1
+    # d is the only dimension: nr = 2d and nt = d follow from it
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert fields.isdisjoint({"nr", "nt", "cells"})
     assert cfg.threshold_method == "closed_form_d1"
     assert cfg.snr_db_grid == tuple(float(s) for s in range(0, 45, 5))
     assert cfg.output_path == os.path.join("results", "fig2_sumrate_d1.csv")
@@ -106,16 +109,21 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", d=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="fig5_sumrate_d2", d=2, nr=4, nt=2,
+        ExperimentConfig(experiment="fig5_sumrate_d2", d=2,
                          K_rule="ceil_P_pow:3", threshold_method="numeric")
-    cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2, nr=4, nt=2,
+    cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2,
                            K_rule="ceil_P_pow:2", threshold_method="numeric")
     assert cfg.output_path == os.path.join("results", "fig5_sumrate_d2.csv")
     with pytest.raises(UnknownExperiment):
         ExperimentConfig(experiment="fig9_mystery")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", seed=-1)
-    for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("nr", None),
+    # a grid string is split on commas, as a config file's is
+    assert ExperimentConfig(experiment="fig3_eligible_users",
+                            snr_db_grid="13").snr_db_grid == (13.0,)
+    with pytest.raises(ConfigError, match="snr_db_grid"):
+        ExperimentConfig(experiment="fig3_eligible_users", snr_db_grid="0,x")
+    for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("d", None),
                        ("snr_db_grid", [None]), ("snr_db_grid", 5),
                        ("snr_db_grid", ["x"]), ("K_rule", 5), ("K_rule", None)):
         with pytest.raises(ConfigError, match=key):
@@ -163,7 +171,7 @@ def test_threshold_value_dispatch():
     with pytest.raises(ConfigError):
         make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
     with pytest.raises(ConfigError):
-        harness.design_threshold("closed_form_d1", 50, 4, 2)
+        harness.design_threshold("closed_form_d1", 50, 2)
 
 
 def test_run_trial_deterministic():
@@ -197,7 +205,7 @@ def test_run_trial_single_user_is_forced():
 def test_run_trial_unknown_experiment():
     cfg = ExperimentConfig(experiment="fig4_threshold_compare",
                            snr_db_grid=(30.0,), K_rule="fixed:100", d=2,
-                           nr=4, nt=2, threshold_method="numeric")
+                           threshold_method="numeric")
     with pytest.raises(UnknownExperiment):
         run_trial(cfg, 30.0, 0)
 
@@ -205,7 +213,7 @@ def test_run_trial_unknown_experiment():
 def _drop_bytes(cfg, snr_db):
     """Bytes of one channel drop at an SNR point, as chunks count them."""
     kmax = max(harness._point_k_values(cfg, 10.0 ** (snr_db / 10.0)))
-    return 16 * 9 * kmax * cfg.nr * cfg.nt
+    return 16 * 9 * kmax * (2 * cfg.d) * cfg.d
 
 
 @pytest.mark.parametrize("experiment, snr_db", [("fig2_sumrate_d1", 20.0),
@@ -520,8 +528,10 @@ def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"nr": "3"}, "nr = 2d"),
-    ({"nt": "1"}, "nt = d"),
+    # nr = 2d and nt = d follow from d: even the values they take are
+    # unknown keys
+    ({"nr": "4"}, "unknown config key 'nr'"),
+    ({"nt": "2"}, "unknown config key 'nt'"),
     ({"threshold_method": "closed_form_d1"}, "closed_form_d1"),    # d = 2
 ])
 def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
@@ -604,6 +614,22 @@ def test_fig7_flop_table(tmp_path):
     assert by_key[("ia_individual", 10)] == 7680
     body = _body(str(out))
     assert body[0] == "scheme,n_bits,flops"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fig7_counts_exact_at_every_accepted_budget(tmp_path, d):
+    # OIA at nr = 2d, IA at the 2 x 2 links of the IA baseline; the counts
+    # are Python ints written with str(), exact up to the largest budget
+    # the bits rule accepts
+    out = tmp_path / "fig7.csv"
+    run_experiment(make_config("fig7_complexity_table", {
+        "d": d, "K_rule": "fixed:64,2046", "output_path": str(out)}))
+    expected = ["scheme,n_bits,flops"]
+    for b in (64, 2046):
+        expected += [f"oia_1bit,{b},{b * (64 * d ** 3 - 4 * d ** 2)}",
+                     f"ia_joint,{b},{2 ** b * 240}",
+                     f"ia_individual,{b},{2 ** (b // 2) * 240}"]
+    assert _body(str(out)) == expected
 
 
 def test_ia_rows_present_in_fig6_trial():

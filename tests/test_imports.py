@@ -50,7 +50,7 @@ _NUMPY_ONLY = {
     "import": "import oiasim\n",
     "cli_list": _CLI.format(argv=["list"]),
     "cli_closed_form": _CLI.format(argv=["threshold", "--method", "closed_form_d1",
-                                         "--d", "1", "--nr", "2", "--K", "100"]),
+                                         "--d", "1", "--K", "100"]),
     "fig2": ("fig2_sumrate_d1", {}, 1),
     "fig3_2_workers": ("fig3_eligible_users", {}, 2),
     "fig6_perturbation": ("fig6_oia_vs_ia", {"K_rule": "fixed:10,28"}, 1),
@@ -77,7 +77,7 @@ def test_scipy_backed_design_loads_its_solver_at_parse_time(tmp_path):
     for experiment, overrides in (
             ("fig5_sumrate_d2", {}),
             ("fig4_threshold_compare", {"threshold_method": "closed_form_d1",
-                                        "d": 1, "nr": 2, "nt": 1})):
+                                        "d": 1})):
         parsed, added = _run(f"""
 from oiasim import make_config, run_experiment
 cfg = make_config({experiment!r}, dict(trials=2, output_path={out!r}, **{overrides!r}))

@@ -49,6 +49,14 @@ def test_select_one_bit_outage():
     assert selected in (0, 1)
 
 
+def test_select_one_bit_needs_one_row():
+    # a (3, 10) stack flattened into one row could pick user 20 of 10
+    rng = np.random.default_rng(0)
+    for metrics in (rng.random((3, 10)), rng.random((1, 10)), np.float64(0.5)):
+        with pytest.raises(ShapeMismatch):
+            select_one_bit(metrics, 0.2, rng)
+
+
 def _sequential_one_bit(metrics, x, rng):
     """Reference 1-bit selection on one row: (selected, eligible count),
     with one scalar rng.integers call."""

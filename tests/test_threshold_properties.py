@@ -23,7 +23,7 @@ def test_threshold_does_not_rise_with_K(d, method, data):
     K1, K2 = sorted(data.draw(st.lists(st.integers(low, 10 ** 5), min_size=2,
                                        max_size=2, unique=True)))
     try:
-        x1, x2 = (design_threshold(method, K, 2 * d, d) for K in (K1, K2))
+        x1, x2 = (design_threshold(method, K, d) for K in (K1, K2))
     except TooFewUsers:
         hypothesis.assume(False)
     assert x2 <= x1, (K1, K2, x1, x2)
