@@ -57,7 +57,11 @@ from .oia import select_conventional, select_one_bit, select_one_bit_rows  # noq
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
 
-_SNR_DEFAULT = tuple(float(s) for s in range(0, 45, 5))
+# the config every experiment starts from; a registry entry lists what differs
+_BASE_DEFAULTS = dict(snr_db_grid=tuple(float(s) for s in range(0, 45, 5)),
+                      K_rule="ceil_P", d=1, trials=2000, seed=12345,
+                      threshold_method="closed_form_d1")
+_ENTRY = object()  # default of the fields a registry entry sets
 THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 # the designs fig4 compares, whatever threshold_method says
 _FIG4_METHODS = ("numeric", "lambert", "asymptotic")
@@ -66,6 +70,9 @@ _RVQ_BIT_LIMIT = 24
 # the largest even bit budget b with 2^(b/2) codewords a finite double
 _MAX_BITS = 2046
 _INT_FIELDS = ("d", "trials", "seed")
+# the largest d with valid G(2d, d) constants: log c_{2d,d} falls strictly
+# with d, -652.8 at d = 18 and -746.5 at d = 19, where c underflows to 0
+_MAX_DESIGN_D = 18
 # channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
 # (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
 # chunk is one trial and takes the memory of that one drop
@@ -75,26 +82,41 @@ _CHUNK_BYTES = 1_000_000
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment run: grids, streams per transmitter d (nr = 2d and
-    nt = d follow), trial count, seed, output."""
+    nt = d follow), trial count, seed, output. A field not passed takes
+    its registry entry's default; strings are stripped, and an int field's
+    string read as an int. k_values (derived): a tuple of K per grid point.
+    """
 
     experiment: str
-    snr_db_grid: tuple = _SNR_DEFAULT
-    K_rule: str = "ceil_P"
-    d: int = 1
-    trials: int = 2000
-    seed: int = 12345
-    threshold_method: str = "closed_form_d1"
+    snr_db_grid: tuple = _ENTRY
+    K_rule: str = _ENTRY
+    d: int = _ENTRY
+    trials: int = _ENTRY
+    seed: int = _ENTRY
+    threshold_method: str = _ENTRY
     output_path: str = ""
+    k_values: tuple = dataclasses.field(init=False)
 
     def __post_init__(self):
-        try:
-            spec = EXPERIMENTS[self.experiment]
-        except KeyError:
-            raise UnknownExperiment(self.experiment) from None
-        for name in _INT_FIELDS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
+            raise UnknownExperiment(self.experiment)
+        spec = EXPERIMENTS[self.experiment]
+        defaults = {**_BASE_DEFAULTS, **spec.defaults}
+        for name in _FIELD_NAMES[1:]:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value is _ENTRY:
+                value = defaults[name]
+            elif isinstance(value, str):
+                value = value.strip()
+            if name in _INT_FIELDS:
+                if isinstance(value, str):
+                    with contextlib.suppress(ValueError):
+                        value = int(value)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         grid = self.snr_db_grid
         if isinstance(grid, str):
             grid = grid.split(",")
@@ -125,15 +147,20 @@ class ExperimentConfig:
         if spec.k_rule == "bits" and any(b % 2 or b > _MAX_BITS for b in payload):
             raise ConfigError(f"{self.experiment} needs even bit budgets of at most "
                               f"{_MAX_BITS}, got {self.K_rule!r}")
+        k_values = []
         for snr_db in grid:
-            try:
+            ks = (0,)
+            with contextlib.suppress(OverflowError):
                 P = 10.0 ** (snr_db / 10.0)
-                ok = 0.0 < P < math.inf and min(_point_k_values(self, P)) >= 1
-            except OverflowError:
-                ok = False
-            if not ok:
+                # K only from a finite P: math.ceil(nan) raises ValueError
+                if 0.0 < P < math.inf:
+                    ks = payload if kind == "fixed" else (
+                        math.ceil(P if kind == "ceil_P" else P**payload),)
+            if min(ks) < 1:
                 raise ConfigError(f"snr_db {snr_db} gives no finite power P > 0 "
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
+            k_values.append(ks)
+        object.__setattr__(self, "k_values", tuple(k_values))
         designs = (self.threshold_method,) if spec.designs is None else spec.designs
         if designs:
             _check_threshold_method(self.threshold_method, self.d)
@@ -222,18 +249,12 @@ def parse_k_rule(rule: str):
     raise ConfigError(f"unknown K_rule {rule!r}")
 
 
-def _point_k_values(cfg: ExperimentConfig, P: float) -> tuple:
-    kind, payload = parse_k_rule(cfg.K_rule)
-    if kind == "ceil_P":
-        return (math.ceil(P),)
-    if kind == "ceil_P_pow":
-        return (math.ceil(P**payload),)
-    return payload
-
-
 def _check_threshold_method(method: str, d: int) -> None:
     if method == "closed_form_d1" and d != 1:
         raise ConfigError("closed_form_d1 threshold requires d=1")
+    if d > _MAX_DESIGN_D:
+        raise ConfigError(f"d={d} has no valid G(2d, d) constants to design "
+                          f"a threshold (d <= {_MAX_DESIGN_D})")
 
 
 @lru_cache(maxsize=None)
@@ -249,11 +270,6 @@ def design_threshold(method: str, K: int, d: int) -> float:
     if method == "asymptotic":
         return threshold_asymptotic(K, params)
     return threshold_numeric(K, params)
-
-
-def threshold_value(cfg: ExperimentConfig, K: int) -> float:
-    """The 1-bit threshold this configuration uses for K candidate users."""
-    return design_threshold(cfg.threshold_method, K, cfg.d)
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
@@ -303,7 +319,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     kmax = max(ks)
     ch, metrics = _oia_drops(cfg, P, kmax, rngs, redraws)
     selected, eligible = select_one_bit_rows(
-        metrics, ks, [threshold_value(cfg, K) for K in ks], rngs)
+        metrics, ks, [design_threshold(cfg.threshold_method, K, cfg.d) for K in ks], rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
     served = [(selected, eligible == 0, eligible)]
     if include_perfect:
@@ -390,8 +406,8 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
         raise ConfigError("run_trials needs at least one trial index")
     point = cfg.snr_db_grid.index(float(snr_db))
     P = 10.0 ** (float(snr_db) / 10.0)
-    ks = _point_k_values(cfg, P)
-    drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, snr_db)
+    ks = cfg.k_values[point]
+    drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, point)
     size = max(1, _CHUNK_BYTES // drop_bytes)
     redraws = np.zeros(len(trial_indices), dtype=int)
     rows = []
@@ -415,11 +431,10 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
     return TrialRows(out.keys, out.rows[0], out.redraws)
 
 
-def _drop_entries(cfg: ExperimentConfig, snr_db: float) -> int:
-    """Channel entries of one drop at a grid point: 9 links of max(K)
-    users with nr x nt = 2d x d antennas each."""
-    kmax = max(_point_k_values(cfg, 10.0 ** (float(snr_db) / 10.0)))
-    return 18 * kmax * cfg.d ** 2
+def _drop_entries(cfg: ExperimentConfig, point: int) -> int:
+    """Channel entries of one drop at grid point index point: 9 links of
+    max(K) users with nr x nt = 2d x d antennas each."""
+    return 18 * max(cfg.k_values[point]) * cfg.d ** 2
 
 
 def _trial_tasks(cfg: ExperimentConfig, workers: int) -> list:
@@ -431,7 +446,7 @@ def _trial_tasks(cfg: ExperimentConfig, workers: int) -> list:
     same cost, so the trials at K = 1 and at K = 10^4 travel in tasks of
     like size. Each trial is in exactly one task.
     """
-    entries = [_drop_entries(cfg, snr_db) for snr_db in cfg.snr_db_grid]
+    entries = [_drop_entries(cfg, point) for point in range(len(cfg.k_values))]
     step = cfg.trials if workers == 1 else max(1, cfg.trials // (workers * 8))
     top = max(entries)
     tasks = []
@@ -461,8 +476,8 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
             stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
             outage_rate=float(outages.sum() / (3 * n)),
             mean_eligible=float(eligible.sum() / (3 * n)),
-            threshold_used=(threshold_value(cfg, K) if scheme == "oia_1bit"
-                            else float("nan")),
+            threshold_used=(design_threshold(cfg.threshold_method, K, cfg.d)
+                            if scheme == "oia_1bit" else float("nan")),
             trials=n,
         ))
     return rows
@@ -472,9 +487,9 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
     """Refuse a run whose largest channel drop, with its (3, K) metric
     array, exceeds physical memory; the draw and the metrics work in
     blocks whose size does not grow with K."""
-    entries = max(_drop_entries(cfg, s) for s in cfg.snr_db_grid)
-    kmax = entries // (18 * cfg.d ** 2)
-    need = np.dtype(complex).itemsize * entries + np.dtype(float).itemsize * 3 * kmax
+    kmax = max(max(ks) for ks in cfg.k_values)
+    need = (np.dtype(complex).itemsize * 18 * kmax * cfg.d ** 2
+            + np.dtype(float).itemsize * 3 * kmax)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -515,7 +530,7 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
     rows = []
-    for K in parse_k_rule(cfg.K_rule)[1]:
+    for K in cfg.k_values[0]:
         for method in _FIG4_METHODS:
             try:
                 x = design_threshold(method, K, cfg.d)
@@ -533,7 +548,7 @@ def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
     """OIA counted at nr = 2d, IA at the 2 x 2 links of the IA baseline,
     the only ones oiasim.ia handles."""
     rows = []
-    for b in parse_k_rule(cfg.K_rule)[1]:
+    for b in cfg.k_values[0]:
         rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(2 * cfg.d, cfg.d, b)))
         rows.append(FlopReport("ia_joint", b, flops_ia_joint(2, 2, b)))
         rows.append(FlopReport("ia_individual", b, flops_ia_individual(2, 2, b)))
@@ -542,7 +557,8 @@ def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Registry entry: CLI description, config defaults, row producer;
+    """Registry entry, the one definition of an experiment: CLI description,
+    config defaults (where they differ from _BASE_DEFAULTS), row producer;
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
     redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
     runs (None: the config's threshold_method); and its K rule, "any",
@@ -550,8 +566,8 @@ class Experiment:
     """
 
     description: str
-    defaults: dict
-    runner: object
+    defaults: dict = dataclasses.field(default_factory=dict)
+    runner: object = _run_monte_carlo
     trial: object = None
     designs: tuple | None = None
     k_rule: str = "any"
@@ -561,15 +577,11 @@ EXPERIMENTS = {
     "fig2_sumrate_d1": Experiment(
         description="d=1 sum rate vs SNR, K=ceil(P): 1-bit OIA against "
                     "perfect-feedback OIA and closed-form IA",
-        defaults=dict(K_rule="ceil_P", d=1, trials=2000,
-                      threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo, trial=_trial_fig2),
+        trial=_trial_fig2),
     "fig3_eligible_users": Experiment(
         description="d=1 eligible-user counts vs SNR under the 1-bit "
                     "threshold, K=ceil(P)",
-        defaults=dict(K_rule="ceil_P", d=1, trials=2000,
-                      threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo, trial=_oia_rows),
+        trial=_oia_rows),
     "fig4_threshold_compare": Experiment(
         description="d=2 threshold design table: numeric vs Lambert vs "
                     "asymptotic over a K grid (no Monte Carlo)",
@@ -584,35 +596,22 @@ EXPERIMENTS = {
         defaults=dict(snr_db_grid=tuple(float(s) for s in range(10, 45, 5)),
                       K_rule="fixed:10,50,100", d=2, trials=500,
                       threshold_method="numeric"),
-        runner=_run_monte_carlo, trial=_oia_rows),
+        trial=_oia_rows),
     "fig6_oia_vs_ia": Experiment(
         description="1-bit OIA with K=n_bits users against limited-feedback "
                     "IA at the same per-cell bit budget",
-        defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", d=1, trials=500,
-                      threshold_method="closed_form_d1"),
-        runner=_run_monte_carlo, trial=_trial_fig6, k_rule="bits"),
+        defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", trials=500),
+        trial=_trial_fig6, k_rule="bits"),
     "fig7_complexity_table": Experiment(
         description="feedback FLOP counts per cell: 1-bit OIA vs joint and "
                     "individual IA quantization (no Monte Carlo)",
         defaults=dict(snr_db_grid=(0.0,),
                       K_rule="fixed:" + ",".join(str(b) for b in range(2, 42, 2)),
-                      d=1, trials=1, threshold_method="closed_form_d1"),
+                      trials=1),
         runner=_run_fig7, designs=(), k_rule="bits"),
 }
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-
-
-def _coerce(key: str, value):
-    if not isinstance(value, str):
-        return value
-    value = value.strip()
-    if key not in _INT_FIELDS:
-        return value
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {value!r} for {key}") from exc
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.init)
 
 
 def load_config_file(path: str) -> dict:
@@ -642,19 +641,14 @@ def load_config_file(path: str) -> dict:
 
 def make_config(experiment: str, overrides: dict | None = None) -> ExperimentConfig:
     """Registry defaults for an experiment with overrides applied on top."""
-    try:
-        spec = EXPERIMENTS[experiment]
-    except KeyError:
-        raise UnknownExperiment(experiment) from None
-    values = dict(spec.defaults)
-    values["experiment"] = experiment
-    for key, value in (overrides or {}).items():
+    values = dict(overrides or {})
+    for key, value in values.items():
         if key not in _FIELD_NAMES:
             raise ConfigError(f"unknown config key {key!r}")
         if key == "experiment" and value != experiment:
             raise ConfigError(
                 f"config file names experiment {value!r}, running {experiment!r}")
-        values[key] = _coerce(key, value)
+    values["experiment"] = experiment
     return ExperimentConfig(**values)
 
 

@@ -15,7 +15,7 @@ from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, SystemConfig,
                     select_conventional, select_one_bit, user_rate)
 from oiasim import channel, grassmann
 from oiasim.grassmann import INV_SQRT2, complex_normal
-from oiasim.harness import parse_k_rule, threshold_value
+from oiasim.harness import design_threshold, parse_k_rule
 
 
 def _cfg(K=1, d=1, P=1.0):
@@ -501,7 +501,8 @@ def _replay_trial(cfg, snr_db, t):
             if cfg.experiment == "fig2_sumrate_d1":
                 served.setdefault(("oia_perfect", K), []).append(
                     (i, select_conventional(m), False, None))
-            k, eligible = select_one_bit(m, threshold_value(cfg, K), rng)
+            x = design_threshold(cfg.threshold_method, K, cfg.d)
+            k, eligible = select_one_bit(m, x, rng)
             served.setdefault(("oia_1bit", K), []).append(
                 (i, k, eligible == 0, eligible))
     replay = {}

@@ -1,8 +1,9 @@
 """Properties of config parsing and CSV output: every accepted SNR grid and
 seed gives grid points with a finite power P > 0 and at least one user,
-fixed: K lists round-trip through parse_k_rule, a config written as a
-key=value file reads back to the same config, and CSV rows parse back to
-9 significant digits."""
+k_values holds the K values the K rule gives at each grid point, fixed: K
+lists round-trip through parse_k_rule, a config built directly equals the
+one make_config builds, a config written as a key=value file reads back to
+the same config, and CSV rows parse back to 9 significant digits."""
 
 import math
 import os
@@ -10,9 +11,9 @@ import tempfile
 
 import pytest
 
-from oiasim import EXPERIMENTS, ConfigError, ResultRow, make_config, write_csv
-from oiasim.harness import (THRESHOLD_METHODS, _point_k_values, load_config_file,
-                            parse_k_rule)
+from oiasim import (EXPERIMENTS, ConfigError, ExperimentConfig, ResultRow,
+                    make_config, write_csv)
+from oiasim.harness import THRESHOLD_METHODS, load_config_file, parse_k_rule
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,10 +30,60 @@ def test_accepted_grid_and_seed_give_finite_power_and_users(grid, seed, K_rule):
     except ConfigError:
         return
     assert cfg.seed >= 0
-    for snr_db in cfg.snr_db_grid:
+    for snr_db, ks in zip(cfg.snr_db_grid, cfg.k_values, strict=True):
         P = 10.0 ** (snr_db / 10.0)
         assert 0.0 < P < math.inf
-        assert min(_point_k_values(cfg, P)) >= 1
+        assert min(ks) >= 1
+
+
+def _point_k_values(K_rule, P):
+    """The K values of a grid point of power P, computed from the K rule
+    per point as the config check, the trial loop and the drop sizing once
+    each did: the oracle of ExperimentConfig.k_values."""
+    kind, payload = parse_k_rule(K_rule)
+    if kind == "ceil_P":
+        return (math.ceil(P),)
+    if kind == "ceil_P_pow":
+        return (math.ceil(P**payload),)
+    return payload
+
+
+def _oracle_k_values(grid, K_rule):
+    """k_values of a grid under K_rule, or None where a point has no finite
+    power P > 0 with K >= 1."""
+    k_values = []
+    for snr_db in grid:
+        try:
+            P = 10.0 ** (snr_db / 10.0)
+            if not (0.0 < P < math.inf and min(_point_k_values(K_rule, P)) >= 1):
+                return None
+        except OverflowError:
+            return None
+        k_values.append(_point_k_values(K_rule, P))
+    return tuple(k_values)
+
+
+_K_RULES = (st.just("ceil_P")
+            | st.integers(1, 6).map(lambda e: f"ceil_P_pow:{e}")
+            | st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=5,
+                       unique=True).map(lambda ks: "fixed:" + ",".join(map(str, ks))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(grid=st.lists(st.floats(-400.0, 400.0) | st.floats(), min_size=1,
+                                max_size=5, unique=True),
+                  K_rule=_K_RULES)
+def test_k_values_are_the_k_rule_at_each_point(grid, K_rule):
+    hypothesis.assume(len(set(grid)) == len(grid))     # NaNs are never equal
+    expected = _oracle_k_values(grid, K_rule)
+    overrides = {"snr_db_grid": grid, "K_rule": K_rule}
+    if expected is None:
+        with pytest.raises(ConfigError, match="finite power"):
+            make_config("fig3_eligible_users", overrides)
+        return
+    cfg = make_config("fig3_eligible_users", overrides)
+    assert cfg.k_values == expected
+    assert all(type(k) is int for ks in cfg.k_values for k in ks)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -65,6 +116,22 @@ def _as_text(value):
     if isinstance(value, list):
         return ",".join(repr(v) for v in value)
     return str(value)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(experiment=st.sampled_from(sorted(EXPERIMENTS)),
+                  values=st.fixed_dictionaries({}, optional=_CONFIG_VALUES),
+                  as_text=st.booleans())
+def test_direct_config_equals_make_config(experiment, values, as_text):
+    if as_text:
+        values = {key: _as_text(v) for key, v in values.items()}
+    try:
+        expected = make_config(experiment, values)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment=experiment, **values)
+        return
+    assert ExperimentConfig(experiment=experiment, **values) == expected
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

@@ -5,18 +5,20 @@ import glob
 import hashlib
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 import scipy
 
-from oiasim import (ConfigError, DegenerateChannel, ExperimentConfig, IoError,
-                    ResultRow, UnknownExperiment, harness, make_config,
+from oiasim import (EXPERIMENTS, ConfigError, DegenerateChannel, ExperimentConfig,
+                    IoError, ResultRow, ShapeMismatch, UnknownExperiment,
+                    harness, make_config,
                     optimal_threshold_d1, run_experiment, run_trial, run_trials,
                     threshold_numeric, write_csv)
 from oiasim.cli import main
 from oiasim.grassmann import ManifoldParams
-from oiasim.harness import load_config_file, parse_k_rule, threshold_value
+from oiasim.harness import design_threshold, load_config_file, parse_k_rule
 
 
 def _read_lines(path):
@@ -125,9 +127,53 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig3_eligible_users", snr_db_grid="0,x")
     for key, value in (("trials", 2.5), ("seed", True), ("d", 1.0), ("d", None),
                        ("snr_db_grid", [None]), ("snr_db_grid", 5),
-                       ("snr_db_grid", ["x"]), ("K_rule", 5), ("K_rule", None)):
+                       ("snr_db_grid", ["x"]), ("K_rule", 5), ("K_rule", None),
+                       ("output_path", 5), ("output_path", ["x.csv"])):
         with pytest.raises(ConfigError, match=key):
             make_config("fig2_sumrate_d1", {key: value})
+    for name in (["x"], 5, None):
+        with pytest.raises(UnknownExperiment):
+            make_config(name)
+        with pytest.raises(UnknownExperiment):
+            ExperimentConfig(experiment=name)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_direct_config_takes_its_registry_defaults(experiment):
+    cfg = ExperimentConfig(experiment=experiment)
+    assert cfg == make_config(experiment)
+    defaults = {**harness._BASE_DEFAULTS, **EXPERIMENTS[experiment].defaults}
+    for name, value in defaults.items():
+        assert getattr(cfg, name) == value
+    assert cfg.output_path == os.path.join("results", f"{experiment}.csv")
+
+
+def test_padded_and_numeric_strings_read_as_their_values():
+    expected = ExperimentConfig(
+        experiment="fig5_sumrate_d2", snr_db_grid=(10.0, 20.0), K_rule="fixed:10,50",
+        d=2, trials=7, seed=3, threshold_method="numeric", output_path="x.csv")
+    padded = {"snr_db_grid": " 10, 20 ", "K_rule": " fixed:10,50 ", "d": " 2",
+              "trials": "7 ", "seed": "\t3\n", "threshold_method": " numeric ",
+              "output_path": " x.csv "}
+    assert make_config("fig5_sumrate_d2", padded) == expected
+    assert ExperimentConfig(experiment="fig5_sumrate_d2", **padded) == expected
+    # an all-blank path is the default one, as an empty one is
+    assert (make_config("fig5_sumrate_d2", {"output_path": "  "}).output_path
+            == os.path.join("results", "fig5_sumrate_d2.csv"))
+
+
+def test_k_values_derived_and_read_only():
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "0,10,40",
+                                              "K_rule": "ceil_P_pow:2"})
+    assert cfg.k_values == ((1,), (100,), (10 ** 8,))
+    assert make_config("fig5_sumrate_d2", {"snr_db_grid": "10,20"}).k_values == (
+        (10, 50, 100), (10, 50, 100))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.k_values = ()
+    with pytest.raises(ConfigError, match="k_values"):
+        make_config("fig3_eligible_users", {"k_values": ((1,),)})
+    with pytest.raises(TypeError):
+        ExperimentConfig(experiment="fig3_eligible_users", k_values=((1,),))
 
 
 @pytest.mark.parametrize("experiment, K_rule", [
@@ -164,9 +210,10 @@ def test_result_row_validation():
 
 def test_threshold_value_dispatch():
     cfg = make_config("fig2_sumrate_d1")
-    assert threshold_value(cfg, 100) == optimal_threshold_d1(100)
+    assert design_threshold(cfg.threshold_method, 100, cfg.d) == optimal_threshold_d1(100)
     cfg2 = make_config("fig5_sumrate_d2")
-    assert threshold_value(cfg2, 50) == threshold_numeric(50, ManifoldParams(4, 2))
+    assert (design_threshold(cfg2.threshold_method, 50, cfg2.d)
+            == threshold_numeric(50, ManifoldParams(4, 2)))
     # such a config is refused while parsing; the dispatch refuses it too
     with pytest.raises(ConfigError):
         make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
@@ -212,7 +259,7 @@ def test_run_trial_unknown_experiment():
 
 def _drop_bytes(cfg, snr_db):
     """Bytes of one channel drop at an SNR point, as chunks count them."""
-    kmax = max(harness._point_k_values(cfg, 10.0 ** (snr_db / 10.0)))
+    kmax = max(cfg.k_values[cfg.snr_db_grid.index(snr_db)])
     return 16 * 9 * kmax * (2 * cfg.d) * cfg.d
 
 
@@ -547,6 +594,42 @@ def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
         make_config("fig5_sumrate_d2",
                     dict(overrides, output_path=str(tmp_path / "x.csv")))
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_design_dimension_limit_is_where_manifold_constants_fail():
+    # c_{2d,d} is a positive double up to d = 18 and underflows to 0 from
+    # d = 19 on, the limit a config that designs a threshold is held to
+    assert harness._MAX_DESIGN_D == 18
+    for d in range(1, 19):
+        assert ManifoldParams(2 * d, d).c > 0
+    for d in (19, 20, 30):
+        with pytest.raises(ShapeMismatch):
+            ManifoldParams(2 * d, d)
+
+
+def test_design_dimension_refused_while_parsing(tmp_path, monkeypatch):
+    assert make_config("fig5_sumrate_d2", {"d": 18}).d == 18
+
+    def never(*args, **kwargs):
+        raise AssertionError("generate_channels called for an impossible d")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    out = tmp_path / "never.csv"
+    assert main(["run", "fig5_sumrate_d2", "--config", str(_cfg_file(
+        tmp_path, "d = 19\ntrials = 2\n")), "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="d=19"):
+        make_config("fig4_threshold_compare", {"d": 19})
+    # the check does not build G(2d, d): a huge d is refused at once
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="d=1000000000"):
+        make_config("fig5_sumrate_d2", {"d": 10 ** 9})
+    assert time.perf_counter() - start < 1.0
+    assert main(["threshold", "--method", "numeric", "--d", "1000000000",
+                 "--K", "10"]) == 2
+    assert time.perf_counter() - start < 1.0
+    # fig7 designs no threshold and takes any d
+    assert make_config("fig7_complexity_table", {"d": 10 ** 9}).d == 10 ** 9
 
 
 def test_draw_ia_channels_bit_identical_to_reference_draw():
