@@ -32,10 +32,10 @@ import dataclasses
 import math
 import numbers
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -499,13 +499,24 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
                           f"more than the {have:.3g} B of physical memory")
 
 
+def __getattr__(name):
+    # the pool and its stack (multiprocessing, socket, subprocess) load
+    # with the first pool, so a serial run holds none of them; the name is
+    # then a plain attribute, which tests and perfbench/layertrace.py replace
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
     _check_drop_fits(cfg)
     tasks = _trial_tasks(cfg, workers)
     left = Counter(point for point, _ in tasks)
     outputs = {}
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
+    with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
         mapped = (map if pool is None else pool.map)(
             run_trials, repeat(cfg), [cfg.snr_db_grid[point] for point, _ in tasks],
             [trials for _, trials in tasks])
@@ -617,17 +628,18 @@ _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.i
 def load_config_file(path: str) -> dict:
     """Parse a flat key=value config file into an override dict.
 
-    Blank lines and '#' comments are ignored; keys must be
-    ExperimentConfig field names.
+    Blank lines are ignored, and so is a '#' comment that starts a line or
+    follows whitespace (a '#' inside a value is part of it); keys must be
+    ExperimentConfig field names, each set at most once.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    overrides = {}
+    overrides, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -635,7 +647,10 @@ def load_config_file(path: str) -> dict:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _FIELD_NAMES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        overrides[key] = value
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                              f"on line {set_on[key]}")
+        overrides[key], set_on[key] = value, lineno
     return overrides
 
 

@@ -14,8 +14,9 @@ true ones.
 
 closed_form_ia and ia_link_rates work on stacks of drops, shape
 (..., 3, 3, 2, 2) indexed receiver then transmitter; one drop is the
-one-element case. quantized_channel_set quantizes all six cross links of
-one drop at once.
+one-element case. quantized_channel_set quantizes the six cross links of
+one drop, drawing the RVQ codebooks of consecutive links in blocks of at
+most _DRAW_BLOCK normals (one link at 24 bits, all six at 16 and below).
 Norms and inner products are stacked matmuls of row by column vectors,
 which numpy hands to the same BLAS dot kernels as np.linalg.norm and
 np.vdot, so each result equals the one-vector call bit for bit.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channel import interferer_indices
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
-from .grassmann import ManifoldParams, quantization_bound
+from .grassmann import _DRAW_BLOCK, ManifoldParams, quantization_bound
 
 _COND_LIMIT = 1e12
 _UNIT_ATOL = 1e-12
@@ -159,18 +160,26 @@ def _perturbation_distortion(bits_per_vector: int, n: int) -> float:
 def _rvq(w, bits_per_vector: int, rng) -> np.ndarray:
     """Each row of w quantized against its own 2^bits_per_vector i.i.d.
     complex Gaussian codewords, drawn link by link, real block before
-    imaginary. The codeword maximizing |c^H w|^2 / |c|^2 (the first on
-    ties) is normalized; no other is."""
-    g = rng.standard_normal((len(w), 2, 2**bits_per_vector, w.shape[-1]))
-    re, im = g[:, 0], g[:, 1]
-    # real and imaginary part of c^H w for every codeword c = re + i im
-    proj = re @ np.stack([w.real, w.imag], axis=-1)
-    proj += im @ np.stack([w.imag, -w.real], axis=-1)
-    score = np.einsum("lnc,lnc->ln", proj, proj) / np.einsum("lcnk,lcnk->ln", g, g)
-    links = np.arange(len(w))
-    best = np.argmax(score, axis=1)
-    c = re[links, best] + 1j * im[links, best]
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    imaginary, and scored in runs of consecutive links whose codebooks
+    hold at most _DRAW_BLOCK normals (at least one link); the stream is
+    that of one draw for all rows. The codeword maximizing
+    |c^H w|^2 / |c|^2 (the first on ties) is normalized; no other is."""
+    n_words, n = 2**bits_per_vector, w.shape[-1]
+    step = max(1, _DRAW_BLOCK // (2 * n_words * n))
+    out = np.empty_like(w)
+    for lo in range(0, len(w), step):
+        wb = w[lo:lo + step]
+        g = rng.standard_normal((len(wb), 2, n_words, n))
+        re, im = g[:, 0], g[:, 1]
+        # real and imaginary part of c^H w for every codeword c = re + i im
+        proj = re @ np.stack([wb.real, wb.imag], axis=-1)
+        proj += im @ np.stack([wb.imag, -wb.real], axis=-1)
+        score = np.einsum("lnc,lnc->ln", proj, proj) / np.einsum("lcnk,lcnk->ln", g, g)
+        links = np.arange(len(wb))
+        best = np.argmax(score, axis=1)
+        c = re[links, best] + 1j * im[links, best]
+        out[lo:lo + step] = c / np.linalg.norm(c, axis=1, keepdims=True)
+    return out
 
 
 def _perturb(w, bits_per_vector: int, rng) -> np.ndarray:

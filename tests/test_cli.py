@@ -120,6 +120,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                      "--out", out]) == 2
         assert "unknown key" in capsys.readouterr().err, text
     repeated = tmp_path / "repeated.cfg"
+    repeated.write_text("trials = 5\ntrials = 50\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "fig2_sumrate_d1", "--config", str(repeated),
+                 "--out", out]) == 2
+    assert "already set on line 1" in capsys.readouterr().err
     repeated.write_text("K_rule = fixed:10,10\n", encoding="utf-8")
     assert main(["run", "fig5_sumrate_d2", "--config", str(repeated),
                  "--out", out]) == 2

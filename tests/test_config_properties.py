@@ -108,7 +108,8 @@ _CONFIG_VALUES = {
     "trials": st.integers(-2, 10 ** 6),
     "seed": st.integers(-1, 2 ** 64),
     "threshold_method": st.sampled_from(THRESHOLD_METHODS),
-    "output_path": st.from_regex(r"[A-Za-z0-9_./-]{1,30}", fullmatch=True),
+    # a '#' inside a value is part of it
+    "output_path": st.from_regex(r"[A-Za-z0-9_./-][A-Za-z0-9_./#-]{0,29}", fullmatch=True),
 }
 
 

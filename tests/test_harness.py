@@ -83,6 +83,12 @@ def test_load_config_file(tmp_path):
     path.write_text("# comment line\n\ntrials = 10  # trailing\nseed=99\n",
                     encoding="utf-8")
     assert load_config_file(str(path)) == {"trials": "10", "seed": "99"}
+    # '#' starts a comment only at a line's start or after whitespace
+    path.write_text("output_path = /tmp/run#2.csv\n#trials = 3\n", encoding="utf-8")
+    assert load_config_file(str(path)) == {"output_path": "/tmp/run#2.csv"}
+    path.write_text("trials = 5\nseed = 1\ntrials = 50\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r":3: key 'trials' is already set on line 1"):
+        load_config_file(str(path))
     path.write_text("wat = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config_file(str(path))

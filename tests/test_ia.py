@@ -5,6 +5,7 @@ scalar one-drop, one-link code kept in ia_oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from oiasim import (DegenerateChannel, ManifoldParams, OddBitSplit,
                     ShapeMismatch, Subspace, chordal_distance_sq,
                     closed_form_ia, ia_link_rates, make_config,
                     quantization_bound, quantized_channel_set, run_trial)
-from oiasim import harness
+from oiasim import harness, ia
 from oiasim.channel import interferer_indices
 from oiasim.grassmann import INV_SQRT2, complex_normal
 from oiasim.ia import _perturbation_distortion
@@ -259,6 +260,43 @@ def test_quantization_kernel_matches_per_link_oracle(bits):
         assert len(indices) == (6 if mode == "rvq" else 0)
         assert np.array_equal(q, ref)
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("block, links", [
+    (4 * 256, [4, 2]), (5 * 256 - 1, [4, 2]), (256, [1] * 6), (1, [1] * 6)])
+def test_rvq_blocks_draw_the_per_link_stream(monkeypatch, block, links):
+    # at 10 bits a link's codebook holds 2 * 32 * 4 = 256 normals; each
+    # block of links gives the oracle's codewords and rng position
+    monkeypatch.setattr(ia, "_DRAW_BLOCK", block)
+    for seed in range(4):
+        ch = _draw(np.random.default_rng(seed))
+        rng, ref_rng = np.random.default_rng([seed, 10]), np.random.default_rng([seed, 10])
+        drawn = []
+
+        class RecordingDraw:
+            def standard_normal(self, shape):
+                drawn.append(shape[0])
+                return rng.standard_normal(shape)
+
+        q = quantized_channel_set(ch, 10, "rvq", RecordingDraw())
+        ref, _ = ia_oracle.quantized_channel_set(ch, 10, "rvq", ref_rng)
+        assert drawn == links
+        assert np.array_equal(q, ref)
+        assert rng.random() == ref_rng.random()
+
+
+def test_rvq_at_24_bits_holds_one_link_codebook():
+    # one link's 2 * 4096 * 4 normals are 256 KiB; all six links drawn at
+    # once peaked at 2.6 MB
+    ch = _draw(np.random.default_rng(60))
+    rng = np.random.default_rng(61)
+    tracemalloc.start()
+    try:
+        quantized_channel_set(ch, 24, "rvq", rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_perturbation_model_hits_exact_distortion():
