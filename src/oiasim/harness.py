@@ -59,11 +59,10 @@ from .threshold import (optimal_threshold_d1, threshold_asymptotic,
 
 # the config every experiment starts from; a registry entry lists what differs
 _BASE_DEFAULTS = dict(snr_db_grid=tuple(float(s) for s in range(0, 45, 5)),
-                      K_rule="ceil_P", d=1, trials=2000, seed=12345,
-                      threshold_method="closed_form_d1")
+                      K_rule="ceil_P", d=1, trials=2000, seed=12345)
 _ENTRY = object()  # default of the fields a registry entry sets
 THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
-# the designs fig4 compares, whatever threshold_method says
+# the designs fig4 compares; a Monte Carlo run designs _optimal_method(d)
 _FIG4_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
 _RVQ_BIT_LIMIT = 24
@@ -81,10 +80,10 @@ _CHUNK_BYTES = 1_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run: grids, streams per transmitter d (nr = 2d and
-    nt = d follow), trial count, seed, output. A field not passed takes
-    its registry entry's default; strings are stripped, and an int field's
-    string read as an int. k_values (derived): a tuple of K per grid point.
+    """One experiment run: grids, streams per transmitter d (nr = 2d, nt = d
+    and the threshold design follow), trial count, seed, output. A field not
+    passed takes its registry entry's default; strings are stripped, and an
+    int field's string read as an int. k_values (derived): K per grid point.
     """
 
     experiment: str
@@ -93,7 +92,6 @@ class ExperimentConfig:
     d: int = _ENTRY
     trials: int = _ENTRY
     seed: int = _ENTRY
-    threshold_method: str = _ENTRY
     output_path: str = ""
     k_values: tuple = dataclasses.field(init=False)
 
@@ -136,8 +134,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be at least 0, got {self.seed}")
         if self.d < 1:
             raise ConfigError("d must be at least 1")
-        if self.threshold_method not in THRESHOLD_METHODS:
-            raise ConfigError(f"unknown threshold_method {self.threshold_method!r}")
         kind, payload = parse_k_rule(self.K_rule)
         if kind == "ceil_P_pow" and payload % self.d:
             raise ConfigError(
@@ -161,9 +157,9 @@ class ExperimentConfig:
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
             k_values.append(ks)
         object.__setattr__(self, "k_values", tuple(k_values))
-        designs = (self.threshold_method,) if spec.designs is None else spec.designs
-        if designs:
-            _check_threshold_method(self.threshold_method, self.d)
+        designs = (_optimal_method(self.d),) if spec.designs is None else spec.designs
+        for method in designs:
+            _check_threshold_method(method, self.d)
         if any(method != "closed_form_d1" for method in designs):
             # a scipy-backed design: load it now, before any pool forks
             import scipy.optimize  # noqa: F401  (brings scipy.special)
@@ -257,6 +253,11 @@ def _check_threshold_method(method: str, d: int) -> None:
                           f"a threshold (d <= {_MAX_DESIGN_D})")
 
 
+def _optimal_method(d: int) -> str:
+    """The optimal threshold's design: closed form at d = 1, numeric above."""
+    return "closed_form_d1" if d == 1 else "numeric"
+
+
 @lru_cache(maxsize=None)
 def design_threshold(method: str, K: int, d: int) -> float:
     """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
@@ -318,8 +319,8 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     """
     kmax = max(ks)
     ch, metrics = _oia_drops(cfg, P, kmax, rngs, redraws)
-    selected, eligible = select_one_bit_rows(
-        metrics, ks, [design_threshold(cfg.threshold_method, K, cfg.d) for K in ks], rngs)
+    thresholds = [design_threshold(_optimal_method(cfg.d), K, cfg.d) for K in ks]
+    selected, eligible = select_one_bit_rows(metrics, ks, thresholds, rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
     served = [(selected, eligible == 0, eligible)]
     if include_perfect:
@@ -476,7 +477,7 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
             stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
             outage_rate=float(outages.sum() / (3 * n)),
             mean_eligible=float(eligible.sum() / (3 * n)),
-            threshold_used=(design_threshold(cfg.threshold_method, K, cfg.d)
+            threshold_used=(design_threshold(_optimal_method(cfg.d), K, cfg.d)
                             if scheme == "oia_1bit" else float("nan")),
             trials=n,
         ))
@@ -488,8 +489,8 @@ def _check_drop_fits(cfg: ExperimentConfig) -> None:
     array, exceeds physical memory; the draw and the metrics work in
     blocks whose size does not grow with K."""
     kmax = max(max(ks) for ks in cfg.k_values)
-    need = (np.dtype(complex).itemsize * 18 * kmax * cfg.d ** 2
-            + np.dtype(float).itemsize * 3 * kmax)
+    entries = max(_drop_entries(cfg, point) for point in range(len(cfg.k_values)))
+    need = np.dtype(complex).itemsize * entries + np.dtype(float).itemsize * 3 * kmax
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -572,7 +573,7 @@ class Experiment:
     config defaults (where they differ from _BASE_DEFAULTS), row producer;
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
     redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
-    runs (None: the config's threshold_method); and its K rule, "any",
+    runs (None: the optimal design at the config's d); and its K rule, "any",
     "fixed" (a fixed: list) or "bits" (even bit budgets up to _MAX_BITS).
     """
 
@@ -597,7 +598,7 @@ EXPERIMENTS = {
         description="d=2 threshold design table: numeric vs Lambert vs "
                     "asymptotic over a K grid (no Monte Carlo)",
         defaults=dict(snr_db_grid=(30.0,), K_rule="fixed:100,316,1000,3162,10000",
-                      d=2, trials=1, threshold_method="numeric"),
+                      d=2, trials=1),
         runner=_run_fig4, designs=_FIG4_METHODS, k_rule="fixed"),
     "fig5_sumrate_d2": Experiment(
         description="d=2 sum rate vs SNR for K in {10,50,100}, 1-bit "
@@ -605,8 +606,7 @@ EXPERIMENTS = {
         # below 10 dB the noise-limited rates of the three K values
         # coincide, so the grid starts where user scaling matters
         defaults=dict(snr_db_grid=tuple(float(s) for s in range(10, 45, 5)),
-                      K_rule="fixed:10,50,100", d=2, trials=500,
-                      threshold_method="numeric"),
+                      K_rule="fixed:10,50,100", d=2, trials=500),
         trial=_oia_rows),
     "fig6_oia_vs_ia": Experiment(
         description="1-bit OIA with K=n_bits users against limited-feedback "

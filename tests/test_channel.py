@@ -501,7 +501,8 @@ def _replay_trial(cfg, snr_db, t):
             if cfg.experiment == "fig2_sumrate_d1":
                 served.setdefault(("oia_perfect", K), []).append(
                     (i, select_conventional(m), False, None))
-            x = design_threshold(cfg.threshold_method, K, cfg.d)
+            # the optimal design for d: the closed form at d = 1, numeric above
+            x = design_threshold("closed_form_d1" if cfg.d == 1 else "numeric", K, cfg.d)
             k, eligible = select_one_bit(m, x, rng)
             served.setdefault(("oia_1bit", K), []).append(
                 (i, k, eligible == 0, eligible))

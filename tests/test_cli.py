@@ -131,11 +131,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     repeated.write_text("snr_db_grid = 10,10\n", encoding="utf-8")
     assert main(["run", "fig3_eligible_users", "--config", str(repeated),
                  "--out", out]) == 2
-    # fig4 designs with numeric, lambert and asymptotic whatever
-    # threshold_method says, but refuses what fig5 refuses
-    skewed.write_text("threshold_method = closed_form_d1\n", encoding="utf-8")
-    assert main(["run", "fig4_threshold_compare", "--config", str(skewed),
+    # the threshold design follows from d: it is no config key
+    skewed.write_text("threshold_method = numeric\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "fig2_sumrate_d1", "--config", str(skewed),
                  "--out", out]) == 2
+    assert "unknown key 'threshold_method'" in capsys.readouterr().err
     # odd, too large or power-coupled bit budgets, and grid points without a
     # finite power P > 0: refused while parsing, not after the first drops
     # or with a traceback

@@ -13,7 +13,7 @@ import pytest
 
 from oiasim import (EXPERIMENTS, ConfigError, ExperimentConfig, ResultRow,
                     make_config, write_csv)
-from oiasim.harness import THRESHOLD_METHODS, load_config_file, parse_k_rule
+from oiasim.harness import load_config_file, parse_k_rule
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -107,7 +107,6 @@ _CONFIG_VALUES = {
     "d": st.integers(1, 3),
     "trials": st.integers(-2, 10 ** 6),
     "seed": st.integers(-1, 2 ** 64),
-    "threshold_method": st.sampled_from(THRESHOLD_METHODS),
     # a '#' inside a value is part of it
     "output_path": st.from_regex(r"[A-Za-z0-9_./-][A-Za-z0-9_./#-]{0,29}", fullmatch=True),
 }

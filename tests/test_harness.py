@@ -54,10 +54,11 @@ def test_make_config_defaults():
     assert cfg.trials == 2000
     assert cfg.seed == 12345
     assert cfg.d == 1
-    # d is the only dimension: nr = 2d and nt = d follow from it
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert fields.isdisjoint({"nr", "nt", "cells"})
-    assert cfg.threshold_method == "closed_form_d1"
+    # d is the only dimension: nr = 2d, nt = d and the threshold design
+    # follow from it
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig) if f.init]
+    assert fields == ["experiment", "snr_db_grid", "K_rule", "d", "trials", "seed",
+                      "output_path"]
     assert cfg.snr_db_grid == tuple(float(s) for s in range(0, 45, 5))
     assert cfg.output_path == os.path.join("results", "fig2_sumrate_d1.csv")
 
@@ -112,15 +113,13 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig2_sumrate_d1", snr_db_grid=(10, 10.0))
     with pytest.raises(ConfigError):
         make_config("fig3_eligible_users", {"snr_db_grid": "0,10,0"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="fig2_sumrate_d1", threshold_method="magic")
+    with pytest.raises(TypeError):
+        ExperimentConfig(experiment="fig2_sumrate_d1", threshold_method="numeric")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", d=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="fig5_sumrate_d2", d=2,
-                         K_rule="ceil_P_pow:3", threshold_method="numeric")
-    cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2,
-                           K_rule="ceil_P_pow:2", threshold_method="numeric")
+        ExperimentConfig(experiment="fig5_sumrate_d2", d=2, K_rule="ceil_P_pow:3")
+    cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2, K_rule="ceil_P_pow:2")
     assert cfg.output_path == os.path.join("results", "fig5_sumrate_d2.csv")
     with pytest.raises(UnknownExperiment):
         ExperimentConfig(experiment="fig9_mystery")
@@ -157,10 +156,9 @@ def test_direct_config_takes_its_registry_defaults(experiment):
 def test_padded_and_numeric_strings_read_as_their_values():
     expected = ExperimentConfig(
         experiment="fig5_sumrate_d2", snr_db_grid=(10.0, 20.0), K_rule="fixed:10,50",
-        d=2, trials=7, seed=3, threshold_method="numeric", output_path="x.csv")
+        d=2, trials=7, seed=3, output_path="x.csv")
     padded = {"snr_db_grid": " 10, 20 ", "K_rule": " fixed:10,50 ", "d": " 2",
-              "trials": "7 ", "seed": "\t3\n", "threshold_method": " numeric ",
-              "output_path": " x.csv "}
+              "trials": "7 ", "seed": "\t3\n", "output_path": " x.csv "}
     assert make_config("fig5_sumrate_d2", padded) == expected
     assert ExperimentConfig(experiment="fig5_sumrate_d2", **padded) == expected
     # an all-blank path is the default one, as an empty one is
@@ -215,16 +213,45 @@ def test_result_row_validation():
 
 
 def test_threshold_value_dispatch():
-    cfg = make_config("fig2_sumrate_d1")
-    assert design_threshold(cfg.threshold_method, 100, cfg.d) == optimal_threshold_d1(100)
-    cfg2 = make_config("fig5_sumrate_d2")
-    assert (design_threshold(cfg2.threshold_method, 50, cfg2.d)
-            == threshold_numeric(50, ManifoldParams(4, 2)))
-    # such a config is refused while parsing; the dispatch refuses it too
-    with pytest.raises(ConfigError):
-        make_config("fig5_sumrate_d2", {"threshold_method": "closed_form_d1"})
+    # a run designs the optimal threshold for its d: the closed form at
+    # d = 1, the numeric minimizer above
+    method = harness._optimal_method(make_config("fig2_sumrate_d1").d)
+    assert design_threshold(method, 100, 1) == optimal_threshold_d1(100)
+    method = harness._optimal_method(make_config("fig5_sumrate_d2").d)
+    assert design_threshold(method, 50, 2) == threshold_numeric(50, ManifoldParams(4, 2))
+    # a d = 1 experiment run at d = 2 parses and designs numeric
+    assert harness._optimal_method(make_config("fig3_eligible_users", {"d": 2}).d) == "numeric"
+    # the closed form exists at d = 1 only, and the dispatch says so
     with pytest.raises(ConfigError):
         harness.design_threshold("closed_form_d1", 50, 2)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_threshold_method_is_an_unknown_key(experiment):
+    for method in harness.THRESHOLD_METHODS:
+        with pytest.raises(ConfigError, match="unknown config key 'threshold_method'"):
+            make_config(experiment, {"threshold_method": method})
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("experiment", ["fig2_sumrate_d1", "fig3_eligible_users",
+                                        "fig5_sumrate_d2", "fig6_oia_vs_ia"])
+def test_threshold_used_is_the_optimal_design_for_d(tmp_path, experiment, d):
+    # whatever the experiment, the closed form at d = 1 and the numeric
+    # minimizer at d = 2, bit for bit, and printed as such
+    out = tmp_path / "out.csv"
+    rows = run_experiment(make_config(experiment, {"d": d, "trials": 2,
+                                                   "output_path": str(out)}))
+    lines = out.read_text(encoding="utf-8").splitlines()[2:]
+    assert len(lines) == len(rows)
+    for row, line in zip(rows, lines):
+        if row.scheme != "oia_1bit":
+            assert math.isnan(row.threshold_used)
+            continue
+        expected = (optimal_threshold_d1(row.K) if d == 1
+                    else threshold_numeric(row.K, ManifoldParams(4, 2)))
+        assert row.threshold_used == expected
+        assert line.split(",")[8] == "%.9g" % expected
 
 
 def test_run_trial_deterministic():
@@ -257,8 +284,7 @@ def test_run_trial_single_user_is_forced():
 
 def test_run_trial_unknown_experiment():
     cfg = ExperimentConfig(experiment="fig4_threshold_compare",
-                           snr_db_grid=(30.0,), K_rule="fixed:100", d=2,
-                           threshold_method="numeric")
+                           snr_db_grid=(30.0,), K_rule="fixed:100", d=2)
     with pytest.raises(UnknownExperiment):
         run_trial(cfg, 30.0, 0)
 
@@ -585,7 +611,9 @@ def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
     # unknown keys
     ({"nr": "4"}, "unknown config key 'nr'"),
     ({"nt": "2"}, "unknown config key 'nt'"),
-    ({"threshold_method": "closed_form_d1"}, "closed_form_d1"),    # d = 2
+    # so does the threshold design
+    pytest.param({"threshold_method": "closed_form_d1"},
+                 "unknown config key 'threshold_method'", id="threshold_method"),
 ])
 def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
                                                     overrides, message):

@@ -61,8 +61,6 @@ _NUMPY_ONLY = {
     "fig3_2_workers": ("fig3_eligible_users", {}, 2),
     "fig6_perturbation": ("fig6_oia_vs_ia", {"K_rule": "fixed:10,28"}, 1),
     "fig7": ("fig7_complexity_table", {}, 1),
-    # fig7 designs no threshold, whatever threshold_method says
-    "fig7_lambert": ("fig7_complexity_table", {"threshold_method": "lambert"}, 1),
 }
 
 
@@ -114,13 +112,12 @@ def test_process_pool_loads_with_a_parallel_run(tmp_path):
 
 
 def test_scipy_backed_design_loads_its_solver_at_parse_time(tmp_path):
-    # fig5 designs with its threshold_method; fig4 designs with all three
-    # scipy-backed methods, whatever its threshold_method
+    # fig5 designs numeric at its d = 2; fig4 designs with all three
+    # scipy-backed methods, even at d = 1
     out = str(tmp_path / "out.csv")
     for experiment, overrides in (
             ("fig5_sumrate_d2", {}),
-            ("fig4_threshold_compare", {"threshold_method": "closed_form_d1",
-                                        "d": 1})):
+            ("fig4_threshold_compare", {"d": 1})):
         parsed, added = _run(f"""
 from oiasim import make_config, run_experiment
 cfg = make_config({experiment!r}, dict(trials=2, output_path={out!r}, **{overrides!r}))
