@@ -11,12 +11,13 @@ the single bit gives up.
 
 import numpy as np
 
-from oiasim import (SystemConfig, cell_metrics, generate_channels,
-                    interference_covariance, optimal_threshold_d1, postfilter,
-                    select_conventional, select_one_bit, user_rate)
+from oiasim import (cell_metrics, generate_channels, interference_covariance,
+                    optimal_threshold_d1, postfilter, select_conventional,
+                    select_one_bit, served_links, user_rate)
 
 rng = np.random.default_rng(7)
 P_DB = 20.0
+P = 10.0 ** (P_DB / 10.0)
 TRIALS = 300
 
 print(f"3 cells, single-stream users, SNR {P_DB:.0f} dB, "
@@ -25,24 +26,24 @@ print(f"{'K':>4} {'threshold':>10} {'perfect':>9} {'one bit':>9} "
       f"{'ratio':>7} {'outage':>8}")
 
 for K in (2, 5, 20, 50):
-    cfg = SystemConfig(d=1, K=K, P=10.0 ** (P_DB / 10.0))
     x = optimal_threshold_d1(K)
     perfect = one_bit = 0.0
     outages = 0
     for _ in range(TRIALS):
-        ch = generate_channels(rng, cfg)
+        ch = generate_channels(rng, d=1, K=K)
         for i in range(3):
             m = cell_metrics(ch, i)
 
             # full feedback: the scheduler sees every metric
-            k_star = select_conventional(m)
-            U = postfilter(interference_covariance(ch, i, k_star), cfg.d)
-            perfect += user_rate(ch, i, k_star, U)
+            links = served_links(ch, i, select_conventional(m))
+            U = postfilter(interference_covariance(links), 1)
+            perfect += user_rate(links, U, P)
 
             # 1-bit feedback: uniform pick among sub-threshold users
             k, eligible = select_one_bit(m, x, rng)
-            U = postfilter(interference_covariance(ch, i, k), cfg.d)
-            one_bit += user_rate(ch, i, k, U)
+            links = served_links(ch, i, k)
+            U = postfilter(interference_covariance(links), 1)
+            one_bit += user_rate(links, U, P)
             outages += eligible == 0
     perfect /= TRIALS
     one_bit /= TRIALS

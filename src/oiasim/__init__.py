@@ -7,9 +7,9 @@ interference-alignment baseline with limited feedback, and a FLOP-count
 model of the feedback workloads.
 """
 
-from .channel import (ChannelSet, SystemConfig, cell_metrics, generate_channels,
+from .channel import (ChannelSet, cell_metrics, generate_channels,
                       interference_covariance, interferer_indices, postfilter,
-                      user_rate)
+                      served_links, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,

@@ -11,7 +11,7 @@ per transmitter with full degrees of freedom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,41 +27,26 @@ _BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """Dimensions and power of one simulation point.
-
-    d streams per transmitter, K candidate users per cell, transmit power
-    P (linear SNR); nr = 2d receive and nt = d transmit antennas follow
-    from d.
-    """
-
-    d: int
-    K: int
-    P: float
-    nr: int = field(init=False)
-    nt: int = field(init=False)
-
-    def __post_init__(self):
-        if self.d < 1 or self.K < 1 or self.P <= 0:
-            raise ShapeMismatch("need d >= 1, K >= 1, P > 0")
-        object.__setattr__(self, "nr", 2 * self.d)
-        object.__setattr__(self, "nt", self.d)
-
-
-@dataclass(frozen=True)
 class ChannelSet:
     """All channel matrices of one Monte Carlo drop.
 
-    h[i, j, k] is the (nr, nt) matrix from transmitter j to user k of cell i.
+    h[i, j, k] is the (2d, d) matrix from transmitter j to user k of cell
+    i: h has shape (3, 3, K, 2d, d) with K, d >= 1, and d = h.shape[-1].
     """
 
     h: np.ndarray
-    cfg: SystemConfig
 
     def __post_init__(self):
-        expected = (3, 3, self.cfg.K, self.cfg.nr, self.cfg.nt)
-        if self.h.shape != expected:
-            raise ShapeMismatch(f"channel array shape {self.h.shape}, expected {expected}")
+        shape = self.h.shape
+        if len(shape) != 5 or shape != _drop_shape(shape[2], shape[4]):
+            raise ShapeMismatch(f"channel array shape {shape}, expected (3, 3, K, 2d, d)")
+
+
+def _drop_shape(K: int, d: int) -> tuple:
+    """Shape of a drop of K users per cell with d streams."""
+    if d < 1 or K < 1:
+        raise ShapeMismatch(f"need d >= 1 and K >= 1, got d = {d}, K = {K}")
+    return (3, 3, K, 2 * d, d)
 
 
 def interferer_indices(i):
@@ -70,16 +55,19 @@ def interferer_indices(i):
     return (i + 1) % 3, (i + 2) % 3
 
 
-def generate_channels(rng: np.random.Generator, cfg: SystemConfig,
+def generate_channels(rng: np.random.Generator, d: int, K: int,
                       out: np.ndarray | None = None) -> ChannelSet:
-    """Draw all 9 K channel matrices of one drop, i.i.d. CN(0, 1) entries,
-    into out (a complex128 array or view of the drop's shape) when given.
+    """Draw all 9 K channel matrices of a drop of K users per cell with d
+    streams, i.i.d. CN(0, 1) entries, into out (a complex128 array or view
+    of shape (3, 3, K, 2d, d)) when given.
 
     Bit-identical to (re + 1j * im) / np.sqrt(2) on the same random
     stream; see complex_normal.
     """
-    shape = (3, 3, cfg.K, cfg.nr, cfg.nt)
-    return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2, out), cfg=cfg)
+    shape = _drop_shape(K, d)
+    if out is not None and out.shape != shape:
+        raise ShapeMismatch(f"output shape {out.shape}, expected {shape}")
+    return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2, out))
 
 
 def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
@@ -96,9 +84,8 @@ def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
     mask of such users, gathered over all blocks, which callers redraw.
     """
     links = interferer_indices(i)
-    d = ch.cfg.d
-    K, nr, nt = ch.h.shape[2:]
-    size = _BLOCK_ENTRIES // (nr * nt)
+    K, nr, d = ch.h.shape[2:]
+    size = _BLOCK_ENTRIES // (nr * d)
     if K <= size:  # same bits as the loop, about half its time per call at d = 1, K = 10
         return _block_metrics(ch.h[i], links, d)
     m = np.empty(K)
@@ -196,15 +183,23 @@ def _herm(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def interference_covariance(ch: ChannelSet, i, k) -> np.ndarray:
-    """Received interference covariance R = H_ip H_ip^H + H_iq H_iq^H.
+def served_links(ch: ChannelSet, i, k) -> np.ndarray:
+    """The links of user k of cell i, shape (3, nr, nt): from its own
+    transmitter i first, then from its interferers p and q.
 
-    i and k are a cell and a user, or integer arrays of one shape that
-    stack one (cell, user) pair per entry; R then has that shape in front.
+    i and k are a cell and a user, or integer arrays that broadcast to one
+    shape; the links then have that shape in front. One fancy index.
     """
-    p, q = interferer_indices(i)
-    Hp = ch.h[i, p, k]
-    Hq = ch.h[i, q, k]
+    i = np.asarray(i)[..., None]
+    return ch.h[i, (i + np.arange(3)) % 3, np.asarray(k)[..., None]]
+
+
+def interference_covariance(links: np.ndarray) -> np.ndarray:
+    """Received interference covariance R = H_ip H_ip^H + H_iq H_iq^H of
+    served links (..., 3, nr, nt) as served_links returns them, one R per
+    entry of the leading axes."""
+    Hp = links[..., 1, :, :]
+    Hq = links[..., 2, :, :]
     return Hp @ _herm(Hp) + Hq @ _herm(Hq)
 
 
@@ -216,28 +211,28 @@ def postfilter(R: np.ndarray, d: int) -> np.ndarray:
     return v[..., :d]
 
 
-def user_rate(ch: ChannelSet, i, k, U: np.ndarray):
-    """Achievable rate of user k in cell i behind postfilter U, at the
-    power and stream count of ch.cfg.
+def user_rate(links: np.ndarray, U: np.ndarray, P: float):
+    """Achievable rate of a user with served links (..., 3, nr, nt), as
+    served_links returns them, behind postfilter U (..., nr, d), at
+    transmit power P > 0 split over d = U.shape[-1] streams.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
     B = (P/d) sum_{j != i} U^H H_ij H_ij^H U, computed through the exact
     decomposition rate = gain - loss, where gain uses the
     desired-plus-interference covariance and loss the interference-only one.
 
-    i and k may be integer arrays of one shape, with U stacking one filter
-    per (cell, user) pair as postfilter returns it; the rate then is an
-    array of that shape.
+    The rate has the shape of the leading axes: a float for one user.
     """
-    p, q = interferer_indices(i)
-    scale = ch.cfg.P / ch.cfg.d
-    Uh = _herm(U)
-    Gs = Uh @ ch.h[i, i, k]
+    if not P > 0:
+        raise ShapeMismatch(f"need P > 0, got {P}")
+    d = U.shape[-1]
+    scale = P / d
+    # U^H H_ii, U^H H_ip and U^H H_iq in one stacked matmul
+    G = _herm(U)[..., None, :, :] @ links
+    Gs, Gp, Gq = G[..., 0, :, :], G[..., 1, :, :], G[..., 2, :, :]
     A = scale * (Gs @ _herm(Gs))
-    Gp = Uh @ ch.h[i, p, k]
-    Gq = Uh @ ch.h[i, q, k]
     B = scale * (Gp @ _herm(Gp) + Gq @ _herm(Gq))
-    eye = np.eye(ch.cfg.d)
+    eye = np.eye(d)
     gain = np.linalg.slogdet(eye + A + B)[1] / _LOG2
     loss = np.linalg.slogdet(eye + B)[1] / _LOG2
     return gain - loss

@@ -43,8 +43,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (ChannelSet, SystemConfig, cell_metrics, generate_channels,
-                      interference_covariance, postfilter, user_rate)
+from .channel import (ChannelSet, cell_metrics, generate_channels,
+                      interference_covariance, postfilter, served_links, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
@@ -283,19 +283,18 @@ def _count_redraw(redraws: np.ndarray, t: int) -> None:
         raise DegenerateChannel(f"more than {_MAX_REDRAWS} degenerate draws in one trial")
 
 
-def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
-    """One non-degenerate OIA channel drop per rng, drawn in place into one
-    ChannelSet of len(rngs) * kmax users per cell (trial t's users at
-    t * kmax onwards), with its (trials, 3, kmax) metric array, a view of
-    one array the three cells' metrics are written into. A degenerate drop
-    is redrawn from its own rng, which has drawn nothing else yet."""
-    drop = SystemConfig(d=cfg.d, K=kmax, P=P)
+def _oia_drops(cfg: ExperimentConfig, kmax: int, rngs, redraws):
+    """One non-degenerate OIA channel drop of kmax users per cell and cfg.d
+    streams per rng, drawn in place into one ChannelSet of len(rngs) * kmax
+    users per cell (trial t's users at t * kmax onwards), with its
+    (trials, 3, kmax) metric array, a view of one array the three cells'
+    metrics are written into. A degenerate drop is redrawn from its own
+    rng, which has drawn nothing else yet."""
     T = len(rngs)
-    ch = ChannelSet(np.empty((3, 3, T * kmax, drop.nr, drop.nt), dtype=complex),
-                    dataclasses.replace(drop, K=T * kmax))
+    ch = ChannelSet(np.empty((3, 3, T * kmax, 2 * cfg.d, cfg.d), dtype=complex))
     slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
     for rng, slot in zip(rngs, slots):
-        generate_channels(rng, drop, out=slot)
+        generate_channels(rng, cfg.d, kmax, out=slot)
     metrics = np.empty((3, T * kmax))
     while True:
         try:
@@ -305,7 +304,7 @@ def _oia_drops(cfg: ExperimentConfig, P: float, kmax: int, rngs, redraws):
         except DegenerateChannel as exc:
             for t in np.flatnonzero(exc.where.reshape(T, kmax).any(axis=1)):
                 _count_redraw(redraws, t)
-                generate_channels(rngs[t], drop, out=slots[t])
+                generate_channels(rngs[t], cfg.d, kmax, out=slots[t])
 
 
 def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
@@ -314,11 +313,11 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     smaller K as prefixes of the largest.
 
     All selections come first, each trial's in the order that fixes its rng
-    stream; the served users' postfilters and rates then take one stacked
-    call each.
+    stream; the served users' links are then gathered once, and their
+    postfilters and rates take one stacked call each.
     """
     kmax = max(ks)
-    ch, metrics = _oia_drops(cfg, P, kmax, rngs, redraws)
+    ch, metrics = _oia_drops(cfg, kmax, rngs, redraws)
     thresholds = [design_threshold(_optimal_method(cfg.d), K, cfg.d) for K in ks]
     selected, eligible = select_one_bit_rows(metrics, ks, thresholds, rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
@@ -328,9 +327,9 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
         served.insert(0, (best, np.zeros_like(best), np.full(best.shape, np.nan)))
     users, outage, counts = (np.stack(c, axis=-1) for c in zip(*served))
     users += (kmax * np.arange(len(rngs)))[:, None, None, None]
-    cells = np.broadcast_to(np.arange(3)[:, None], users.shape)
-    U = postfilter(interference_covariance(ch, cells, users), cfg.d)
-    rate = user_rate(ch, cells, users, U)
+    links = served_links(ch, np.arange(3)[:, None], users)
+    U = postfilter(interference_covariance(links), cfg.d)
+    rate = user_rate(links, U, P)
     per_cell = np.stack([rate, outage, counts], axis=-1)
     # summed over the cells in cell order, as a scalar running sum would
     rows = per_cell[:, :, 0] + per_cell[:, :, 1] + per_cell[:, :, 2]
