@@ -31,18 +31,16 @@ for K in (2, 5, 20, 50):
     outages = 0
     for _ in range(TRIALS):
         ch = generate_channels(rng, d=1, K=K)
-        for i in range(3):
-            m = cell_metrics(ch, i)
-
+        for i, m in enumerate(cell_metrics(ch)):
             # full feedback: the scheduler sees every metric
             links = served_links(ch, i, select_conventional(m))
-            U = postfilter(interference_covariance(links), 1)
+            U = postfilter(interference_covariance(links))
             perfect += user_rate(links, U, P)
 
             # 1-bit feedback: uniform pick among sub-threshold users
             k, eligible = select_one_bit(m, x, rng)
             links = served_links(ch, i, k)
-            U = postfilter(interference_covariance(links), 1)
+            U = postfilter(interference_covariance(links))
             one_bit += user_rate(links, U, P)
             outages += eligible == 0
     perfect /= TRIALS

@@ -70,48 +70,45 @@ def generate_channels(rng: np.random.Generator, d: int, K: int,
     return ChannelSet(h=complex_normal(rng, shape, INV_SQRT2, out))
 
 
-def cell_metrics(ch: ChannelSet, i: int) -> np.ndarray:
-    """Selection metrics of all K users of cell i at once: each user's
-    squared chordal distance between the column spaces of its two
-    interference channels.
+def cell_metrics(ch: ChannelSet) -> np.ndarray:
+    """Selection metrics of all K users of the three cells of a drop, a
+    (3, K) array: each user's squared chordal distance between the column
+    spaces of its two interference channels.
 
-    Each user's metric depends on its own channels only, so the users are
-    scored in blocks of at most _BLOCK_ENTRIES // (nr nt), with the same
-    arithmetic per user and the same bits as one pass, and the memory
-    beyond the (K,) result does not grow with K; up to one block is one
-    pass. Raises DegenerateChannel when an interference channel of some
-    user is zero (d = 1) or rank deficient (d > 1); its `where` is the (K,)
-    mask of such users, gathered over all blocks, which callers redraw.
+    Each user's metric depends on its own channels only, so each cell's
+    users are scored in blocks of at most _BLOCK_ENTRIES // (nr nt), with
+    the same arithmetic per user and the same bits as one pass, and the
+    memory beyond the (3, K) result does not grow with K. Raises
+    DegenerateChannel when an interference channel of some user is zero
+    (d = 1) or rank deficient (d > 1); its `where` is the (3, K) mask of
+    such users, gathered over all cells and blocks, which callers redraw.
     """
-    links = interferer_indices(i)
     K, nr, d = ch.h.shape[2:]
-    size = _BLOCK_ENTRIES // (nr * d)
-    if K <= size:  # same bits as the loop, about half its time per call at d = 1, K = 10
-        return _block_metrics(ch.h[i], links, d)
-    m = np.empty(K)
-    bad = message = None
+    m = np.empty((3, K))
+    bad = None  # made on the first degenerate block: a clean drop needs no (3, K) mask
     # blocks of equal size up to one user: none holds a single user, whose
     # reductions numpy would run in another order than a longer block's
-    n = -(-K // size)
-    for b in range(n):
-        users = slice(K * b // n, K * (b + 1) // n)
-        try:
-            _block_metrics(ch.h[i, :, users], links, d, out=m[users])
-        except DegenerateChannel as exc:
-            if bad is None:
-                bad = np.zeros(K, dtype=bool)
-            bad[users] = exc.where
-            message = str(exc)
+    n = -(-K // (_BLOCK_ENTRIES // (nr * d)))
+    for i in range(3):
+        links = interferer_indices(i)
+        for b in range(n):
+            users = slice(K * b // n, K * (b + 1) // n)
+            where = _block_metrics(ch.h[i, :, users], links, d, m[i, users])
+            if where.any():
+                if bad is None:
+                    bad = np.zeros((3, K), dtype=bool)
+                bad[i, users] = where
     if bad is not None:
-        raise DegenerateChannel(message, where=bad)
+        raise DegenerateChannel("degenerate interference channel draw", where=bad)
     return m
 
 
-def _block_metrics(hi: np.ndarray, links: tuple, d: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+@np.errstate(divide="ignore", invalid="ignore")
+def _block_metrics(hi: np.ndarray, links: tuple, d: int, out: np.ndarray) -> np.ndarray:
     """cell_metrics of a block of users of one cell, whose channels from
     the three transmitters are hi (3, users, nr, nt) and whose interferers
-    are links, written into out when given."""
+    are links, written into out. Returns the mask of the block's degenerate
+    users, whose metrics are meaningless and raise no warning."""
     p, q = links
     if d == 1:
         Hp = hi[p]
@@ -122,8 +119,6 @@ def _block_metrics(hi: np.ndarray, links: tuple, d: int,
         np_sq = np.einsum("kj,kj->k", a, a)
         nq_sq = np.einsum("kj,kj->k", b, b)
         bad = (np_sq <= 0) | (nq_sq <= 0)
-        if bad.any():
-            raise DegenerateChannel("zero interference channel draw", where=bad)
         # real and imaginary parts of h_p^H h_q
         re = np.einsum("kj,kj->k", a, b)
         im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
@@ -132,17 +127,15 @@ def _block_metrics(hi: np.ndarray, links: tuple, d: int,
         # columns, then entries, then (link, user): real and imaginary parts
         X = hi[[p, q]].transpose(3, 2, 0, 1)
         re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
-        bad = _orthonormalize_columns(re, im)
-        if bad.any():
-            raise DegenerateChannel("rank-deficient channel draw",
-                                    where=bad.any(axis=0))
+        bad = _orthonormalize_columns(re, im).any(axis=0)
         # entry (b, c) of Qp^H Qq, real and imaginary part
         pr, pi = re[:, None, :, 0], im[:, None, :, 0]
         qr, qi = re[None, :, :, 1], im[None, :, :, 1]
         sr = (pr * qr + pi * qi).sum(axis=2)
         si = (pr * qi - pi * qr).sum(axis=2)
         m = d - (sr * sr + si * si).sum(axis=(0, 1))
-    return np.clip(m, 0.0, float(d), out=out)
+    np.clip(m, 0.0, float(d), out=out)
+    return bad
 
 
 def _orthonormalize_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -172,9 +165,8 @@ def _orthonormalize_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         lo = norm if lo is None else np.minimum(lo, norm)
         hi = norm if hi is None else np.maximum(hi, norm)
         bad |= lo <= RANK_RTOL * hi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vr /= norm
-            vi /= norm
+        vr /= norm
+        vi /= norm
     return bad
 
 
@@ -203,18 +195,23 @@ def interference_covariance(links: np.ndarray) -> np.ndarray:
     return Hp @ _herm(Hp) + Hq @ _herm(Hq)
 
 
-def postfilter(R: np.ndarray, d: int) -> np.ndarray:
+def postfilter(R: np.ndarray) -> np.ndarray:
     """Receive filter spanning the invariant subspace of the d smallest
-    eigenvalues of the Hermitian PSD matrix R, or of each matrix of a
-    stack of them."""
-    w, v = np.linalg.eigh(R)
-    return v[..., :d]
+    eigenvalues of the Hermitian PSD (2d, 2d) matrix R, or of each matrix
+    of a stack of them."""
+    return np.linalg.eigh(R)[1][..., :R.shape[-1] // 2]
+
+
+def _check_power(P) -> None:
+    """The one rule for a transmit power: finite and > 0."""
+    if not 0.0 < P < np.inf:
+        raise ShapeMismatch(f"need a finite power P > 0, got {P}")
 
 
 def user_rate(links: np.ndarray, U: np.ndarray, P: float):
     """Achievable rate of a user with served links (..., 3, nr, nt), as
     served_links returns them, behind postfilter U (..., nr, d), at
-    transmit power P > 0 split over d = U.shape[-1] streams.
+    transmit power P (finite, > 0) split over d = U.shape[-1] streams.
 
     rate = log2 det(I + (P/d) U^H H_ii H_ii^H U (B + I)^{-1}) with
     B = (P/d) sum_{j != i} U^H H_ij H_ij^H U, computed through the exact
@@ -223,8 +220,7 @@ def user_rate(links: np.ndarray, U: np.ndarray, P: float):
 
     The rate has the shape of the leading axes: a float for one user.
     """
-    if not P > 0:
-        raise ShapeMismatch(f"need P > 0, got {P}")
+    _check_power(P)
     d = U.shape[-1]
     scale = P / d
     # U^H H_ii, U^H H_ip and U^H H_iq in one stacked matmul

@@ -283,28 +283,25 @@ def _count_redraw(redraws: np.ndarray, t: int) -> None:
         raise DegenerateChannel(f"more than {_MAX_REDRAWS} degenerate draws in one trial")
 
 
-def _oia_drops(cfg: ExperimentConfig, kmax: int, rngs, redraws):
-    """One non-degenerate OIA channel drop of kmax users per cell and cfg.d
+def _oia_drops(d: int, kmax: int, rngs, redraws):
+    """One non-degenerate OIA channel drop of kmax users per cell and d
     streams per rng, drawn in place into one ChannelSet of len(rngs) * kmax
     users per cell (trial t's users at t * kmax onwards), with its
-    (trials, 3, kmax) metric array, a view of one array the three cells'
-    metrics are written into. A degenerate drop is redrawn from its own
-    rng, which has drawn nothing else yet."""
+    (trials, 3, kmax) metric array, a view of the drop's (3, len(rngs) *
+    kmax) metrics. The trials with a degenerate user in any cell are
+    redrawn, each from its own rng, which has drawn nothing else yet."""
     T = len(rngs)
-    ch = ChannelSet(np.empty((3, 3, T * kmax, 2 * cfg.d, cfg.d), dtype=complex))
+    ch = ChannelSet(np.empty((3, 3, T * kmax, 2 * d, d), dtype=complex))
     slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
     for rng, slot in zip(rngs, slots):
-        generate_channels(rng, cfg.d, kmax, out=slot)
-    metrics = np.empty((3, T * kmax))
+        generate_channels(rng, d, kmax, out=slot)
     while True:
         try:
-            for i in range(3):
-                metrics[i] = cell_metrics(ch, i)
-            return ch, metrics.reshape(3, T, kmax).swapaxes(0, 1)
+            return ch, cell_metrics(ch).reshape(3, T, kmax).swapaxes(0, 1)
         except DegenerateChannel as exc:
-            for t in np.flatnonzero(exc.where.reshape(T, kmax).any(axis=1)):
+            for t in np.flatnonzero(exc.where.reshape(3, T, kmax).any(axis=(0, 2))):
                 _count_redraw(redraws, t)
-                generate_channels(rngs[t], cfg.d, kmax, out=slots[t])
+                generate_channels(rngs[t], d, kmax, out=slots[t])
 
 
 def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
@@ -317,7 +314,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     postfilters and rates take one stacked call each.
     """
     kmax = max(ks)
-    ch, metrics = _oia_drops(cfg, kmax, rngs, redraws)
+    ch, metrics = _oia_drops(cfg.d, kmax, rngs, redraws)
     thresholds = [design_threshold(_optimal_method(cfg.d), K, cfg.d) for K in ks]
     selected, eligible = select_one_bit_rows(metrics, ks, thresholds, rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
@@ -328,7 +325,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     users, outage, counts = (np.stack(c, axis=-1) for c in zip(*served))
     users += (kmax * np.arange(len(rngs)))[:, None, None, None]
     links = served_links(ch, np.arange(3)[:, None], users)
-    U = postfilter(interference_covariance(links), cfg.d)
+    U = postfilter(interference_covariance(links))
     rate = user_rate(links, U, P)
     per_cell = np.stack([rate, outage, counts], axis=-1)
     # summed over the cells in cell order, as a scalar running sum would
@@ -404,6 +401,8 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     trial_indices = list(trial_indices)
     if not trial_indices:
         raise ConfigError("run_trials needs at least one trial index")
+    if float(snr_db) not in cfg.snr_db_grid:
+        raise ConfigError(f"snr_db {snr_db} is not on the grid {cfg.snr_db_grid}")
     point = cfg.snr_db_grid.index(float(snr_db))
     P = 10.0 ** (float(snr_db) / 10.0)
     ks = cfg.k_values[point]
@@ -706,12 +705,13 @@ def write_csv(path: str, rows: list) -> None:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Produce all rows of one experiment and write them to cfg.output_path.
 
-    workers must be at least 1; more than the CPUs this process may run on
-    (os.sched_getaffinity where it exists, else os.cpu_count()) are capped
-    there.
+    workers must be an integer of at least 1; more than the CPUs this
+    process may run on (os.sched_getaffinity where it exists, else
+    os.cpu_count()) are capped there.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+            or workers < 1):
+        raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:

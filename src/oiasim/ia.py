@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import interferer_indices
+from .channel import _check_power, interferer_indices
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from .grassmann import _DRAW_BLOCK, ManifoldParams, quantization_bound
 
@@ -138,8 +138,10 @@ def ia_link_rates(ch, sol: IaSolution, P: float) -> np.ndarray:
     on channels ch; sol and ch broadcast over their leading axes.
 
     Treats residual interference as noise: receiver i gets
-    log2(1 + P|u^H H_ii v_i|^2 / (1 + P sum_{j != i} |u^H H_ij v_j|^2)).
+    log2(1 + P|u^H H_ii v_i|^2 / (1 + P sum_{j != i} |u^H H_ij v_j|^2)),
+    at a power P that is finite and > 0.
     """
+    _check_power(P)
     H = _as_drops(ch)
     x = (H @ sol.precoders[..., None, :, :, None])[..., 0]    # H_ij v_j
     g = _vdot(sol.receive_filters[..., :, None, :], x)

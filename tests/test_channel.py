@@ -29,7 +29,7 @@ def _engineered(fill):
 
 def _rate(links, P):
     """Rate of served links behind their postfilter, at power P."""
-    return user_rate(links, postfilter(interference_covariance(links), links.shape[-1]), P)
+    return user_rate(links, postfilter(interference_covariance(links)), P)
 
 
 def test_generate_channels_derives_antenna_counts():
@@ -70,10 +70,10 @@ def test_channel_set_shape_checked():
             ChannelSet(h=np.zeros(shape, dtype=complex))
 
 
-@pytest.mark.parametrize("P", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("P", [0.0, -1.0, float("nan"), float("inf")])
 def test_user_rate_refuses_nonpositive_power(P):
     links = served_links(generate_channels(np.random.default_rng(1), d=1, K=1), 0, 0)
-    U = postfilter(interference_covariance(links), 1)
+    U = postfilter(interference_covariance(links))
     with pytest.raises(ShapeMismatch):
         user_rate(links, U, P)
 
@@ -159,10 +159,11 @@ def test_user_metric_identical_and_orthogonal_interference():
 @pytest.mark.parametrize("d", [1, 2])
 def test_cell_metrics_matches_user_metric(d):
     ch = generate_channels(np.random.default_rng(100 + d), d, 40)
+    batch = cell_metrics(ch)
+    assert batch.shape == (3, 40)
     for i in range(3):
-        batch = cell_metrics(ch, i)
         single = np.array([user_metric(ch, i, k) for k in range(40)])
-        np.testing.assert_allclose(batch, single, atol=1e-10)
+        np.testing.assert_allclose(batch[i], single, atol=1e-10)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -170,23 +171,24 @@ def test_cell_metrics_layout_independent(d):
     ch = generate_channels(np.random.default_rng(200 + d), d, 25)
     fortran = ChannelSet(h=np.asfortranarray(ch.h))
     assert not fortran.h.flags.c_contiguous
-    for i in range(3):
-        assert np.array_equal(cell_metrics(fortran, i), cell_metrics(ch, i))
+    assert np.array_equal(cell_metrics(fortran), cell_metrics(ch))
 
 
+@pytest.mark.filterwarnings("error")
 def test_cell_metrics_zero_interference_column_d1():
     ch = generate_channels(np.random.default_rng(11), d=1, K=4)
     h = ch.h.copy()
     p, _ = interferer_indices(1)
     h[1, p, 2] = 0.0
-    with pytest.raises(DegenerateChannel):
-        cell_metrics(ChannelSet(h=h), 1)
+    with pytest.raises(DegenerateChannel) as exc:
+        cell_metrics(ChannelSet(h=h))
+    assert np.argwhere(exc.value.where).tolist() == [[1, 2]]
 
 
 def test_cell_metrics_empirical_distribution_d1():
     # d = 1 metric is uniform on [0, 1]
     ch = generate_channels(np.random.default_rng(7), d=1, K=10 ** 5)
-    m = np.sort(cell_metrics(ch, 0))
+    m = np.sort(cell_metrics(ch)[0])
     sup = np.max(np.abs(np.arange(1, m.size + 1) / m.size - m))
     assert sup < 0.01
 
@@ -212,7 +214,7 @@ def test_interference_covariance_examples():
 
 
 def test_postfilter_smallest_eigenvector():
-    U = postfilter(np.diag([3.0, 1.0]).astype(complex), 1)
+    U = postfilter(np.diag([3.0, 1.0]).astype(complex))
     assert abs(abs(U[1, 0]) - 1.0) < 1e-12
     assert abs(U[0, 0]) < 1e-12
 
@@ -222,7 +224,7 @@ def test_postfilter_captures_null_space():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     R = a @ a.conj().T
-    U = postfilter(R, 2)
+    U = postfilter(R)
     assert np.linalg.norm(U.conj().T @ R @ U) < 1e-9
 
 
@@ -230,7 +232,7 @@ def test_postfilter_diagonalizes_and_attains_smallest_eigenvalues():
     rng = np.random.default_rng(10)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     R = g @ g.conj().T
-    U = postfilter(R, 2)
+    U = postfilter(R)
     out = U.conj().T @ R @ U
     assert np.linalg.norm(out - np.diag(np.diag(out))) < 1e-9
     w = np.linalg.eigvalsh(R)
@@ -241,7 +243,7 @@ def test_postfilter_optimal_among_random_filters():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     R = g @ g.conj().T
-    best = np.trace(postfilter(R, 2).conj().T @ R @ postfilter(R, 2)).real
+    best = np.trace(postfilter(R).conj().T @ R @ postfilter(R)).real
     for _ in range(100):
         m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         U = np.linalg.qr(m)[0]
@@ -265,7 +267,7 @@ def test_user_rate_point_to_point_reduction():
 def test_user_rate_vanishes_at_zero_power():
     ch = generate_channels(np.random.default_rng(13), d=1, K=1)
     links = served_links(ch, 0, 0)
-    U = postfilter(interference_covariance(links), 1)
+    U = postfilter(interference_covariance(links))
     assert user_rate(links, U, 1e-9) < 1e-7
 
 
@@ -282,7 +284,7 @@ def test_user_rate_decomposition_identity():
     for _ in range(1000):
         ch = generate_channels(rng, d=1, K=1)
         links = served_links(ch, 0, 0)
-        U = postfilter(interference_covariance(links), 1)
+        U = postfilter(interference_covariance(links))
         # the docstring's rate log2 det(I + A (B + I)^{-1}) in one log-det
         G = [U.conj().T @ ch.h[0, j, 0] for j in range(3)]
         A = 10.0 * (G[0] @ G[0].conj().T)
@@ -311,7 +313,7 @@ def test_user_rate_loss_vanishes_with_aligned_interference():
     ch = _engineered(fill)
     assert user_metric(ch, 0, 0) < 1e-6
     links = served_links(ch, 0, 0)
-    U = postfilter(interference_covariance(links), 1)
+    U = postfilter(interference_covariance(links))
     g = U.conj().T @ ch.h[0, 0, 0]
     free = np.log2(np.linalg.det(np.eye(1) + 100.0 * (g @ g.conj().T)).real)
     assert abs(user_rate(links, U, 100.0) - free) < 0.01
@@ -341,9 +343,9 @@ def test_cell_metrics_match_householder_qr(d, fortran):
     ch = generate_channels(np.random.default_rng(300 + d), d, 60)
     if fortran:
         ch = ChannelSet(h=np.asfortranarray(ch.h))
+    m = cell_metrics(ch)
     for i in range(3):
-        np.testing.assert_allclose(cell_metrics(ch, i), _qr_metrics(ch, i),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(m[i], _qr_metrics(ch, i), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("link", [0, 1])
@@ -353,18 +355,18 @@ def test_cell_metrics_rank_deficient_column(d, link):
     h = ch.h.copy()
     j = interferer_indices(2)[link]
     h[2, j, 5, :, 1] = (0.3 - 1.7j) * h[2, j, 5, :, 0]
-    bad = ChannelSet(h=h)
-    with pytest.raises(DegenerateChannel):
-        cell_metrics(bad, 2)
+    with pytest.raises(DegenerateChannel) as exc:
+        cell_metrics(ChannelSet(h=h))
     # the other cells do not see that link
-    cell_metrics(bad, 0)
-    cell_metrics(bad, 1)
+    assert np.argwhere(exc.value.where).tolist() == [[2, 5]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.filterwarnings("error")
 def test_cell_metrics_degenerate_mask_marks_only_those_users(d):
     # a zero interference channel (d = 1) or a zero first column (d > 1),
-    # and, for d > 1, a rank-deficient one: `where` marks just those users
+    # and, for d > 1, a rank-deficient one: `where` marks just those users,
+    # and their meaningless metrics raise no warning
     h = generate_channels(np.random.default_rng(450 + d), d, 12).h.copy()
     p, q = interferer_indices(0)
     h[0, p, 3, :, 0] = 0.0
@@ -373,8 +375,9 @@ def test_cell_metrics_degenerate_mask_marks_only_those_users(d):
         h[0, q, 8, :, 1] = (0.3 - 1.7j) * h[0, q, 8, :, 0]
         bad.append(8)
     with pytest.raises(DegenerateChannel) as exc:
-        cell_metrics(ChannelSet(h=h), 0)
-    assert np.flatnonzero(exc.value.where).tolist() == bad
+        cell_metrics(ChannelSet(h=h))
+    assert exc.value.where.shape == (3, 12)
+    assert np.argwhere(exc.value.where).tolist() == [[0, k] for k in bad]
 
 
 def _one_pass_metrics(ch, i):
@@ -416,27 +419,30 @@ def test_cell_metrics_blocks_equal_one_pass_bit_for_bit(monkeypatch, block, d):
     b = _users_per_block(d)
     for K in (b - 1, b, b + 1, 3 * b + 5):
         ch = generate_channels(np.random.default_rng(K + d), d, K)
+        m = cell_metrics(ch)
         for i in range(3):
-            assert np.array_equal(cell_metrics(ch, i), _one_pass_metrics(ch, i))
+            assert np.array_equal(m[i], _one_pass_metrics(ch, i))
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("planted", [(70,), (70, 190)])
+@pytest.mark.parametrize("planted", [((1, 70),), ((1, 70), (1, 190)),
+                                     ((0, 5), (2, 130), (2, 196))])
 def test_cell_metrics_degenerate_mask_gathered_over_blocks(monkeypatch, d, planted):
-    # 197 users in four blocks of at most 64: users planted in the second
-    # (and last) block are exactly those `where` marks
+    # 197 users per cell in four blocks of at most 64: the (cell, user)
+    # pairs planted in the first, second or last block, of one cell or of
+    # two, are exactly those `where` marks
     monkeypatch.setattr(channel, "_BLOCK_ENTRIES", 64 * 2 * d * d)
     h = generate_channels(np.random.default_rng(460 + d), d, 197).h.copy()
-    p, q = interferer_indices(1)
-    for k in planted:
+    for i, k in planted:
+        p, q = interferer_indices(i)
         if d == 1:
-            h[1, q, k] = 0.0
+            h[i, q, k] = 0.0
         else:
-            h[1, p, k, :, 1] = (0.3 - 1.7j) * h[1, p, k, :, 0]
+            h[i, p, k, :, 1] = (0.3 - 1.7j) * h[i, p, k, :, 0]
     with pytest.raises(DegenerateChannel) as exc:
-        cell_metrics(ChannelSet(h=h), 1)
-    assert exc.value.where.shape == (197,)
-    assert np.flatnonzero(exc.value.where).tolist() == list(planted)
+        cell_metrics(ChannelSet(h=h))
+    assert exc.value.where.shape == (3, 197)
+    assert np.argwhere(exc.value.where).tolist() == [list(ik) for ik in planted]
 
 
 def _traced_peak(fn):
@@ -461,13 +467,13 @@ def test_generate_channels_draws_through_a_small_buffer():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_cell_metrics_working_set_does_not_grow_with_k(d):
-    # beyond its (K,) result, one call needs what one block of users needs,
-    # at 3 and at 9 blocks alike
+    # beyond its (3, K) result, one call needs what one block of users
+    # needs, at 3 and at 9 blocks per cell alike
     b = _users_per_block(d)
     extra = []
     for K in (3 * b, 9 * b):
         ch = generate_channels(np.random.default_rng(470 + d), d, K)
-        peak, m = _traced_peak(lambda: cell_metrics(ch, 0))
+        peak, m = _traced_peak(lambda: cell_metrics(ch))
         extra.append(peak - m.nbytes)
     assert extra[1] <= 1.2 * extra[0]
 
@@ -481,7 +487,7 @@ def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
     users = rng.integers(30, size=21)
     links = served_links(ch, cells, users)
     R = interference_covariance(links)
-    U = postfilter(R, d)
+    U = postfilter(R)
     rate = user_rate(links, U, P)
     assert links.shape == (21, 3, 2 * d, d)
     assert U.shape == (21, 2 * d, d)
@@ -492,7 +498,7 @@ def test_stacked_rate_path_equals_scalar_calls_bit_for_bit(d):
         for j, tx in enumerate((i, *interferer_indices(i))):
             assert np.array_equal(links1[j], ch.h[i, tx, k])
         R1 = interference_covariance(links1)
-        U1 = postfilter(R1, d)
+        U1 = postfilter(R1)
         assert np.array_equal(R[n], R1)
         assert np.array_equal(U[n], U1)
         assert rate[n] == user_rate(links1, U1, P)
@@ -535,7 +541,7 @@ def _replay_trial(cfg, snr_db, t):
     ks = (math.ceil(P),) if kind == "ceil_P" else fixed
     rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
     ch = generate_channels(rng, cfg.d, max(ks))
-    metrics = [cell_metrics(ch, i) for i in range(3)]
+    metrics = cell_metrics(ch)
     served = {}             # key -> [(cell, user, outage, eligible count)]
     for K in ks:
         for i in range(3):

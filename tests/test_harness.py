@@ -289,6 +289,14 @@ def test_run_trial_unknown_experiment():
         run_trial(cfg, 30.0, 0)
 
 
+def test_run_trials_refuse_snr_off_the_grid():
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "0,10"})
+    for run in (lambda: run_trials(cfg, 5.0, range(2)), lambda: run_trial(cfg, 5.0, 0)):
+        with pytest.raises(ConfigError,
+                           match=r"snr_db 5.0 is not on the grid \(0.0, 10.0\)"):
+            run()
+
+
 def _drop_bytes(cfg, snr_db):
     """Bytes of one channel drop at an SNR point, as chunks count them."""
     kmax = max(cfg.k_values[cfg.snr_db_grid.index(snr_db)])
@@ -487,6 +495,18 @@ def test_run_experiment_rejects_workers_below_one(tmp_path, workers):
                        "output_path": str(tmp_path / "x.csv")})
     with pytest.raises(ConfigError):
         run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, "2", True])
+def test_run_experiment_rejects_workers_not_an_integer(tmp_path, workers):
+    # as the config's int fields do: 1.5 and 2.0 failed in range(), "2" in
+    # the comparison with 1, and True ran as one worker
+    out = tmp_path / "x.csv"
+    cfg = make_config("fig2_sumrate_d1",
+                      {"trials": "2", "snr_db_grid": "0", "output_path": str(out)})
+    with pytest.raises(ConfigError, match="workers"):
+        run_experiment(cfg, workers=workers)
+    assert not out.exists()
 
 
 def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):

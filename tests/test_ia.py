@@ -79,6 +79,14 @@ def test_closed_form_ia_rates_positive():
     assert ia_sum_rate(ch, sol, 100.0) == pytest.approx(sum(rates), rel=1e-12)
 
 
+@pytest.mark.parametrize("P", [-1.0, 0.0, float("inf"), float("nan")])
+def test_ia_link_rates_refuse_power_not_finite_and_positive(P):
+    # the rule user_rate keeps; these powers gave negative, zero or NaN rates
+    ch = _draw(np.random.default_rng(44))
+    with pytest.raises(ShapeMismatch):
+        ia_link_rates(ch, closed_form_ia(ch), P)
+
+
 def test_closed_form_ia_degenerate_cross_channel():
     rng = np.random.default_rng(45)
     ch = np.array(_draw(rng))
