@@ -246,6 +246,8 @@ def parse_k_rule(rule: str):
 
 
 def _check_threshold_method(method: str, d: int) -> None:
+    if method not in THRESHOLD_METHODS:
+        raise ConfigError(f"unknown threshold method {method!r}")
     if method == "closed_form_d1" and d != 1:
         raise ConfigError("closed_form_d1 threshold requires d=1")
     if d > _MAX_DESIGN_D:
@@ -361,17 +363,15 @@ def _trial_fig2(cfg, P, ks, rngs, redraws):
 
 
 def _trial_fig6(cfg, P, bit_values, rngs, redraws):
-    """Each trial quantizes every bit budget first, in ascending order; IA
-    and its rates then take one stacked call each. Budgets whose solve is
-    degenerate are quantized again, after all the others of their trial."""
+    """Every trial draws its IA channels, then each bit budget, ascending,
+    quantizes the whole chunk in one call; IA and its rates take one stacked
+    call each. A degenerate budget is quantized again, alone, after the
+    others of its trial."""
     keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws)
     modes = ["rvq" if b <= _RVQ_BIT_LIMIT else "perturbation" for b in bit_values]
-    ch2 = np.empty((len(rngs), 3, 3, 2, 2), dtype=complex)
-    quantized = np.empty((len(rngs), len(bit_values), 3, 3, 2, 2), dtype=complex)
-    for t, rng in enumerate(rngs):
-        ch2[t] = _draw_ia_channels(rng)
-        for n, (b, mode) in enumerate(zip(bit_values, modes)):
-            quantized[t, n] = quantized_channel_set(ch2[t], b, mode, rng)
+    ch2 = np.stack([_draw_ia_channels(rng) for rng in rngs])
+    quantized = np.stack([quantized_channel_set(ch2, b, mode, rngs)
+                          for b, mode in zip(bit_values, modes)], axis=1)
     while True:
         try:
             sol = closed_form_ia(quantized)
@@ -401,6 +401,9 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     trial_indices = list(trial_indices)
     if not trial_indices:
         raise ConfigError("run_trials needs at least one trial index")
+    for t in trial_indices:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
+            raise ConfigError(f"trial indices must be non-negative integers, got {t!r}")
     if float(snr_db) not in cfg.snr_db_grid:
         raise ConfigError(f"snr_db {snr_db} is not on the grid {cfg.snr_db_grid}")
     point = cfg.snr_db_grid.index(float(snr_db))
@@ -631,7 +634,7 @@ def load_config_file(path: str) -> dict:
     ExperimentConfig field names, each set at most once.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -15,15 +15,17 @@ true ones.
 closed_form_ia and ia_link_rates work on stacks of drops, shape
 (..., 3, 3, 2, 2) indexed receiver then transmitter; one drop is the
 one-element case. quantized_channel_set quantizes the six cross links of
-one drop, drawing the RVQ codebooks of consecutive links in blocks of at
-most _DRAW_BLOCK normals (one link at 24 bits, all six at 16 and below).
-Norms and inner products are stacked matmuls of row by column vectors,
-which numpy hands to the same BLAS dot kernels as np.linalg.norm and
-np.vdot, so each result equals the one-vector call bit for bit.
+a drop, or of a stack of drops with one generator each, drawing and
+scoring consecutive links in blocks of at most _DRAW_BLOCK normals, which
+may span drops (one link at 24 bits, 16 at 16 bits). Norms and inner
+products are stacked matmuls of row by column vectors, which numpy hands
+to the same BLAS dot kernels as np.linalg.norm and np.vdot, so each
+result equals the one-vector call bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,39 +161,30 @@ def _perturbation_distortion(bits_per_vector: int, n: int) -> float:
                          0.0, 1.0))
 
 
-def _rvq(w, bits_per_vector: int, rng) -> np.ndarray:
-    """Each row of w quantized against its own 2^bits_per_vector i.i.d.
-    complex Gaussian codewords, drawn link by link, real block before
-    imaginary, and scored in runs of consecutive links whose codebooks
-    hold at most _DRAW_BLOCK normals (at least one link); the stream is
-    that of one draw for all rows. The codeword maximizing
-    |c^H w|^2 / |c|^2 (the first on ties) is normalized; no other is."""
-    n_words, n = 2**bits_per_vector, w.shape[-1]
-    step = max(1, _DRAW_BLOCK // (2 * n_words * n))
-    out = np.empty_like(w)
-    for lo in range(0, len(w), step):
-        wb = w[lo:lo + step]
-        g = rng.standard_normal((len(wb), 2, n_words, n))
-        re, im = g[:, 0], g[:, 1]
-        # real and imaginary part of c^H w for every codeword c = re + i im
-        proj = re @ np.stack([wb.real, wb.imag], axis=-1)
-        proj += im @ np.stack([wb.imag, -wb.real], axis=-1)
-        score = np.einsum("lnc,lnc->ln", proj, proj) / np.einsum("lcnk,lcnk->ln", g, g)
-        links = np.arange(len(wb))
-        best = np.argmax(score, axis=1)
-        c = re[links, best] + 1j * im[links, best]
-        out[lo:lo + step] = c / np.linalg.norm(c, axis=1, keepdims=True)
-    return out
+def _rvq(w, g) -> np.ndarray:
+    """Each row of w quantized against its own codewords c = re + i im,
+    (re, im) = g[row] of shape (2, words, n): the codeword maximizing
+    |c^H w|^2 / |c|^2 (the first on ties) is normalized; no other is. Both
+    squared norms are sums of squares of real numbers."""
+    re, im = g[:, 0], g[:, 1]
+    # real and imaginary part of c^H w for every codeword c = re + i im
+    proj = re @ np.stack([w.real, w.imag], axis=-1)
+    proj += im @ np.stack([w.imag, -w.real], axis=-1)
+    np.square(proj, out=proj)
+    halves = np.square(g) @ np.ones(w.shape[-1])      # |re|^2 and |im|^2
+    score = (proj[..., 0] + proj[..., 1]) / (halves[:, 0] + halves[:, 1])
+    links = np.arange(len(w))
+    best = np.argmax(score, axis=1)
+    c = re[links, best] + 1j * im[links, best]
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-def _perturb(w, bits_per_vector: int, rng) -> np.ndarray:
-    """Statistical stand-in for quantizing each row of w with
-    2^bits_per_vector random codewords: sqrt(1-z) w + sqrt(z) e with e
-    uniform on the unit sphere orthogonal to w and z the clipped rank-1
-    distortion bound, so the squared chordal distance to w is exactly z.
-    A row whose drawn direction has norm <= 1e-12 comes back NaN."""
-    z = _perturbation_distortion(bits_per_vector, w.shape[-1])
-    g = rng.standard_normal((len(w), 2, w.shape[-1]))
+def _perturb(w, g, z: float) -> np.ndarray:
+    """Statistical stand-in for quantizing each row of w with random
+    codewords of distortion z: sqrt(1-z) w + sqrt(z) e with e the unit
+    direction of g[row, 0] + i g[row, 1] orthogonal to w, so the squared
+    chordal distance to w is exactly z. A row whose drawn direction has
+    norm <= 1e-12 comes back NaN."""
     e = g[:, 0] + 1j * g[:, 1]
     e -= w * _vdot(w, e)[:, None]
     norm = _norm(e)[:, None]
@@ -200,33 +193,49 @@ def _perturb(w, bits_per_vector: int, rng) -> np.ndarray:
     return np.sqrt(1.0 - z) * w + np.sqrt(z) * e
 
 
-def quantized_channel_set(ch, bits_total: int, mode: str,
-                          rng: np.random.Generator) -> np.ndarray:
-    """One drop's (3, 3, 2, 2) channels with each cross channel replaced by
-    its de-vectorized quantized direction, scaled back to the true
-    Frobenius norm; direct channels pass through.
+def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
+    """Channels ch, one drop (3, 3, 2, 2) with a Generator rng or a stack
+    (T, 3, 3, 2, 2) with a sequence of T Generators, each cross channel
+    replaced by its de-vectorized quantized direction, scaled back to the
+    true Frobenius norm; direct channels pass through.
 
     Each receiver splits bits_total equally over its two cross channels.
-    mode "rvq" quantizes against fresh random codebooks, "perturbation"
-    uses the statistical error model. The six links draw in receiver
-    order, first interferer (i+1 mod 3) first. A zero cross channel, or a
-    perturbation direction that vanishes, leaves NaN or a zero matrix
-    behind, which closed_form_ia reports as degenerate.
+    mode "rvq" quantizes against fresh random codebooks of 2^(bits_total/2)
+    i.i.d. complex Gaussian codewords, "perturbation" uses the statistical
+    error model with the clipped rank-1 distortion bound. Each drop's six
+    links draw from its own generator in receiver order, first interferer
+    (i+1 mod 3) first, so a drop of a stack gets what it gets alone. A zero
+    cross channel, or a perturbation direction that vanishes, leaves NaN
+    or a zero matrix behind, which closed_form_ia reports as degenerate.
     """
     H = _as_drops(ch)
-    if H.ndim != 4:
-        raise ShapeMismatch("quantized_channel_set takes the channels of one drop")
+    drops = H.reshape(-1, 3, 3, 2, 2)
+    rngs = [rng] if H.ndim == 4 else rng
+    if H.ndim > 5 or not isinstance(rngs, (list, tuple)) or len(rngs) != len(drops):
+        raise ShapeMismatch("need one drop and a Generator, or T drops and T Generators")
     if bits_total < 2 or bits_total % 2:
         raise OddBitSplit(
             f"total bits {bits_total} cannot be split equally over two vectors")
-    quantizer = {"rvq": _rvq, "perturbation": _perturb}.get(mode)
-    if quantizer is None:
+    if mode == "rvq":
+        shape, quantize = (2, 2 ** (bits_total // 2), 4), _rvq
+    elif mode == "perturbation":
+        z = _perturbation_distortion(bits_total // 2, 4)
+        shape, quantize = (2, 4), lambda w, g: _perturb(w, g, z)
+    else:
         raise ShapeMismatch(f"unknown feedback mode {mode!r}")
-    cross = H[_RX, _TX]
-    scale = _norm(cross.reshape(6, 4))
-    w = cross.transpose(0, 2, 1).reshape(6, 4)      # column-major vectorization
+    cross = drops[:, _RX, _TX]
+    scale = _norm(cross.reshape(-1, 4))
+    w = cross.transpose(0, 1, 3, 2).reshape(-1, 4)      # column-major vectorization
     with np.errstate(divide="ignore", invalid="ignore"):
         w = w / _norm(w)[:, None]
-    wq = quantizer(w, bits_total // 2, rng) * scale[:, None]
-    H[_RX, _TX] = wq.reshape(6, 2, 2).transpose(0, 2, 1)
+    # blocks of at most _DRAW_BLOCK normals (at least one link) that may
+    # span drops, each drop's part drawn by its own generator
+    wq = np.empty_like(w)
+    step = max(1, _DRAW_BLOCK // math.prod(shape))
+    for lo in range(0, len(w), step):
+        hi = min(lo + step, len(w))
+        g = [rngs[t].standard_normal((min(hi, 6 * t + 6) - max(lo, 6 * t),) + shape)
+             for t in range(lo // 6, (hi + 5) // 6)]
+        wq[lo:hi] = quantize(w[lo:hi], g[0] if len(g) == 1 else np.concatenate(g))
+    drops[:, _RX, _TX] = (wq * scale[:, None]).reshape(-1, 6, 2, 2).transpose(0, 1, 3, 2)
     return H

@@ -4,7 +4,8 @@ One 2x2 matrix, one 4-vector and one receiver at a time: closed-form IA,
 its link rates, and per-link quantization against an explicit random
 codebook or through the perturbation model, each drawn from the rng in
 the order the stacked kernels in oiasim.ia must reproduce. Also the
-one-drop sum rates of the stacked kernels that only tests use.
+one-drop sum rates of the stacked kernels that only tests use, and the
+einsum codeword score that the RVQ kernel's score must agree with.
 """
 
 from collections import namedtuple
@@ -143,6 +144,17 @@ def quantize_individual(W: AggregatedChannel, bits: int, rng):
         index.append(int(np.argmin(d)))
         out.append(cb[index[-1]])
     return tuple(index), AggregatedChannel(w1=out[0], w2=out[1])
+
+
+def rvq_pick_einsum(g, w) -> np.ndarray:
+    """Index, for each link l, of the codeword c = g[l, 0, k] + 1j g[l, 1, k]
+    maximizing |c^H w[l]|^2 / |c|^2 (the first on ties), both squared norms
+    as einsum reductions: the reference for oiasim.ia._rvq's score."""
+    re, im = g[:, 0], g[:, 1]
+    proj = re @ np.stack([w.real, w.imag], axis=-1)
+    proj += im @ np.stack([w.imag, -w.real], axis=-1)
+    score = np.einsum("lnc,lnc->ln", proj, proj) / np.einsum("lcnk,lcnk->ln", g, g)
+    return np.argmax(score, axis=1)
 
 
 def perturb_quantization_model(w, bits_per_vector: int, rng) -> np.ndarray:

@@ -101,6 +101,9 @@ def test_load_config_file(tmp_path):
     path.write_text("trials = soon\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         make_config("fig2_sumrate_d1", load_config_file(str(path)))
+    # a byte-order mark, as some editors save UTF-8, is not part of a key
+    path.write_text("trials = 10\nseed=99\n", encoding="utf-8-sig")
+    assert load_config_file(str(path)) == {"trials": "10", "seed": "99"}
 
 
 def test_experiment_config_validation():
@@ -224,6 +227,8 @@ def test_threshold_value_dispatch():
     # the closed form exists at d = 1 only, and the dispatch says so
     with pytest.raises(ConfigError):
         harness.design_threshold("closed_form_d1", 50, 2)
+    with pytest.raises(ConfigError, match="unknown threshold method 'bogus'"):
+        harness.design_threshold("bogus", 10, 2)
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -289,6 +294,19 @@ def test_run_trial_unknown_experiment():
         run_trial(cfg, 30.0, 0)
 
 
+def test_run_trials_refuse_bad_trial_indices(monkeypatch):
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "10"})
+    draws = _spoil(monkeypatch, "generate_channels", 0, lambda t, args: False,
+                   lambda drop: None)
+    for bad in ([-1], [0, 1.5], [True], ["2"], [0, np.int64(-3)]):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            run_trials(cfg, 10.0, bad)
+    with pytest.raises(ConfigError, match="non-negative integers"):
+        run_trial(cfg, 10.0, -1)
+    assert draws == []
+    assert run_trials(cfg, 10.0, [np.int64(2)]).rows.shape[0] == 1
+
+
 def test_run_trials_refuse_snr_off_the_grid():
     cfg = make_config("fig3_eligible_users", {"snr_db_grid": "0,10"})
     for run in (lambda: run_trials(cfg, 5.0, range(2)), lambda: run_trial(cfg, 5.0, 0)):
@@ -331,18 +349,22 @@ def _trial_of(rng):
 
 
 def _spoil(monkeypatch, name, rng_arg, hit, spoil):
-    """Wrap harness.<name> so that spoil(result) runs on the calls for which
-    hit(trial, args) holds; returns the list of the trials of all calls, in
-    call order."""
+    """Wrap harness.<name> so that spoil(drop) runs on each drop of a call
+    for which hit(trial, args) holds; a call takes one generator and makes
+    one drop, or a list of generators and a stack of their drops. Returns
+    the trials of all drops, in call order."""
     real = getattr(harness, name)
     calls = []
 
     def spoiled(*args, **kwargs):
         out = real(*args, **kwargs)
-        t = _trial_of(args[rng_arg])
-        if hit(t, args):
-            spoil(out)
-        calls.append(t)
+        one = isinstance(args[rng_arg], np.random.Generator)
+        for rng, drop in zip([args[rng_arg]] if one else args[rng_arg],
+                             [out] if one else out):
+            t = _trial_of(rng)
+            if hit(t, args):
+                spoil(drop)
+            calls.append(t)
         return out
 
     monkeypatch.setattr(harness, name, spoiled)

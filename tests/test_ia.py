@@ -270,41 +270,104 @@ def test_quantization_kernel_matches_per_link_oracle(bits):
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("block, links", [
-    (4 * 256, [4, 2]), (5 * 256 - 1, [4, 2]), (256, [1] * 6), (1, [1] * 6)])
-def test_rvq_blocks_draw_the_per_link_stream(monkeypatch, block, links):
+@pytest.mark.parametrize("bits", [10, 16, 24, 28, 40])
+def test_stacked_quantization_equals_per_drop_calls(bits):
+    # five drops in one call, each with its own generator: at 16 bits a
+    # block holds 16 links, so blocks cross drops; every drop, and every
+    # generator's position, is that of its one-drop call
+    mode = "rvq" if bits <= 24 else "perturbation"
+    for seed in range(3):
+        drops = complex_normal(np.random.default_rng(seed), (5, 3, 3, 2, 2), INV_SQRT2)
+        rngs = [np.random.default_rng([seed, bits, t]) for t in range(5)]
+        refs = [np.random.default_rng([seed, bits, t]) for t in range(5)]
+        q = quantized_channel_set(drops, bits, mode, rngs)
+        assert q.shape == drops.shape
+        for t in range(5):
+            assert np.array_equal(q[t], quantized_channel_set(drops[t], bits, mode, refs[t]))
+            assert rngs[t].random() == refs[t].random()
+
+
+def test_stacked_quantization_needs_one_generator_per_drop():
+    drops = complex_normal(np.random.default_rng(62), (3, 3, 3, 2, 2), INV_SQRT2)
+    rng = np.random.default_rng(63)
+    for rngs in (rng, [rng] * 2, [rng] * 4):
+        with pytest.raises(ShapeMismatch):
+            quantized_channel_set(drops, 10, "rvq", rngs)
+    with pytest.raises(ShapeMismatch):
+        quantized_channel_set(drops[None], 10, "rvq", [[rng] * 3])
+
+
+def test_rvq_score_picks_the_einsum_scores_codeword():
+    # 3,000 links (500 drops) at 12 bits per vector: each codeword is the
+    # one that the reference einsum score picks from the same normals
+    rng = np.random.default_rng(64)
+    links = np.arange(6)
+    for _ in range(500):
+        w = complex_normal(rng, (6, 4))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        g = rng.standard_normal((6, 2, 4096, 4))
+        best = ia_oracle.rvq_pick_einsum(g, w)
+        c = g[links, 0, best] + 1j * g[links, 1, best]
+        assert np.array_equal(ia._rvq(w, g), c / np.linalg.norm(c, axis=1, keepdims=True))
+
+
+class RecordingDraw:
+    """A generator's standard_normal, recording (drop, links) per call."""
+
+    def __init__(self, drawn, drop, rng):
+        self.drawn, self.drop, self.rng = drawn, drop, rng
+
+    def standard_normal(self, shape):
+        self.drawn.append((self.drop, shape[0]))
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("block, links, stacked", [
+    pytest.param(4 * 256, [4, 2], [(0, 4), (0, 2), (1, 2), (1, 4)], id="1024-links0"),
+    pytest.param(5 * 256 - 1, [4, 2], [(0, 4), (0, 2), (1, 2), (1, 4)], id="1279-links1"),
+    pytest.param(256, [1] * 6, [(0, 1)] * 6 + [(1, 1)] * 6, id="256-links2"),
+    pytest.param(1, [1] * 6, [(0, 1)] * 6 + [(1, 1)] * 6, id="1-links3")])
+def test_rvq_blocks_draw_the_per_link_stream(monkeypatch, block, links, stacked):
     # at 10 bits a link's codebook holds 2 * 32 * 4 = 256 normals; each
-    # block of links gives the oracle's codewords and rng position
+    # block of links gives the oracle's codewords and rng position, alone
+    # and in a stack of two drops, where a block may span both
     monkeypatch.setattr(ia, "_DRAW_BLOCK", block)
     for seed in range(4):
         ch = _draw(np.random.default_rng(seed))
         rng, ref_rng = np.random.default_rng([seed, 10]), np.random.default_rng([seed, 10])
         drawn = []
-
-        class RecordingDraw:
-            def standard_normal(self, shape):
-                drawn.append(shape[0])
-                return rng.standard_normal(shape)
-
-        q = quantized_channel_set(ch, 10, "rvq", RecordingDraw())
+        q = quantized_channel_set(ch, 10, "rvq", RecordingDraw(drawn, 0, rng))
         ref, _ = ia_oracle.quantized_channel_set(ch, 10, "rvq", ref_rng)
-        assert drawn == links
+        assert [n for _, n in drawn] == links
         assert np.array_equal(q, ref)
         assert rng.random() == ref_rng.random()
+
+        drops = np.stack([ch, _draw(np.random.default_rng(seed + 10))])
+        rngs = [np.random.default_rng([seed, 10, t]) for t in range(2)]
+        drawn = []
+        q = quantized_channel_set(drops, 10, "rvq",
+                                  [RecordingDraw(drawn, t, r) for t, r in enumerate(rngs)])
+        assert drawn == stacked
+        for t, rng in enumerate(rngs):
+            ref_rng = np.random.default_rng([seed, 10, t])
+            ref, _ = ia_oracle.quantized_channel_set(drops[t], 10, "rvq", ref_rng)
+            assert np.array_equal(q[t], ref)
+            assert rng.random() == ref_rng.random()
 
 
 def test_rvq_at_24_bits_holds_one_link_codebook():
     # one link's 2 * 4096 * 4 normals are 256 KiB; all six links drawn at
-    # once peaked at 2.6 MB
-    ch = _draw(np.random.default_rng(60))
-    rng = np.random.default_rng(61)
-    tracemalloc.start()
-    try:
-        quantized_channel_set(ch, 24, "rvq", rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    # once peaked at 2.6 MB. A stack of 8 drops holds no more
+    drops = complex_normal(np.random.default_rng(60), (8, 3, 3, 2, 2), INV_SQRT2)
+    rngs = [np.random.default_rng([61, t]) for t in range(8)]
+    for ch, rng in ((drops[0], rngs[0]), (drops, rngs)):
+        tracemalloc.start()
+        try:
+            quantized_channel_set(ch, 24, "rvq", rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_perturbation_model_hits_exact_distortion():
@@ -486,6 +549,15 @@ def test_vanishing_perturbation_direction_is_degenerate():
     assert np.isfinite(np.delete(q.reshape(9, 4), 3, axis=0)).all()
     with pytest.raises(DegenerateChannel):
         closed_form_ia(q)
+    # in a stack, only the drop whose generator drew it is degenerate
+    other = _draw(np.random.default_rng(49))
+    q = quantized_channel_set(np.stack([other, ch]), 40, "perturbation",
+                              [np.random.default_rng(50), ParallelDraw()])
+    assert np.isnan(q[1, 1, 0]).all()
+    assert np.isfinite(np.delete(q.reshape(18, 4), 12, axis=0)).all()
+    with pytest.raises(DegenerateChannel) as info:
+        closed_form_ia(q)
+    assert info.value.where.tolist() == [False, True]
 
 
 @pytest.mark.parametrize("zero_link", [False, True])
@@ -503,7 +575,8 @@ def test_fig6_trial_redraws_only_the_degenerate_budget(monkeypatch, zero_link):
         q = real(ch, bits, mode, rng)
         calls.append(bits)
         if bits == 16 and calls.count(16) % 2:       # the first of each trial
-            q[2, 0] = 0.0 if zero_link else [[1.0, 1.0], [2.0, 2.0]]
+            # one drop, or the stack of the chunk's one trial
+            q[..., 2, 0, :, :] = 0.0 if zero_link else [[1.0, 1.0], [2.0, 2.0]]
         return q
 
     monkeypatch.setattr(harness, "quantized_channel_set", spoiled)
@@ -528,7 +601,7 @@ def test_fig6_trial_gives_up_on_a_budget_that_stays_degenerate(monkeypatch):
         q = real(ch, bits, mode, rng)
         calls.append(bits)
         if bits == 16:
-            q[0, 1] = [[1.0, 1.0], [1.0, 1.0]]
+            q[..., 0, 1, :, :] = [[1.0, 1.0], [1.0, 1.0]]
         return q
 
     monkeypatch.setattr(harness, "quantized_channel_set", always_rank_one)
