@@ -15,9 +15,7 @@ from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,
                      OddBitSplit, OiaSimError, ShapeMismatch, TooFewUsers,
                      UnknownExperiment)
-from .grassmann import (ManifoldParams, Subspace, ball_volume,
-                        chordal_distance_sq, metric_cdf, orthonormal_basis,
-                        quantization_bound, sample_uniform_subspace)
+from .grassmann import ManifoldParams, ball_volume, metric_cdf, quantization_bound
 from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
                       make_config, run_experiment, run_trial, run_trials,
                       write_csv)

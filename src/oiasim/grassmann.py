@@ -1,10 +1,10 @@
-"""Subspace geometry on the complex Grassmannian manifold G(n, d).
+"""Constants and draws on the complex Grassmannian manifold G(n, d).
 
-Provides orthonormal bases, the squared chordal distance, the ball-volume
-constant that normalizes the small-ball CDF of the squared chordal distance
-to a uniformly random subspace, the resulting metric CDF, the random-codebook
-quantization distortion bound, Haar-uniform subspace sampling, and the
-complex normal draw that it, the channel drops and the codebooks share.
+Provides the ball-volume constant that normalizes the small-ball CDF of
+the squared chordal distance to a uniformly random subspace, the resulting
+metric CDF, the random-codebook quantization distortion bound, and the
+complex normal draw that the channel drops and the codebooks share. The
+metric itself, for every user of a drop, is channel.cell_metrics.
 
 The squared chordal distance between subspaces with orthonormal bases A and B
 is d_c^2(A, B) = (1/2) * ||A A^H - B B^H||_F^2 = d - ||A^H B||_F^2.
@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateChannel, ShapeMismatch
+from .errors import ShapeMismatch
 
-# Relative singular-value cutoff below which a matrix is treated as rank
-# deficient. Such draws are measure-zero under the channel law and are
-# redrawn by the caller, never repaired.
+# A matrix is treated as rank deficient when the smallest |R_jj| of its QR
+# factorization, the column norms after projection in
+# channel._orthonormalize_columns, is at most RANK_RTOL times the largest.
+# Such draws are measure-zero under the channel law and are redrawn by the
+# caller, never repaired.
 RANK_RTOL = 1e-12
-
-_ORTHO_TOL = 1e-10
 
 # fl(1/sqrt(2)), the scale of a unit-variance complex normal
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -40,40 +40,6 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # on a 2-CPU Xeon, blocks of 8192 drew d = 1 drops of K = 10^3-10^4 users
 # 2-3% slower than one pass, blocks of this size as fast
 _DRAW_BLOCK = 32768
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A d-dimensional subspace of complex n-space, stored as an
-    orthonormal basis.
-
-    Attributes
-    ----------
-    basis : ndarray, shape (n, d)
-        Complex matrix with orthonormal columns spanning the subspace.
-    """
-
-    basis: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.ndim == 1:
-            b = b[:, None]
-        object.__setattr__(self, "basis", b)
-        n, d = b.shape
-        if not 1 <= d <= n:
-            raise ShapeMismatch(f"need 1 <= d <= n, got shape ({n}, {d})")
-        gram = b.conj().T @ b
-        if np.linalg.norm(gram - np.eye(d)) > _ORTHO_TOL:
-            raise ShapeMismatch("basis columns are not orthonormal")
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -86,7 +52,7 @@ class ManifoldParams:
         Ambient dimension (receive antennas for selection metrics,
         nr * nt for vectorized-channel quantization).
     d : int
-        Subspace dimension.
+        Dimension of the subspaces.
     c : float
         Ball-volume constant c_{n,d}.
     exponent : int
@@ -131,43 +97,6 @@ def ball_volume(n: int, d: int) -> float:
     for i in range(1, d + 1):
         log_c += gammaln(n - i + 1) - gammaln(d - i + 1)
     return float(np.exp(log_c))
-
-
-def orthonormal_basis(M: np.ndarray) -> Subspace:
-    """Orthonormal basis of the column space of M.
-
-    Parameters
-    ----------
-    M : ndarray, shape (n, d)
-        Full-column-rank complex matrix.
-
-    Raises
-    ------
-    DegenerateChannel
-        If the smallest singular value is below RANK_RTOL times the largest.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim == 1:
-        M = M[:, None]
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise DegenerateChannel("rank-deficient channel matrix")
-    q, _ = np.linalg.qr(M)
-    return Subspace(q)
-
-
-def chordal_distance_sq(A: Subspace, B: Subspace) -> float:
-    """Squared chordal distance d_c^2(A, B) = d - ||A^H B||_F^2.
-
-    Equals (1/2) * ||A A^H - B B^H||_F^2; returns a value in [0, d].
-    """
-    if A.n != B.n or A.d != B.d:
-        raise ShapeMismatch(
-            f"subspaces on different manifolds: ({A.n},{A.d}) vs ({B.n},{B.d})"
-        )
-    inner = A.basis.conj().T @ B.basis
-    val = A.d - np.linalg.norm(inner) ** 2
-    return float(min(max(val, 0.0), A.d))
 
 
 def metric_cdf(x: float, p: ManifoldParams) -> float:
@@ -231,13 +160,3 @@ def _c_order_blocks(a: np.ndarray, n: int) -> list:
         return [a[s:s + run] for s in range(0, len(a), run)]
     return [block for entry in a for block in _c_order_blocks(entry, n)]
 
-
-def sample_uniform_subspace(rng: np.random.Generator, n: int, d: int) -> Subspace:
-    """Draw a Haar-uniform subspace by orthonormalizing an i.i.d. complex
-    Gaussian n-by-d matrix."""
-    while True:
-        g = complex_normal(rng, (n, d), INV_SQRT2)
-        try:
-            return orthonormal_basis(g)
-        except DegenerateChannel:
-            continue

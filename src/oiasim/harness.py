@@ -404,8 +404,8 @@ def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows
     for t in trial_indices:
         if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
             raise ConfigError(f"trial indices must be non-negative integers, got {t!r}")
-    if float(snr_db) not in cfg.snr_db_grid:
-        raise ConfigError(f"snr_db {snr_db} is not on the grid {cfg.snr_db_grid}")
+    if not isinstance(snr_db, numbers.Real) or float(snr_db) not in cfg.snr_db_grid:
+        raise ConfigError(f"snr_db {snr_db!r} is not on the grid {cfg.snr_db_grid}")
     point = cfg.snr_db_grid.index(float(snr_db))
     P = 10.0 ** (float(snr_db) / 10.0)
     ks = cfg.k_values[point]
@@ -706,7 +706,8 @@ def write_csv(path: str, rows: list) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
-    """Produce all rows of one experiment and write them to cfg.output_path.
+    """Produce all rows of one experiment and write them to cfg.output_path,
+    which is refused before anything runs if it names a directory.
 
     workers must be an integer of at least 1; more than the CPUs this
     process may run on (os.sched_getaffinity where it exists, else
@@ -719,6 +720,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
+    if os.path.isdir(cfg.output_path):
+        raise ConfigError(f"output_path {cfg.output_path!r} is a directory")
     rows = EXPERIMENTS[cfg.experiment].runner(cfg, min(workers, cpus))
     write_csv(cfg.output_path, rows)
     return rows

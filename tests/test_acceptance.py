@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from oiasim import (ManifoldParams, closed_form_ia, expected_metric_one_bit,
-                    flops_ia_individual, flops_oia_1bit, lambert_w,
-                    make_config, min_expected_metric_d1, optimal_threshold_d1,
+from oiasim import (ManifoldParams, cell_metrics, closed_form_ia,
+                    expected_metric_one_bit, flops_ia_individual, flops_oia_1bit,
+                    generate_channels, lambert_w, make_config,
+                    min_expected_metric_d1, optimal_threshold_d1,
                     quantization_bound, run_experiment, run_trials,
-                    sample_uniform_subspace, threshold_asymptotic,
-                    threshold_lambert, threshold_numeric)
+                    threshold_asymptotic, threshold_lambert, threshold_numeric)
 from oiasim.channel import interferer_indices
 
 P21 = ManifoldParams(2, 1)
@@ -207,17 +207,18 @@ def test_criterion_08_ia_alignment_and_slope(fig2_run):
 
 
 def test_criterion_09_property_suite():
-    # (a) two forms of the squared chordal distance agree
+    # (a) cell_metrics agrees with the projector form of the squared
+    #     chordal distance, 0.5 ||Qp Qp^H - Qq Qq^H||_F^2, on 600 users
     rng = np.random.default_rng(9011)
     worst_a = 0.0
-    for n, d in ((2, 1), (4, 2)):
-        for _ in range(500):
-            A = sample_uniform_subspace(rng, n, d)
-            B = sample_uniform_subspace(rng, n, d)
-            direct = d - np.linalg.norm(A.basis.conj().T @ B.basis) ** 2
-            proj = 0.5 * np.linalg.norm(
-                A.basis @ A.basis.conj().T - B.basis @ B.basis.conj().T) ** 2
-            worst_a = max(worst_a, abs(direct - proj))
+    for d in (1, 2):
+        ch = generate_channels(rng, d, 200)
+        m = cell_metrics(ch)
+        for i in range(3):
+            Q = [np.linalg.qr(ch.h[i, j])[0] for j in interferer_indices(i)]
+            Pp, Pq = (q @ q.conj().swapaxes(1, 2) for q in Q)
+            proj = 0.5 * np.linalg.norm(Pp - Pq, axis=(1, 2)) ** 2
+            worst_a = max(worst_a, float(np.max(np.abs(m[i] - proj))))
     assert worst_a < 1e-10
 
     # (b) empirical metric CDF vs c x^(d(n-d)) on [0, 1], 1e5 samples

@@ -107,6 +107,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     out = str(tmp_path / "never.csv")
     assert main(["run", "fig2_sumrate_d1", "--workers", "0", "--out", out]) == 2
+    # an output path that names a directory, refused before the run
+    capsys.readouterr()
+    assert main(["run", "fig3_eligible_users", "--trials", "2",
+                 "--out", str(tmp_path)]) == 2
+    assert "is a directory" in capsys.readouterr().err
     huge = tmp_path / "huge.cfg"
     huge.write_text("snr_db_grid = 130\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(huge),

@@ -3,9 +3,7 @@ whose stdout is pinned print the same bytes, and README's Python example
 prints what its comment says.
 
 Each demo runs in a fresh interpreter with the package that the tests
-import on its path. demos/01_subspace_geometry.py is left out because it
-takes about 22 s (Monte Carlo geometry checks), longer than the other
-four together.
+import on its path.
 """
 
 import hashlib
@@ -28,6 +26,8 @@ SRC = str(Path(oiasim.__file__).resolve().parent.parent)
 # so other versions skip
 _PINNED_VERSIONS = ("2.4.6", "1.17.1")
 _PINNED_STDOUT = {
+    "01_subspace_geometry.py":
+        "76149ab779226928bf942aefcc2efc69739bf6cc5bf0f364fcde3650d7695456",
     "02_threshold_design.py":
         "b380c49232adc14f2bed93e91a537a60bc1c2ce998cdeddb6a9df36dda10d44b",
     "03_one_bit_scheduling.py":
@@ -62,7 +62,8 @@ def run_demo(tmp_path_factory):
     return run
 
 
-@pytest.mark.parametrize("name", ["02_threshold_design.py",
+@pytest.mark.parametrize("name", ["01_subspace_geometry.py",
+                                  "02_threshold_design.py",
                                   "03_one_bit_scheduling.py",
                                   "04_alignment_vs_opportunism.py",
                                   "05_experiment_harness.py"])

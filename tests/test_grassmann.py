@@ -1,4 +1,5 @@
-"""Subspace geometry: bases, chordal distance, CDF model, distortion bound."""
+"""Subspace geometry: orthonormal bases, the squared chordal distance as
+cell_metrics computes it, the CDF model and the distortion bound."""
 
 import math
 
@@ -6,83 +7,94 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oiasim import (ManifoldParams, ShapeMismatch, Subspace, ball_volume,
-                    chordal_distance_sq, metric_cdf, orthonormal_basis,
-                    quantization_bound, sample_uniform_subspace)
-from oiasim.errors import DegenerateChannel
-
-E1 = Subspace(np.array([[1.0], [0.0]]))
-E2 = Subspace(np.array([[0.0], [1.0]]))
+from oiasim import (ChannelSet, ManifoldParams, ShapeMismatch, ball_volume,
+                    cell_metrics, generate_channels, interferer_indices,
+                    metric_cdf, quantization_bound)
+from oiasim import channel
 
 
-def test_subspace_rejects_non_orthonormal_basis():
-    with pytest.raises(ShapeMismatch):
-        Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ShapeMismatch):
-        Subspace(np.array([[2.0], [0.0]]))
+def _orthonormal_basis(M):
+    """Orthonormal basis of the column space of an (n, d) matrix, by the
+    Gram-Schmidt kernel of cell_metrics, and whether M is rank deficient."""
+    X = np.asarray(M, dtype=complex).T[:, :, None]  # column, entry, stack of one
+    re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
+    bad = channel._orthonormalize_columns(re, im)
+    return (re + 1j * im)[:, :, 0].T, bool(bad[0])
+
+
+def _projector_metrics(ch):
+    """0.5 * ||Qp Qp^H - Qq Qq^H||_F^2 for every user of a drop, a (3, K)
+    array, with Qp and Qq Householder QR bases of its two interference
+    channels."""
+    out = []
+    for i in range(3):
+        Pp, Pq = (Q @ Q.conj().swapaxes(1, 2) for Q in
+                  (np.linalg.qr(ch.h[i, j])[0] for j in interferer_indices(i)))
+        out.append(0.5 * np.linalg.norm(Pp - Pq, axis=(1, 2)) ** 2)
+    return np.array(out)
 
 
 def test_orthonormal_basis_scaling_invariance():
-    S = orthonormal_basis(np.array([[2.0], [0.0]]))
-    assert chordal_distance_sq(S, E1) == pytest.approx(0.0, abs=1e-12)
-    assert np.linalg.norm(S.basis) == pytest.approx(1.0, abs=1e-12)
+    b, bad = _orthonormal_basis(np.array([[2.0], [0.0]]))
+    assert not bad
+    assert np.linalg.norm(b - np.array([[1.0], [0.0]])) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthonormal_basis_idempotent_on_orthonormal_input():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    S = orthonormal_basis(g)
-    again = orthonormal_basis(S.basis)
-    assert chordal_distance_sq(S, again) == pytest.approx(0.0, abs=1e-12)
+    b = _orthonormal_basis(g)[0]
+    assert np.linalg.norm(_orthonormal_basis(b)[0] - b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthonormal_basis_gram_identity():
     rng = np.random.default_rng(6)
     for _ in range(20):
         g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        b = orthonormal_basis(g).basis
+        b, bad = _orthonormal_basis(g)
+        assert not bad
         assert np.linalg.norm(b.conj().T @ b - np.eye(2)) < 1e-10
 
 
 def test_orthonormal_basis_rejects_rank_deficient():
     col = np.array([[1.0], [2.0], [3.0], [4.0]])
-    with pytest.raises(DegenerateChannel):
-        orthonormal_basis(np.hstack([col, 2.0 * col]))
+    assert _orthonormal_basis(np.hstack([col, 2.0 * col]))[1]
 
 
 def test_chordal_distance_identical_and_orthogonal():
-    assert chordal_distance_sq(E1, E1) == 0.0
-    assert chordal_distance_sq(E1, E2) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_chordal_distance_shape_mismatch():
-    S4 = Subspace(np.eye(4, 1))
-    with pytest.raises(ShapeMismatch):
-        chordal_distance_sq(E1, S4)
+    # every user sees e1 from both interferers, except that user 1 of
+    # cell 0 sees e2 from its second one
+    h = np.zeros((3, 3, 2, 2, 1), dtype=complex)
+    h[..., 0, 0] = 1.0
+    h[0, interferer_indices(0)[1], 1] = [[0.0], [1.0]]
+    m = cell_metrics(ChannelSet(h=h))
+    assert np.all(m[:, 0] == 0.0) and np.all(m[1:] == 0.0)
+    assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (4, 2)])
 def test_chordal_distance_two_form_equivalence(n, d):
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        A = sample_uniform_subspace(rng, n, d)
-        B = sample_uniform_subspace(rng, n, d)
-        proj = A.basis @ A.basis.conj().T - B.basis @ B.basis.conj().T
-        other = 0.5 * np.linalg.norm(proj) ** 2
-        assert abs(chordal_distance_sq(A, B) - other) < 1e-10
+    # cell_metrics' d - ||Qp^H Qq||_F^2 against the projector form, 1002 users
+    ch = generate_channels(np.random.default_rng(17), d, 334)
+    assert ch.h.shape[-2] == n
+    assert np.max(np.abs(cell_metrics(ch) - _projector_metrics(ch))) < 1e-10
 
 
 def test_chordal_distance_symmetry_range_and_unitary_invariance():
     rng = np.random.default_rng(18)
-    for _ in range(100):
-        A = sample_uniform_subspace(rng, 4, 2)
-        B = sample_uniform_subspace(rng, 4, 2)
-        d_ab = chordal_distance_sq(A, B)
-        assert d_ab == pytest.approx(chordal_distance_sq(B, A), abs=1e-12)
-        assert 0.0 <= d_ab <= 2.0 + 1e-10
-        q = np.linalg.qr(rng.standard_normal((2, 2))
-                         + 1j * rng.standard_normal((2, 2)))[0]
-        assert abs(chordal_distance_sq(A, Subspace(B.basis @ q)) - d_ab) < 1e-10
+    for d in (1, 2):
+        ch = generate_channels(rng, d, 100)
+        m = cell_metrics(ch)
+        swapped = ch.h.copy()  # each cell's two interferers swapped
+        for i in range(3):
+            p, q = interferer_indices(i)
+            swapped[i, p], swapped[i, q] = ch.h[i, q], ch.h[i, p]
+        assert np.max(np.abs(cell_metrics(ChannelSet(h=swapped)) - m)) < 1e-12
+        assert np.all((0.0 <= m) & (m <= d))
+        # a different d-by-d unitary on the right of every channel
+        g = rng.standard_normal((3, 3, 100, d, d)) + 1j * rng.standard_normal((3, 3, 100, d, d))
+        rotated = ChannelSet(h=ch.h @ np.linalg.qr(g)[0])
+        assert np.max(np.abs(cell_metrics(rotated) - m)) < 1e-10
 
 
 def test_ball_volume_values():
@@ -177,36 +189,25 @@ def test_quantization_bound_dominates_line_quantizer_mean():
         assert mins.mean() <= quantization_bound(K, p)
 
 
-def test_sample_uniform_subspace_basic():
-    rng = np.random.default_rng(19)
-    a = sample_uniform_subspace(rng, 4, 2)
-    b = sample_uniform_subspace(rng, 4, 2)
-    assert np.linalg.norm(a.basis.conj().T @ a.basis - np.eye(2)) < 1e-10
-    assert chordal_distance_sq(a, b) > 1e-6
-
-
-def test_sample_uniform_subspace_matches_cdf_spot_values():
-    # P(d_c^2 <= x) = F(x); binomial 4-sigma margins at 4000 samples
-    rng = np.random.default_rng(23)
+def test_metric_matches_cdf_spot_values_d1():
+    # P(d_c^2 <= x) = F(x); binomial 4-sigma margins at 4000 users
     p = ManifoldParams(2, 1)
-    ref = sample_uniform_subspace(rng, 2, 1)
     n = 4000
-    dists = np.array([chordal_distance_sq(ref, sample_uniform_subspace(rng, 2, 1))
-                      for _ in range(n)])
+    dists = cell_metrics(generate_channels(np.random.default_rng(23), 1, n))[0]
     for x in (0.2, 0.5, 0.8):
         emp = float(np.mean(dists <= x))
         f = metric_cdf(x, p)
         assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)
 
 
-def test_sample_uniform_subspace_bit_identical_to_reference_draw():
-    # the in-place complex normal fill must reproduce the old expression and
-    # leave the stream at the same position
-    for seed in (0, 5, 12345):
-        ref_rng = np.random.default_rng(seed)
-        g = (ref_rng.standard_normal((4, 2))
-             + 1j * ref_rng.standard_normal((4, 2))) / np.sqrt(2)
-        ref = orthonormal_basis(g)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(sample_uniform_subspace(rng, 4, 2).basis, ref.basis)
-        assert rng.random() == ref_rng.random()
+def test_metric_d2_law_is_x4_over_2():
+    # on G(4, 2) the metric's CDF is exactly x^4 / 2 on [0, 1]; binomial
+    # 4-sigma margins at 3 x 20000 users
+    p = ManifoldParams(4, 2)
+    dists = cell_metrics(generate_channels(np.random.default_rng(29), 2, 20000)).ravel()
+    n = dists.size
+    for x in (0.25, 0.5, 0.75, 1.0):
+        f = metric_cdf(x, p)
+        assert f == pytest.approx(x ** 4 / 2, rel=1e-12)
+        emp = float(np.mean(dists <= x))
+        assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)

@@ -313,6 +313,12 @@ def test_run_trials_refuse_snr_off_the_grid():
         with pytest.raises(ConfigError,
                            match=r"snr_db 5.0 is not on the grid \(0.0, 10.0\)"):
             run()
+    # anything but a number, even a string that parses to a grid value
+    for snr_db in ("abc", "0", None, [1], [0.0]):
+        for run in (lambda: run_trials(cfg, snr_db, range(2)),
+                    lambda: run_trial(cfg, snr_db, 0)):
+            with pytest.raises(ConfigError, match="is not on the grid"):
+                run()
 
 
 def _drop_bytes(cfg, snr_db):
@@ -529,6 +535,16 @@ def test_run_experiment_rejects_workers_not_an_integer(tmp_path, workers):
     with pytest.raises(ConfigError, match="workers"):
         run_experiment(cfg, workers=workers)
     assert not out.exists()
+
+
+def test_run_experiment_refuses_a_directory_output_path_before_running(tmp_path,
+                                                                      monkeypatch):
+    # refused before any trial runs, not by write_csv after the whole run
+    monkeypatch.setattr(harness, "run_trials", lambda *args: pytest.fail("trials ran"))
+    cfg = make_config("fig3_eligible_users",
+                      {"trials": "2", "output_path": str(tmp_path)})
+    with pytest.raises(ConfigError, match="is a directory"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
