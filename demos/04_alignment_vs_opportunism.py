@@ -8,6 +8,8 @@ so with a finite feedback budget the precoders are mismatched. The
 opportunistic scheme spends the same budget as one bit for each of
 n_bits users. This script solves the alignment problem, shows what
 quantization does to it, and compares the two workloads in flops.
+closed_form_ia returns the plain (precoders, filters) pair that
+ia_link_rates takes.
 """
 
 import numpy as np
@@ -24,12 +26,12 @@ P = 10.0 ** (P_DB / 10.0)
 #    each receiver collapse onto a single direction.
 ch = (rng.standard_normal((3, 3, 2, 2))
       + 1j * rng.standard_normal((3, 3, 2, 2))) / np.sqrt(2.0)
-sol = closed_form_ia(ch)
+precoders, filters = closed_form_ia(ch)
 print("alignment residuals (0 means the interferers share a direction)")
 for i in range(3):
     p, q = interferer_indices(i)
-    a = ch[i][p] @ sol.precoders[p]
-    b = ch[i][q] @ sol.precoders[q]
+    a = ch[i][p] @ precoders[p]
+    b = ch[i][q] @ precoders[q]
     cos2 = abs(np.vdot(a, b)) ** 2 / (np.linalg.norm(a) ** 2
                                       * np.linalg.norm(b) ** 2)
     print(f"  receiver {i}: 1 - cos^2 = {1.0 - cos2:.2e}")
@@ -44,13 +46,13 @@ quantized = {b: 0.0 for b in (8, 16, 24, 32)}
 for _ in range(TRIALS):
     ch = (rng.standard_normal((3, 3, 2, 2))
           + 1j * rng.standard_normal((3, 3, 2, 2))) / np.sqrt(2.0)
-    perfect += np.mean(ia_link_rates(ch, closed_form_ia(ch), P))
+    perfect += np.mean(ia_link_rates(ch, *closed_form_ia(ch), P))
     for b in quantized:
         # brute-force codebooks are exponential in b, so large budgets
         # switch to the matched statistical perturbation model
         mode = "rvq" if b <= 24 else "perturbation"
         qch = quantized_channel_set(ch, b, mode, rng)
-        quantized[b] += np.mean(ia_link_rates(ch, closed_form_ia(qch), P))
+        quantized[b] += np.mean(ia_link_rates(ch, *closed_form_ia(qch), P))
 print(f"  perfect : {perfect / TRIALS:7.3f} bits")
 for b, total in quantized.items():
     print(f"  {b:2d} bits : {total / TRIALS:7.3f} bits")

@@ -6,12 +6,12 @@ not depend on execution order or on how trials are distributed over
 worker processes; schemes under comparison share each drop.
 
 Trials run in chunks (run_trials). Each trial of a chunk draws from its
-own stream, in the same order as when it runs alone (run_trial); the
-chunk then computes the metrics, the selections, the IA solutions and the
-rates of all its trials in one stacked call each. A chunk holds at most
-_CHUNK_BYTES of channel drops, and at least one trial, so memory stays
-bounded at large K. The CSV body therefore does not depend on the chunk
-size, nor on --workers.
+own stream, in the same order as when it runs alone (run_trial); the chunk
+then computes the metrics, the selections (select_one_bit), the IA pairs
+(closed_form_ia) and the rates of all its trials in one stacked call each.
+A chunk holds at most _CHUNK_BYTES of channel drops, and at least one
+trial, so memory stays bounded at large K. The CSV body therefore does
+not depend on the chunk size, nor on --workers.
 
 A run is one list of (grid point, trial range) tasks (_trial_tasks),
 each about the same work, costliest first, mapped over one process pool
@@ -51,9 +51,7 @@ from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
                      UnknownExperiment)
 from .grassmann import INV_SQRT2, ManifoldParams, complex_normal
 from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
-# select_one_bit is not called here; perfbench/layertrace.py patches it in
-# this namespace, among the other layer entry points
-from .oia import select_conventional, select_one_bit, select_one_bit_rows  # noqa: F401
+from .oia import select_conventional, select_one_bit
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
 
@@ -162,7 +160,7 @@ class ExperimentConfig:
             _check_threshold_method(method, self.d)
         if any(method != "closed_form_d1" for method in designs):
             # a scipy-backed design: load it now, before any pool forks
-            import scipy.optimize  # noqa: F401  (brings scipy.special)
+            __import__("scipy.optimize")  # brings scipy.special
         if not self.output_path:
             object.__setattr__(self, "output_path",
                                os.path.join("results", f"{self.experiment}.csv"))
@@ -318,7 +316,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     kmax = max(ks)
     ch, metrics = _oia_drops(cfg.d, kmax, rngs, redraws)
     thresholds = [design_threshold(_optimal_method(cfg.d), K, cfg.d) for K in ks]
-    selected, eligible = select_one_bit_rows(metrics, ks, thresholds, rngs)
+    selected, eligible = select_one_bit(metrics, ks, thresholds, rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
     served = [(selected, eligible == 0, eligible)]
     if include_perfect:
@@ -338,9 +336,9 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
 
 
 def _ia_rows(ch2, sol, P) -> np.ndarray:
-    """Rows of IA solutions on ch2, one per solution: every cell served,
-    none in outage, no eligibility."""
-    rates = ia_link_rates(ch2, sol, P)
+    """Rows of IA solutions sol = (precoders, filters) on ch2, one per
+    solution: every cell served, none in outage, no eligibility."""
+    rates = ia_link_rates(ch2, *sol, P)
     rows = np.zeros(rates.shape)
     rows[..., 0] = rates[..., 0] + rates[..., 1] + rates[..., 2]
     rows[..., 2] = np.nan

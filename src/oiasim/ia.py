@@ -26,7 +26,6 @@ result equals the one-vector call bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,27 +67,10 @@ def _as_drops(ch) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class IaSolution:
-    """Unit precoders v_j and receive filters u_i of the three pairs, as
-    (..., 3, 2) arrays: precoders[..., j, :] is v_j."""
-
-    precoders: np.ndarray
-    receive_filters: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.precoders, dtype=complex)
-        u = np.asarray(self.receive_filters, dtype=complex)
-        if v.shape[-2:] != (3, 2) or u.shape != v.shape:
-            raise ShapeMismatch("need three precoders and filters of length 2")
-        if np.any(np.abs(_norm(np.concatenate([v, u], axis=-2)) - 1.0) > _UNIT_ATOL):
-            raise ShapeMismatch("precoders and filters must be unit norm")
-        object.__setattr__(self, "precoders", v)
-        object.__setattr__(self, "receive_filters", u)
-
-
-def closed_form_ia(ch) -> IaSolution:
-    """Closed-form IA solution for 3-user 2x2 single-stream drops.
+def closed_form_ia(ch) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form IA solution for 3-user 2x2 single-stream drops: the unit
+    precoders v_j and receive filters u_i of the three pairs, two
+    (..., 3, 2) arrays; precoders[..., j, :] is v_j.
 
     ch has shape (..., 3, 3, 2, 2), ch[..., i, j, :, :] the channel from
     transmitter j to receiver i. v1 is the eigenvector of
@@ -132,12 +114,13 @@ def closed_form_ia(ch) -> IaSolution:
         raise DegenerateChannel("aligned interference vanished",
                                 where=np.any(norm == 0.0, axis=-1))
     u = np.stack([-np.conj(a[..., 1]), np.conj(a[..., 0])], axis=-1) / norm[..., None]
-    return IaSolution(precoders=v, receive_filters=u)
+    return v, u
 
 
-def ia_link_rates(ch, sol: IaSolution, P: float) -> np.ndarray:
+def ia_link_rates(ch, precoders, filters, P: float) -> np.ndarray:
     """Per-receiver rates, shape (..., 3), of single-stream IA solutions
-    on channels ch; sol and ch broadcast over their leading axes.
+    on channels ch; the unit precoders and filters, (..., 3, 2) arrays as
+    closed_form_ia returns them, and ch broadcast over their leading axes.
 
     Treats residual interference as noise: receiver i gets
     log2(1 + P|u^H H_ii v_i|^2 / (1 + P sum_{j != i} |u^H H_ij v_j|^2)),
@@ -145,8 +128,14 @@ def ia_link_rates(ch, sol: IaSolution, P: float) -> np.ndarray:
     """
     _check_power(P)
     H = _as_drops(ch)
-    x = (H @ sol.precoders[..., None, :, :, None])[..., 0]    # H_ij v_j
-    g = _vdot(sol.receive_filters[..., :, None, :], x)
+    v = np.asarray(precoders, dtype=complex)
+    u = np.asarray(filters, dtype=complex)
+    if v.shape[-2:] != (3, 2) or u.shape != v.shape:
+        raise ShapeMismatch("need three precoders and filters of length 2")
+    if np.any(np.abs(_norm(np.concatenate([v, u], axis=-2)) - 1.0) > _UNIT_ATOL):
+        raise ShapeMismatch("precoders and filters must be unit norm")
+    x = (H @ v[..., None, :, :, None])[..., 0]    # H_ij v_j
+    g = _vdot(u[..., :, None, :], x)
     # hypot and float_power round as abs(z) ** 2 does on one complex scalar
     gain = np.float_power(np.hypot(g.real, g.imag), 2)
     signal = P * gain[..., _CELLS, _CELLS]

@@ -24,7 +24,7 @@ def select_conventional(metrics: np.ndarray):
     return np.argmin(metrics, axis=-1)
 
 
-def select_one_bit_rows(metrics: np.ndarray, ks, thresholds, rngs):
+def select_one_bit(metrics: np.ndarray, ks, thresholds, rngs):
     """Threshold-based 1-bit selection on nested prefixes of metric rows.
 
     metrics has shape (trials, ..., K) with K >= max(ks): every row holds
@@ -34,16 +34,17 @@ def select_one_bit_rows(metrics: np.ndarray, ks, thresholds, rngs):
     uniformly among all ks[n] users on a scheduling outage.
 
     Trial t makes all its picks with one rngs[t].integers call, in (n, row)
-    order; that call draws what one select_one_bit call per (n, row), in
+    order; that call draws what one scalar integers call per (n, row), in
     that order, would draw. Returns the selected users and the eligible
     counts, integer arrays of shape (trials, len(ks), ...); an eligible
     count of 0 marks an outage.
     """
     metrics = np.asarray(metrics)
-    if (metrics.ndim < 2 or len(rngs) != len(metrics)
+    if (metrics.ndim < 2 or len(rngs) != len(metrics) or len(ks) < 1
+            or np.shape(thresholds) != (len(ks),)
             or min(ks) < 1 or max(ks) > metrics.shape[-1]):
-        raise ShapeMismatch(f"metrics of shape {metrics.shape} need one rng per "
-                            f"trial and prefixes of 1 to {metrics.shape[-1:]} users")
+        raise ShapeMismatch(f"metrics of shape {metrics.shape} need one rng per trial "
+                            f"and a threshold per prefix of 1 to {metrics.shape[-1:]} users")
     kmax = metrics.shape[-1]
     lead = (len(ks),) + (1,) * (metrics.ndim - 1)
     bits = metrics[:, None] < np.reshape(thresholds, lead)
@@ -59,24 +60,6 @@ def select_one_bit_rows(metrics: np.ndarray, ks, thresholds, rngs):
     users = np.append(users, 0)
     at = np.cumsum(eligible).reshape(eligible.shape) - eligible + draws
     return np.where(eligible > 0, users[np.minimum(at, len(users) - 1)], draws), eligible
-
-
-def select_one_bit(metrics: np.ndarray, x: float,
-                   rng: np.random.Generator) -> tuple[int, int]:
-    """Threshold-based 1-bit selection among the K users of one row of
-    metrics; the one-row case of select_one_bit_rows.
-
-    Users whose metric is below x report '1'; the serving transmitter picks
-    uniformly among the '1' reporters, or uniformly among all K users on a
-    scheduling outage. Returns the selected user and the eligible count,
-    ints; an eligible count of 0 marks an outage.
-    """
-    metrics = np.asarray(metrics)
-    if metrics.ndim != 1:
-        raise ShapeMismatch(f"need one row of metrics, got shape {metrics.shape}")
-    selected, eligible = select_one_bit_rows(metrics[None], (metrics.size,),
-                                             (x,), (rng,))
-    return int(selected[0, 0]), int(eligible[0, 0])
 
 
 def outage_probability(x: float, K: int, p: ManifoldParams) -> float:

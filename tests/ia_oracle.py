@@ -8,7 +8,6 @@ one-drop sum rates of the stacked kernels that only tests use, and the
 einsum codeword score that the RVQ kernel's score must agree with.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,6 @@ from oiasim.channel import interferer_indices
 from oiasim.errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from oiasim.grassmann import complex_normal
 from oiasim.ia import _perturbation_distortion
-
-ScalarIaSolution = namedtuple("ScalarIaSolution", "precoders receive_filters")
-
 
 def _as_unit_vector(w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
@@ -61,8 +57,9 @@ def _phase_normalize(v):
     return v
 
 
-def closed_form_ia(ch) -> ScalarIaSolution:
-    """Closed-form IA of one drop, one 2x2 matrix at a time."""
+def closed_form_ia(ch) -> tuple:
+    """Closed-form IA of one drop, one 2x2 matrix at a time: the pair
+    (precoders, filters), each a tuple of three unit vectors."""
     H = [[_cross_matrix(ch, i, j) if i != j else np.asarray(ch[i][j], dtype=complex)
           for j in range(3)] for i in range(3)]
     inv = np.linalg.inv
@@ -83,19 +80,19 @@ def closed_form_ia(ch) -> ScalarIaSolution:
         if norm == 0.0:
             raise DegenerateChannel("aligned interference vanished")
         u.append(np.array([-np.conj(a[1]), np.conj(a[0])]) / norm)
-    return ScalarIaSolution(tuple(_as_unit_vector(x) for x in v),
-                            tuple(_as_unit_vector(x) for x in u))
+    return (tuple(_as_unit_vector(x) for x in v),
+            tuple(_as_unit_vector(x) for x in u))
 
 
-def ia_link_rates(ch, sol, P: float) -> list:
+def ia_link_rates(ch, precoders, filters, P: float) -> list:
     """Per-receiver rates of one drop's IA solution, one link at a time."""
     rates = []
     for i in range(3):
         p, q = interferer_indices(i)
-        u = sol.receive_filters[i]
-        signal = P * abs(np.vdot(u, ch[i][i] @ sol.precoders[i])) ** 2
-        leak = P * (abs(np.vdot(u, ch[i][p] @ sol.precoders[p])) ** 2
-                    + abs(np.vdot(u, ch[i][q] @ sol.precoders[q])) ** 2)
+        u, v = filters[i], precoders
+        signal = P * abs(np.vdot(u, ch[i][i] @ v[i])) ** 2
+        leak = P * (abs(np.vdot(u, ch[i][p] @ v[p])) ** 2
+                    + abs(np.vdot(u, ch[i][q] @ v[q])) ** 2)
         rates.append(float(np.log2(1.0 + signal / (1.0 + leak))))
     return rates
 
@@ -198,9 +195,9 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng):
     return np.array(quantized), tuple(indices)
 
 
-def ia_sum_rate(ch, sol, P: float):
+def ia_sum_rate(ch, precoders, filters, P: float):
     """Sum over the three receivers of the stacked oiasim.ia.ia_link_rates."""
-    return kernels.ia_link_rates(ch, sol, P).sum(axis=-1)
+    return kernels.ia_link_rates(ch, precoders, filters, P).sum(axis=-1)
 
 
 def ia_limited_feedback_rate(ch, bits_total: int, mode: str, P: float, rng) -> float:
@@ -211,4 +208,4 @@ def ia_limited_feedback_rate(ch, bits_total: int, mode: str, P: float, rng) -> f
     (no quantization)."""
     quantized = (np.array(ch, dtype=complex) if mode == "perfect"
                  else kernels.quantized_channel_set(ch, bits_total, mode, rng))
-    return float(ia_sum_rate(ch, kernels.closed_form_ia(quantized), P))
+    return float(ia_sum_rate(ch, *kernels.closed_form_ia(quantized), P))

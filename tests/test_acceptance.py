@@ -179,11 +179,11 @@ def test_criterion_08_ia_alignment_and_slope(fig2_run):
     for _ in range(1000):
         ch = (rng.standard_normal((3, 3, 2, 2))
               + 1j * rng.standard_normal((3, 3, 2, 2))) / math.sqrt(2.0)
-        sol = closed_form_ia(ch)
+        precoders, _ = closed_form_ia(ch)
         for i in range(3):
             p, q = interferer_indices(i)
-            a = ch[i][p] @ sol.precoders[p]
-            b = ch[i][q] @ sol.precoders[q]
+            a = ch[i][p] @ precoders[p]
+            b = ch[i][q] @ precoders[q]
             residual = 1.0 - abs(np.vdot(a, b)) ** 2 / (
                 np.linalg.norm(a) ** 2 * np.linalg.norm(b) ** 2)
             worst = max(worst, residual)

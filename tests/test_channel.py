@@ -541,7 +541,9 @@ def _replay_trial(cfg, snr_db, t):
                     (i, select_conventional(m), False, None))
             # the optimal design for d: the closed form at d = 1, numeric above
             x = design_threshold("closed_form_d1" if cfg.d == 1 else "numeric", K, cfg.d)
-            k, eligible = select_one_bit(m, x, rng)
+            # one row: one trial, one prefix, one cell
+            k, eligible = (int(a[0, 0, 0]) for a in
+                           select_one_bit(m[None, None], (K,), (x,), (rng,)))
             served.setdefault(("oia_1bit", K), []).append(
                 (i, k, eligible == 0, eligible))
     replay = {}
@@ -553,13 +555,13 @@ def _replay_trial(cfg, snr_db, t):
         replay[key] = (row, [k for _, k, _, _ in cells])
     ch2 = complex_normal(rng, (3, 3, 2, 2), INV_SQRT2)
     if cfg.experiment == "fig2_sumrate_d1":
-        rates = ia_link_rates(ch2, closed_form_ia(ch2), P)
+        rates = ia_link_rates(ch2, *closed_form_ia(ch2), P)
         replay[("ia_closed_form", 1)] = ((sum(rates), 0, np.nan), [0, 0, 0])
     if cfg.experiment == "fig6_oia_vs_ia":
         for b in ks:
             mode = "rvq" if b <= 24 else "perturbation"
             sol = closed_form_ia(quantized_channel_set(ch2, b, mode, rng))
-            rates = ia_link_rates(ch2, sol, P)
+            rates = ia_link_rates(ch2, *sol, P)
             replay[("ia_individual", b)] = ((sum(rates), 0, np.nan), [0, 0, 0])
     return replay
 

@@ -40,15 +40,15 @@ def test_closed_form_ia_aligns_and_zero_forces():
     rng = np.random.default_rng(42)
     for _ in range(150):
         ch = _draw(rng)
-        sol = closed_form_ia(ch)
+        precoders, filters = closed_form_ia(ch)
         for i in range(3):
             p, q = interferer_indices(i)
-            a = ch[i][p] @ sol.precoders[p]
-            b = ch[i][q] @ sol.precoders[q]
+            a = ch[i][p] @ precoders[p]
+            b = ch[i][q] @ precoders[q]
             misalign = 1.0 - abs(np.vdot(a, b)) ** 2 / (
                 np.linalg.norm(a) ** 2 * np.linalg.norm(b) ** 2)
             assert misalign < 1e-9
-            u = sol.receive_filters[i]
+            u = filters[i]
             assert abs(np.vdot(u, a)) / np.linalg.norm(a) < 1e-8
             leak = abs(np.vdot(u, a)) ** 2 + abs(np.vdot(u, b)) ** 2
             assert leak / (np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2) < 1e-7
@@ -57,11 +57,11 @@ def test_closed_form_ia_aligns_and_zero_forces():
 def test_closed_form_ia_eigenvector_and_phase():
     rng = np.random.default_rng(43)
     ch = _draw(rng)
-    sol = closed_form_ia(ch)
+    precoders, _ = closed_form_ia(ch)
     inv = np.linalg.inv
     E = (inv(ch[2][0]) @ ch[2][1] @ inv(ch[0][1]) @ ch[0][2]
          @ inv(ch[1][2]) @ ch[1][0])
-    v1 = sol.precoders[0]
+    v1 = precoders[0]
     lam = np.vdot(v1, E @ v1)
     assert np.linalg.norm(E @ v1 - lam * v1) < 1e-10
     assert abs(v1[0].imag) < 1e-10
@@ -71,11 +71,13 @@ def test_closed_form_ia_eigenvector_and_phase():
 def test_closed_form_ia_rates_positive():
     rng = np.random.default_rng(44)
     ch = _draw(rng)
-    sol = closed_form_ia(ch)
-    rates = ia_link_rates(ch, sol, 100.0)
+    precoders, filters = closed_form_ia(ch)
+    assert precoders.shape == filters.shape == (3, 2)
+    rates = ia_link_rates(ch, precoders, filters, 100.0)
     assert len(rates) == 3
     assert all(r > 0.0 for r in rates)
-    assert ia_sum_rate(ch, sol, 100.0) == pytest.approx(sum(rates), rel=1e-12)
+    assert ia_sum_rate(ch, precoders, filters, 100.0) == pytest.approx(sum(rates),
+                                                                       rel=1e-12)
 
 
 @pytest.mark.parametrize("P", [-1.0, 0.0, float("inf"), float("nan")])
@@ -83,7 +85,26 @@ def test_ia_link_rates_refuse_power_not_finite_and_positive(P):
     # the rule user_rate keeps; these powers gave negative, zero or NaN rates
     ch = _draw(np.random.default_rng(44))
     with pytest.raises(ShapeMismatch):
-        ia_link_rates(ch, closed_form_ia(ch), P)
+        ia_link_rates(ch, *closed_form_ia(ch), P)
+
+
+def test_ia_link_rates_refuse_bad_precoders_and_filters():
+    # the checks a solution gets wherever it comes from: three vectors of
+    # length 2 each, filters shaped as the precoders, all of unit norm
+    ch = _draw(np.random.default_rng(44))
+    v, u = closed_form_ia(ch)
+    for bad_v, bad_u in ((v[:2], u[:2]), (v, u[:2]), (v[None], u),
+                         (np.ones((3, 3)), np.ones((3, 3))), (v.ravel(), u.ravel())):
+        with pytest.raises(ShapeMismatch, match="length 2"):
+            ia_link_rates(ch, bad_v, bad_u, 100.0)
+    stack_v, stack_u = np.stack([v, v]), np.stack([u, u])
+    stack_u[1, 2] *= 1.0 + 1e-9
+    for bad_v, bad_u in ((2.0 * v, u), (v, 0.5 * u), (stack_v, stack_u),
+                         (np.zeros((3, 2)), u)):
+        with pytest.raises(ShapeMismatch, match="unit norm"):
+            ia_link_rates(ch, bad_v, bad_u, 100.0)
+    assert np.array_equal(ia_link_rates(ch, v.tolist(), u.tolist(), 100.0),
+                          ia_link_rates(ch, v, u, 100.0))
 
 
 def test_closed_form_ia_degenerate_cross_channel():
@@ -424,7 +445,7 @@ def test_quantized_channel_set_modes():
 def test_limited_feedback_rate_perfect_mode_is_exact():
     rng = np.random.default_rng(57)
     ch = _draw(rng)
-    direct = ia_sum_rate(ch, closed_form_ia(ch), 50.0)
+    direct = ia_sum_rate(ch, *closed_form_ia(ch), 50.0)
     assert ia_limited_feedback_rate(ch, 10, "perfect", 50.0, rng) == pytest.approx(
         direct, abs=1e-9)
 
@@ -450,7 +471,7 @@ def test_limited_feedback_gap_grows_with_power():
         ch = _draw(rng)
         sol = closed_form_ia(ch)
         for P, out in ((10.0, gap_lo), (1000.0, gap_hi)):
-            perfect = ia_sum_rate(ch, sol, P)
+            perfect = ia_sum_rate(ch, *sol, P)
             out.append(perfect
                        - ia_limited_feedback_rate(ch, 10, "perturbation", P, rng))
     assert np.mean(gap_hi) > np.mean(gap_lo)
@@ -502,16 +523,14 @@ def test_stacked_closed_form_ia_matches_scalar_oracle():
                               for b in budgets] for ch in drops])
     P = 10.0 ** 2.5
     ref = [[ia_oracle.closed_form_ia(q) for q in row] for row in stack]
-    ref_rates = [[ia_oracle.ia_link_rates(ch, sol, P) for sol in row]
+    ref_rates = [[ia_oracle.ia_link_rates(ch, *sol, P) for sol in row]
                  for ch, row in zip(drops, ref)]
     for form in (stack, np.asfortranarray(stack), stack.tolist()):
-        sol = closed_form_ia(form)
-        assert sol.precoders.shape == sol.receive_filters.shape == (100, 6, 3, 2)
-        rates = ia_link_rates(drops[:, None], sol, P)
-        assert np.array_equal(sol.precoders,
-                              [[r.precoders for r in row] for row in ref])
-        assert np.array_equal(sol.receive_filters,
-                              [[r.receive_filters for r in row] for row in ref])
+        precoders, filters = closed_form_ia(form)
+        assert precoders.shape == filters.shape == (100, 6, 3, 2)
+        rates = ia_link_rates(drops[:, None], precoders, filters, P)
+        assert np.array_equal(precoders, [[v for v, _ in row] for row in ref])
+        assert np.array_equal(filters, [[u for _, u in row] for row in ref])
         assert np.array_equal(rates, ref_rates)
 
 
@@ -526,7 +545,8 @@ def test_closed_form_ia_flags_each_degenerate_drop():
             closed_form_ia(stack)
         assert info.value.where.tolist() == [False, True, False, True, True]
     good = closed_form_ia(stack[[0, 2]])
-    assert np.array_equal(good.precoders[1], closed_form_ia(stack[2]).precoders)
+    for stacked, alone in zip(good, closed_form_ia(stack[2])):
+        assert np.array_equal(stacked[1], alone)
 
 
 def test_vanishing_perturbation_direction_is_degenerate():

@@ -44,6 +44,9 @@ def test_traced_run_writes_the_untraced_csv_body(tmp_path):
     metrics = layertrace.summarize(tracer)
     assert metrics["channel.generate_channels.calls"] == 2
     assert metrics["channel.users_scored"] == 3 * 2 * 100
+    # the selection span is live: one stacked select_one_bit call per chunk,
+    # and the 2-trial run is one chunk
+    assert metrics["oia.select_one_bit.calls"] == 1
     assert harness.generate_channels is importlib.import_module(
         "oiasim.channel").generate_channels
 

@@ -6,8 +6,7 @@ from scipy.integrate import quad
 
 from oiasim import (ManifoldParams, ShapeMismatch, expected_eligible,
                     expected_metric_one_bit, expected_metric_upper_bound,
-                    outage_probability, select_conventional, select_one_bit,
-                    select_one_bit_rows)
+                    outage_probability, select_conventional, select_one_bit)
 from oiasim.threshold import optimal_threshold_d1
 
 P21 = ManifoldParams(2, 1)
@@ -35,26 +34,39 @@ def test_select_conventional_exhaustive_oracle():
                for t in range(4) for i in range(3))
 
 
+def _one_row(metrics, x, rng):
+    """select_one_bit on one row of metrics, one trial and one prefix:
+    (selected, eligible count) as numpy integers."""
+    selected, eligible = select_one_bit(np.asarray(metrics)[None, None],
+                                        (len(metrics),), (x,), (rng,))
+    return selected[0, 0, 0], eligible[0, 0, 0]
+
+
 def test_select_one_bit_single_eligible():
-    out = select_one_bit(np.array([0.9, 0.05, 0.8]), 0.1,
-                         np.random.default_rng(0))
+    out = _one_row([0.9, 0.05, 0.8], 0.1, np.random.default_rng(0))
     assert out == (1, 1)
-    assert all(type(v) is int for v in out)
+    assert all(np.issubdtype(type(v), np.integer) for v in out)
 
 
 def test_select_one_bit_outage():
-    selected, eligible = select_one_bit(np.array([0.9, 0.8]), 0.1,
-                                        np.random.default_rng(0))
+    selected, eligible = _one_row([0.9, 0.8], 0.1, np.random.default_rng(0))
     assert eligible == 0
     assert selected in (0, 1)
 
 
-def test_select_one_bit_needs_one_row():
-    # a (3, 10) stack flattened into one row could pick user 20 of 10
+def test_select_one_bit_picks_within_each_row():
+    # rows are never flattened into one: a (3, 10) stack picks users 0..9
+    # of each row, and a lone row or a scalar is no stack of rows
     rng = np.random.default_rng(0)
-    for metrics in (rng.random((3, 10)), rng.random((1, 10)), np.float64(0.5)):
+    metrics = rng.random((1, 3, 10))
+    for x in (0.0, 0.2, 1.0):
+        selected, eligible = select_one_bit(metrics, (10,), (x,), (rng,))
+        assert selected.shape == eligible.shape == (1, 1, 3)
+        assert ((0 <= selected) & (selected < 10)).all()
+        assert eligible.tolist() == [[(metrics[0] < x).sum(axis=1).tolist()]]
+    for bad in (rng.random(10), np.float64(0.5)):
         with pytest.raises(ShapeMismatch):
-            select_one_bit(metrics, 0.2, rng)
+            select_one_bit(bad, (1,), (0.2,), (rng,))
 
 
 def _sequential_one_bit(metrics, x, rng):
@@ -78,7 +90,7 @@ def test_select_one_bit_rows_matches_sequential_selection(seed):
     xs = rng.choice([0.0, 0.02, 0.1, 0.5, 1.0], size=4)
     streams = [np.random.default_rng([seed, t]) for t in range(trials)]
     refs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    selected, eligible = select_one_bit_rows(metrics, ks, xs, streams)
+    selected, eligible = select_one_bit(metrics, ks, xs, streams)
     assert selected.shape == eligible.shape == (trials, len(ks), rows)
     for t in range(trials):
         for n, (K, x) in enumerate(zip(ks, xs)):
@@ -90,15 +102,22 @@ def test_select_one_bit_rows_matches_sequential_selection(seed):
 
 
 def test_select_one_bit_rows_validation():
-    m = np.random.default_rng(0).random((2, 3, 5))
+    m = np.random.default_rng(0).random((2, 3, 10))
     rngs = [np.random.default_rng(t) for t in range(2)]
-    for ks in ((0, 3), (2, 6)):
+    states = [rng.bit_generator.state for rng in rngs]
+    for ks in ((0, 3), (2, 11)):
         with pytest.raises(ShapeMismatch):
-            select_one_bit_rows(m, ks, (0.5, 0.5), rngs)
+            select_one_bit(m, ks, (0.5, 0.5), rngs)
+    # one threshold per prefix, and at least one prefix
+    for ks, xs in (((5, 10), (0.5,)), ((5,), (0.5, 0.5)), ((5,), 0.5), ((), ())):
+        with pytest.raises(ShapeMismatch):
+            select_one_bit(m, ks, xs, rngs)
     with pytest.raises(ShapeMismatch):
-        select_one_bit_rows(m, (5,), (0.5,), rngs[:1])
+        select_one_bit(m, (5,), (0.5,), rngs[:1])
     with pytest.raises(ShapeMismatch):
-        select_one_bit_rows(m[0, 0], (5,), (0.5,), rngs[:1])
+        select_one_bit(m[0, 0], (5,), (0.5,), rngs[:1])
+    # refused before any draw
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_select_one_bit_outage_rate_matches_binomial():
@@ -113,11 +132,11 @@ def test_select_one_bit_outage_rate_matches_binomial():
 
 def test_select_one_bit_saturated_threshold_uniform():
     # x >= x_max: everyone eligible, never an outage, uniform choice
-    # (one call over all rows draws what one select_one_bit call per row would)
+    # (one call over all rows draws what one scalar integers call per row would)
     rng = np.random.default_rng(424242)
     K = 10
     metrics = rng.random((10 ** 5, K))
-    selected, eligible = select_one_bit_rows(metrics[None], (K,), (1.0,), (rng,))
+    selected, eligible = select_one_bit(metrics[None], (K,), (1.0,), (rng,))
     assert (eligible == K).all()
     counts = np.bincount(selected.ravel(), minlength=K)
     expected = 10 ** 4

@@ -1,6 +1,6 @@
 """The stream property the vectorized 1-bit selector rests on.
 
-oia.select_one_bit_rows makes all the random picks of one trial with one
+oia.select_one_bit makes all the random picks of one trial with one
 Generator.integers call on an array of bounds, in place of one scalar call
 per pick. That is only sound if the array call draws the same numbers as
 the scalar calls in order and leaves the generator in the same state,
