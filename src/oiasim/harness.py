@@ -5,24 +5,24 @@ grid point index p is np.random.default_rng([seed, p, t]), so results do
 not depend on execution order or on how trials are distributed over
 worker processes; schemes under comparison share each drop.
 
-Trials run in chunks (run_trials). Each trial of a chunk draws from its
-own stream, in the same order as when it runs alone (run_trial); the chunk
-then computes the metrics, the selections (select_one_bit), the IA pairs
-(closed_form_ia) and the rates of all its trials in one stacked call each.
-A chunk holds at most _CHUNK_BYTES of channel drops, and at least one
-trial, so memory stays bounded at large K. The CSV body therefore does
-not depend on the chunk size, nor on --workers.
+run_trials runs trials at every grid point, each point in chunks. Each
+trial of a chunk draws from its own stream, in the same order as when it
+runs alone (run_trial); the chunk then computes the metrics, the
+selections (select_one_bit), the IA pairs (closed_form_ia) and the rates
+of all its trials in one stacked call each. A chunk holds at most
+_CHUNK_BYTES of the point's channel drops, and at least one trial, so
+memory stays bounded at large K. The CSV body therefore does not depend
+on the chunk size, nor on --workers.
 
-A run is one list of (grid point, trial range) tasks (_trial_tasks),
-each about the same work, costliest first, mapped over one process pool
-(or, serially, the builtin map); the rows are regrouped by point,
-concatenated in trial order and reduced in grid order.
+A run is one list of equal trial ranges, mapped over one process pool
+(or, as one range, by the builtin map); the rows are concatenated in
+trial order and each point is reduced in grid order.
 
 Within a chunk, the channel draw (grassmann.complex_normal) and the
 selection metrics (channel.cell_metrics) work in blocks of a fixed size,
 with the same stream and bits as one pass; so a run needs its largest
-drop, that drop's (3, K) metric array and a constant that does not grow
-with K, which is what it checks against physical memory before it starts.
+drop with its (3, K) metrics, its stored rows and a constant that does
+not grow with K, which is what it checks against physical memory first.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import os
 import re
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -74,6 +73,8 @@ _MAX_DESIGN_D = 18
 # (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
 # chunk is one trial and takes the memory of that one drop
 _CHUNK_BYTES = 1_000_000
+# a pooled run maps this many trial ranges per worker
+_TASKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -190,11 +191,12 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class TrialRows:
-    """Results of one drop (run_trial), a (len(keys), 3) float array, or of
-    several (run_trials), a (trials, len(keys), 3) array. Row n of a drop
-    is, for the (scheme, K) pair keys[n], the sum rate over the three
-    cells, the outage count and the eligible-count sum (NaN for a scheme
-    without eligibility). redraws counts the degenerate draws rejected."""
+    """Results of one drop at one point (run_trial), a (len(keys), 3) float
+    array, or at every point (run_trials), keys per point and a (points,
+    trials, keys, 3) array. Row n of a drop is, for the (scheme, K) pair
+    keys[n], the sum rate over the three cells, the outage count and the
+    eligible-count sum (NaN for a scheme without eligibility). redraws
+    counts the degenerate draws rejected."""
 
     keys: tuple
     rows: np.ndarray
@@ -383,52 +385,67 @@ def _trial_fig6(cfg, P, bit_values, rngs, redraws):
             np.concatenate([rows, _ia_rows(ch2[:, None], sol, P)], axis=1))
 
 
-def run_trials(cfg: ExperimentConfig, snr_db: float, trial_indices) -> TrialRows:
-    """Monte Carlo drops trial_indices at one SNR grid point, all schemes
-    evaluated; rows has shape (trials, keys, 3).
-
-    Trial t draws from np.random.default_rng([seed, point, t]), in the same
-    order, exactly what run_trial(cfg, snr_db, t) draws, so its rows are
-    that call's bit for bit. The trials run in chunks holding at most
-    _CHUNK_BYTES of channel drops (at least one trial each), and each
-    stage of a chunk (metrics, selection, IA, rates) is one stacked call.
-    """
-    trial = EXPERIMENTS[cfg.experiment].trial
-    if trial is None:
+def _checked_trials(cfg: ExperimentConfig, trial_indices):
+    """trial_indices, a range kept as one or else as a list, if valid."""
+    if EXPERIMENTS[cfg.experiment].trial is None:
         raise UnknownExperiment(f"{cfg.experiment} runs no Monte Carlo trials")
-    trial_indices = list(trial_indices)
-    if not trial_indices:
+    is_range = isinstance(trial_indices, range)
+    trials = trial_indices if is_range else list(trial_indices)
+    if not trials:
         raise ConfigError("run_trials needs at least one trial index")
-    for t in trial_indices:
+    for t in (trials[0], trials[-1]) if is_range else trials:
         if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
             raise ConfigError(f"trial indices must be non-negative integers, got {t!r}")
-    if not isinstance(snr_db, numbers.Real) or float(snr_db) not in cfg.snr_db_grid:
-        raise ConfigError(f"snr_db {snr_db!r} is not on the grid {cfg.snr_db_grid}")
-    point = cfg.snr_db_grid.index(float(snr_db))
-    P = 10.0 ** (float(snr_db) / 10.0)
-    ks = cfg.k_values[point]
+    return trials
+
+
+def _point_rows(cfg: ExperimentConfig, point: int, trials) -> tuple:
+    """(keys, (trials, keys, 3) rows, redraws) of the checked trials at grid
+    point index point, in chunks holding at most _CHUNK_BYTES of the point's
+    channel drops (at least one trial each)."""
+    P = 10.0 ** (cfg.snr_db_grid[point] / 10.0)
     drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, point)
     size = max(1, _CHUNK_BYTES // drop_bytes)
-    redraws = np.zeros(len(trial_indices), dtype=int)
+    redraws = np.zeros(len(trials), dtype=int)
     rows = []
-    for start in range(0, len(trial_indices), size):
+    for start in range(0, len(trials), size):
         rngs = [np.random.default_rng([cfg.seed, point, t])
-                for t in trial_indices[start:start + size]]
-        keys, chunk = trial(cfg, P, ks, rngs, redraws[start:start + size])
+                for t in trials[start:start + size]]
+        keys, chunk = EXPERIMENTS[cfg.experiment].trial(
+            cfg, P, cfg.k_values[point], rngs, redraws[start:start + size])
         rows.append(chunk)
-    return TrialRows(keys, np.concatenate(rows), int(redraws.sum()))
+    return keys, np.concatenate(rows), int(redraws.sum())
+
+
+def run_trials(cfg: ExperimentConfig, trial_indices) -> TrialRows:
+    """Monte Carlo drops trial_indices at every SNR grid point, all schemes
+    evaluated; keys holds one key tuple per point, rows has shape (points,
+    trials, keys, 3).
+
+    Trial t at grid point index p draws from default_rng([seed, p, t]),
+    exactly what run_trial(cfg, snr_db, t) draws, so its rows are that
+    call's bit for bit. Each point runs its trials in chunks (_point_rows),
+    each stage of a chunk (metrics, selection, IA, rates) one stacked call.
+    """
+    trials = _checked_trials(cfg, trial_indices)
+    keys, rows, redraws = zip(*(_point_rows(cfg, point, trials)
+                                for point in range(len(cfg.snr_db_grid))))
+    return TrialRows(keys, np.stack(rows), sum(redraws))
 
 
 def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRows:
     """One Monte Carlo drop at one SNR grid point, all schemes evaluated;
-    the one-trial case of run_trials.
+    run_trials' rows of that trial at that point.
 
     The rng derives from (seed, grid index of snr_db, trial_index), so the
     same triple always reproduces the same rows. The keys, and their order,
     depend on the experiment and the grid point only.
     """
-    out = run_trials(cfg, snr_db, (trial_index,))
-    return TrialRows(out.keys, out.rows[0], out.redraws)
+    trials = _checked_trials(cfg, (trial_index,))
+    if not isinstance(snr_db, numbers.Real) or float(snr_db) not in cfg.snr_db_grid:
+        raise ConfigError(f"snr_db {snr_db!r} is not on the grid {cfg.snr_db_grid}")
+    keys, rows, redraws = _point_rows(cfg, cfg.snr_db_grid.index(float(snr_db)), trials)
+    return TrialRows(keys, rows[0], redraws)
 
 
 def _drop_entries(cfg: ExperimentConfig, point: int) -> int:
@@ -437,32 +454,10 @@ def _drop_entries(cfg: ExperimentConfig, point: int) -> int:
     return 18 * max(cfg.k_values[point]) * cfg.d ** 2
 
 
-def _trial_tasks(cfg: ExperimentConfig, workers: int) -> list:
-    """The run's (grid point, trial range) tasks, costliest first.
-
-    A task costs its trials times the point's drop entries. The point with
-    the largest drop is cut into ranges of trials // (8 workers) trials (a
-    serial run takes it whole), every other point into ranges of about the
-    same cost, so the trials at K = 1 and at K = 10^4 travel in tasks of
-    like size. Each trial is in exactly one task.
-    """
-    entries = [_drop_entries(cfg, point) for point in range(len(cfg.k_values))]
-    step = cfg.trials if workers == 1 else max(1, cfg.trials // (workers * 8))
-    top = max(entries)
-    tasks = []
-    for point, n in enumerate(entries):
-        span = max(1, step * top // n)
-        tasks.extend((point, range(s, min(s + span, cfg.trials)))
-                     for s in range(0, cfg.trials, span))
-    # ties go to the larger drop
-    return sorted(tasks, key=lambda task: (-len(task[1]) * entries[task[0]],
-                                           -entries[task[0]]))
-
-
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
-    """One ResultRow per (scheme, K) key from the (trials, keys, 3) array of
-    the point's TrialRows.rows. Outage and eligible totals are exact
-    integers, so their means are exact up to the one division."""
+    """One ResultRow per (scheme, K) key from the (trials, keys, 3) rows of
+    one grid point. Outage and eligible totals are exact integers, so their
+    means are exact up to the one division."""
     n = len(trial_rows)
     rows = []
     columns = np.ascontiguousarray(trial_rows.transpose(1, 2, 0))
@@ -483,20 +478,23 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
     return rows
 
 
-def _check_drop_fits(cfg: ExperimentConfig) -> None:
+def _check_run_fits(cfg: ExperimentConfig) -> None:
     """Refuse a run whose largest channel drop, with its (3, K) metric
-    array, exceeds physical memory; the draw and the metrics work in
-    blocks whose size does not grow with K."""
+    array, and its stored float64 rows (points x trials x keys x 3) exceed
+    physical memory; the draw and the metrics work in blocks whose size
+    does not grow with K."""
     kmax = max(max(ks) for ks in cfg.k_values)
     entries = max(_drop_entries(cfg, point) for point in range(len(cfg.k_values)))
-    need = np.dtype(complex).itemsize * entries + np.dtype(float).itemsize * 3 * kmax
+    keys = sum(EXPERIMENTS[cfg.experiment].key_count(ks) for ks in cfg.k_values)
+    need = (np.dtype(complex).itemsize * entries
+            + np.dtype(float).itemsize * 3 * (kmax + cfg.trials * keys))
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
-        raise ConfigError(f"one channel drop with K={kmax} needs about {need:.3g} B, "
-                          f"more than the {have:.3g} B of physical memory")
+        raise ConfigError(f"{cfg.trials} trials with a drop of K={kmax} need about "
+                          f"{need:.3g} B, more than the {have:.3g} B of physical memory")
 
 
 def __getattr__(name):
@@ -511,27 +509,24 @@ def __getattr__(name):
 
 
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
-    _check_drop_fits(cfg)
-    tasks = _trial_tasks(cfg, workers)
-    left = Counter(point for point, _ in tasks)
-    outputs = {}
+    _check_run_fits(cfg)
+    step = (cfg.trials if workers == 1
+            else max(1, cfg.trials // (_TASKS_PER_WORKER * workers)))
+    tasks = [range(s, min(s + step, cfg.trials)) for s in range(0, cfg.trials, step)]
+    outputs = []
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else contextlib.nullcontext()) as pool:
-        mapped = (map if pool is None else pool.map)(
-            run_trials, repeat(cfg), [cfg.snr_db_grid[point] for point, _ in tasks],
-            [trials for _, trials in tasks])
-        for (point, trials), out in zip(tasks, mapped):
-            outputs[point, trials.start] = out
-            left[point] -= 1
-            if not left[point]:
-                print(f"{cfg.experiment}: point {point + 1}/{len(cfg.snr_db_grid)} "
-                      f"(snr {cfg.snr_db_grid[point]:g} dB) done", file=sys.stderr)
+        mapped = (map if pool is None else pool.map)(run_trials, repeat(cfg), tasks)
+        for n, (trials, out) in enumerate(zip(tasks, mapped), 1):
+            outputs.append(out)
+            print(f"{cfg.experiment}: task {n}/{len(tasks)} (trials {trials.start}-"
+                  f"{trials.stop - 1}) done", file=sys.stderr)
+    trial_rows = np.concatenate([o.rows for o in outputs], axis=1)
     rows = []
     for point, snr_db in enumerate(cfg.snr_db_grid):
-        point_outputs = [outputs[key] for key in sorted(outputs) if key[0] == point]
-        rows.extend(_aggregate_point(cfg, snr_db, point_outputs[0].keys,
-                                     np.concatenate([o.rows for o in point_outputs])))
-    redraws = sum(o.redraws for o in outputs.values())
+        rows.extend(_aggregate_point(cfg, snr_db, outputs[0].keys[point],
+                                     trial_rows[point]))
+    redraws = sum(o.redraws for o in outputs)
     total = cfg.trials * len(cfg.snr_db_grid)
     if redraws > 0.001 * total:
         print(f"{cfg.experiment}: {redraws} degenerate redraws over "
@@ -572,8 +567,9 @@ class Experiment:
     config defaults (where they differ from _BASE_DEFAULTS), row producer;
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
     redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
-    runs (None: the optimal design at the config's d); and its K rule, "any",
-    "fixed" (a fixed: list) or "bits" (even bit budgets up to _MAX_BITS).
+    runs (None: the optimal design at the config's d); its K rule, "any",
+    "fixed" (a fixed: list) or "bits" (even bit budgets up to _MAX_BITS);
+    and key_count, the keys its trial gives a point of K values ks.
     """
 
     description: str
@@ -582,13 +578,14 @@ class Experiment:
     trial: object = None
     designs: tuple | None = None
     k_rule: str = "any"
+    key_count: object = len
 
 
 EXPERIMENTS = {
     "fig2_sumrate_d1": Experiment(
         description="d=1 sum rate vs SNR, K=ceil(P): 1-bit OIA against "
                     "perfect-feedback OIA and closed-form IA",
-        trial=_trial_fig2),
+        trial=_trial_fig2, key_count=lambda ks: 2 * len(ks) + 1),
     "fig3_eligible_users": Experiment(
         description="d=1 eligible-user counts vs SNR under the 1-bit "
                     "threshold, K=ceil(P)",
@@ -611,7 +608,7 @@ EXPERIMENTS = {
         description="1-bit OIA with K=n_bits users against limited-feedback "
                     "IA at the same per-cell bit budget",
         defaults=dict(K_rule="fixed:10,16,24,28,32,36,40", trials=500),
-        trial=_trial_fig6, k_rule="bits"),
+        trial=_trial_fig6, k_rule="bits", key_count=lambda ks: 2 * len(ks)),
     "fig7_complexity_table": Experiment(
         description="feedback FLOP counts per cell: 1-bit OIA vs joint and "
                     "individual IA quantization (no Monte Carlo)",

@@ -298,27 +298,32 @@ def test_run_trials_refuse_bad_trial_indices(monkeypatch):
     cfg = make_config("fig3_eligible_users", {"snr_db_grid": "10"})
     draws = _spoil(monkeypatch, "generate_channels", 0, lambda t, args: False,
                    lambda drop: None)
-    for bad in ([-1], [0, 1.5], [True], ["2"], [0, np.int64(-3)]):
+    for bad in ([-1], [0, 1.5], [True], ["2"], [0, np.int64(-3)], range(-1, 3),
+                range(3, -2, -1)):
         with pytest.raises(ConfigError, match="non-negative integers"):
-            run_trials(cfg, 10.0, bad)
+            run_trials(cfg, bad)
     with pytest.raises(ConfigError, match="non-negative integers"):
         run_trial(cfg, 10.0, -1)
+    for empty in ([], range(0), range(5, 2)):
+        with pytest.raises(ConfigError, match="at least one trial index"):
+            run_trials(cfg, empty)
     assert draws == []
-    assert run_trials(cfg, 10.0, [np.int64(2)]).rows.shape[0] == 1
+    assert run_trials(cfg, [np.int64(2)]).rows.shape[:2] == (1, 1)
+    # a range is taken as it is, a descending one in its own order
+    assert np.array_equal(run_trials(cfg, range(3, -1, -1)).rows,
+                          run_trials(cfg, [3, 2, 1, 0]).rows)
 
 
 def test_run_trials_refuse_snr_off_the_grid():
+    # run_trials runs every grid point; run_trial names one, on the grid
     cfg = make_config("fig3_eligible_users", {"snr_db_grid": "0,10"})
-    for run in (lambda: run_trials(cfg, 5.0, range(2)), lambda: run_trial(cfg, 5.0, 0)):
-        with pytest.raises(ConfigError,
-                           match=r"snr_db 5.0 is not on the grid \(0.0, 10.0\)"):
-            run()
+    with pytest.raises(ConfigError,
+                       match=r"snr_db 5.0 is not on the grid \(0.0, 10.0\)"):
+        run_trial(cfg, 5.0, 0)
     # anything but a number, even a string that parses to a grid value
     for snr_db in ("abc", "0", None, [1], [0.0]):
-        for run in (lambda: run_trials(cfg, snr_db, range(2)),
-                    lambda: run_trial(cfg, snr_db, 0)):
-            with pytest.raises(ConfigError, match="is not on the grid"):
-                run()
+        with pytest.raises(ConfigError, match="is not on the grid"):
+            run_trial(cfg, snr_db, 0)
 
 
 def _drop_bytes(cfg, snr_db):
@@ -332,22 +337,23 @@ def _drop_bytes(cfg, snr_db):
                                                 ("fig5_sumrate_d2", 30.0),
                                                 ("fig6_oia_vs_ia", 20.0)])
 def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_db):
-    cfg = make_config(experiment, {"snr_db_grid": str(snr_db)})
+    # every grid point, in grid order: a smaller drop at 10 dB, then snr_db
+    cfg = make_config(experiment, {"snr_db_grid": f"10,{snr_db}"})
     n = 7
-    singles = [run_trial(cfg, snr_db, t) for t in range(n)]
-    expected = np.stack([o.rows for o in singles])
+    singles = [[run_trial(cfg, snr, t) for t in range(n)] for snr in cfg.snr_db_grid]
+    expected = np.stack([[o.rows for o in point] for point in singles])
     for per_chunk in (1, 2, 3, n, 10 ** 6):
         monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * _drop_bytes(cfg, snr_db))
-        out = run_trials(cfg, snr_db, range(n))
-        assert out.keys == singles[0].keys
+        out = run_trials(cfg, range(n))
+        assert out.keys == tuple(point[0].keys for point in singles)
         assert out.redraws == 0
-        assert out.rows.shape == (n, len(out.keys), 3)
+        assert out.rows.shape == (2, n, len(out.keys[1]), 3)
         assert np.array_equal(out.rows, expected, equal_nan=True)
     # any order and subset of trials: each row is its own trial's
-    out = run_trials(cfg, snr_db, [5, 0, 3])
-    assert np.array_equal(out.rows, expected[[5, 0, 3]], equal_nan=True)
+    out = run_trials(cfg, [5, 0, 3])
+    assert np.array_equal(out.rows, expected[:, [5, 0, 3]], equal_nan=True)
     with pytest.raises(ConfigError):
-        run_trials(cfg, snr_db, [])
+        run_trials(cfg, [])
 
 
 def _trial_of(rng):
@@ -409,7 +415,7 @@ def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experimen
                                    "K_rule": "fixed:10,16,40"}
                       if experiment == "fig6_oia_vs_ia" else {"snr_db_grid": "20"})
     n, bad = 5, 2
-    clean = run_trials(cfg, 20.0, range(n))
+    clean = run_trials(cfg, range(n))
 
     matches = []
 
@@ -421,7 +427,7 @@ def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experimen
         return len(matches) % 2 == 1
 
     calls = _spoil(monkeypatch, name, rng_arg, first_of_a_run, spoil)
-    chunk = run_trials(cfg, 20.0, range(n))
+    chunk = run_trials(cfg, range(n))
     draws = [calls.count(t) for t in range(n)]
     del calls[:]
     singles = [run_trial(cfg, 20.0, t) for t in range(n)]
@@ -429,11 +435,11 @@ def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experimen
     assert draws[bad] == draws[0] + 1
     assert chunk.redraws == 1
     assert [o.redraws for o in singles] == [0, 0, 1, 0, 0]
-    assert np.array_equal(chunk.rows, np.stack([o.rows for o in singles]),
+    assert np.array_equal(chunk.rows[0], np.stack([o.rows for o in singles]),
                           equal_nan=True)
     keep = [t for t in range(n) if t != bad]
-    assert np.array_equal(chunk.rows[keep], clean.rows[keep], equal_nan=True)
-    assert not np.array_equal(chunk.rows[bad], clean.rows[bad], equal_nan=True)
+    assert np.array_equal(chunk.rows[0, keep], clean.rows[0, keep], equal_nan=True)
+    assert not np.array_equal(chunk.rows[0, bad], clean.rows[0, bad], equal_nan=True)
 
 
 @pytest.mark.parametrize("experiment, spoil", [("fig3_eligible_users", _zero_link),
@@ -444,7 +450,7 @@ def test_drop_that_stays_degenerate_gives_up_mid_chunk(monkeypatch, experiment, 
     calls = _spoil(monkeypatch, "generate_channels", 0,
                    lambda t, args: t == 2, spoil)
     with pytest.raises(DegenerateChannel):
-        run_trials(cfg, 20.0, range(5))
+        run_trials(cfg, range(5))
     assert [calls.count(t) for t in range(5)] == [1, 1, 6, 1, 1]
     del calls[:]
     with pytest.raises(DegenerateChannel):
@@ -547,7 +553,7 @@ def test_run_experiment_refuses_a_directory_output_path_before_running(tmp_path,
         run_experiment(cfg)
 
 
-def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
+def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch, capfd):
     pools = []
     mapped = []
 
@@ -584,28 +590,29 @@ def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
     cfg = make_config("fig2_sumrate_d1",
                       {"trials": "41", "snr_db_grid": "0,5,10",
                        "output_path": str(out)})
+    capfd.readouterr()
     run_experiment(cfg, workers=64)
     assert pools == [2]
-    # one map per run, whose (point, trial range) tasks cover every trial of
-    # every point once
+    # one map per run, of trial ranges that run every grid point: in
+    # order, trials // (4 workers) = 5 trials each but the last, and
+    # covering every trial once
     assert len(mapped) == 1
     fn, tasks = mapped[0]
     assert fn is harness.run_trials
-    covered = sorted((snr_db, t) for _, snr_db, trials in tasks for t in trials)
-    assert covered == [(snr_db, t) for snr_db in cfg.snr_db_grid for t in range(41)]
-    # K = 10 at 10 dB keeps the step trials // (8 workers) and goes first;
-    # K = 4 and K = 1 take ranges of about the same cost, 2.5x and 10x as long
-    assert tasks[0][1] == 10.0
-    assert [trials for _, snr_db, trials in tasks if snr_db == 10.0] == [
-        range(s, min(s + 2, 41)) for s in range(0, 41, 2)]
-    assert [len(trials) for _, snr_db, trials in tasks if snr_db == 5.0] == [5] * 8 + [1]
-    assert [len(trials) for _, snr_db, trials in tasks if snr_db == 0.0] == [20, 20, 1]
-    # costliest first: trials times K (the drop size over 9 nr nt)
-    costs = [len(trials) * math.ceil(10 ** (snr_db / 10)) for _, snr_db, trials in tasks]
-    assert costs == sorted(costs, reverse=True)
+    assert all(task[0] is cfg for task in tasks)
+    ranges = [trials for _, trials in tasks]
+    assert ranges == [range(s, min(s + 5, 41)) for s in range(0, 41, 5)]
+    assert [t for trials in ranges for t in trials] == list(range(41))
+    # one progress line per task, on stderr
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == len(tasks)
+    assert lines[0] == "fig2_sumrate_d1: task 1/9 (trials 0-4) done"
+    assert lines[-1] == "fig2_sumrate_d1: task 9/9 (trials 40-40) done"
     serial = tmp_path / "serial.csv"
     run_experiment(dataclasses.replace(cfg, output_path=str(serial)))
     assert pools == [2]
+    assert capfd.readouterr().err.splitlines() == [
+        "fig2_sumrate_d1: task 1/1 (trials 0-40) done"]
     assert _body(str(out)) == _body(str(serial))
     # the points are reduced in grid order, each on its rows in trial order
     assert [snr_db for snr_db, _ in reduced] == 2 * list(cfg.snr_db_grid)
@@ -616,6 +623,9 @@ def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_experiment(cfg, workers=64)
     assert pools == [2, 3]
+    # 41 // (4 * 3) = 3 trials per task
+    assert [trials for _, trials in mapped[1][1]] == [
+        range(s, min(s + 3, 41)) for s in range(0, 41, 3)]
 
 
 def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
@@ -630,6 +640,30 @@ def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
         run_experiment(cfg)
 
 
+def test_run_experiment_refuses_rows_larger_than_memory(tmp_path, monkeypatch):
+    # 10^11 fig6 trials keep 9 points x 14 keys x 3 float64 rows each,
+    # 302 TB, though every drop is small: refused before any task runs,
+    # without a list of the trials
+    def never(*args, **kwargs):
+        raise AssertionError("generate_channels called for an oversized run")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    cfg = make_config("fig6_oia_vs_ia", {"trials": 10 ** 11,
+                                         "output_path": str(tmp_path / "x.csv")})
+    with pytest.raises(ConfigError, match=r"need about 3.02e\+14 B, more than"):
+        run_experiment(cfg)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("experiment", ["fig2_sumrate_d1", "fig3_eligible_users",
+                                        "fig5_sumrate_d2", "fig6_oia_vs_ia"])
+def test_key_count_is_the_keys_a_trial_gives(experiment):
+    # the memory check counts the stored rows by the registry's key_count
+    cfg = make_config(experiment, {"snr_db_grid": "10"})
+    assert (harness.EXPERIMENTS[experiment].key_count(cfg.k_values[0])
+            == len(run_trial(cfg, 10.0, 0).keys))
+
+
 def _cfg_file(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="utf-8")
@@ -638,10 +672,11 @@ def _cfg_file(tmp_path, text):
 
 def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
     # a d = 1 drop of K users holds 16 B per channel entry (9 K nr nt of
-    # them) and 3 K float64 metrics: 312,000 B at K = 1000, which fits a
-    # memory of exactly that size; K = 1001 does not, and is refused
-    # before any drop is drawn
-    have = 16 * 9 * 1000 * 2 + 8 * 3 * 1000
+    # them) and 3 K float64 metrics, and each trial stores 3 float64 per
+    # key and point: 312,048 B at K = 1000 and 2 trials, which fits a
+    # memory of exactly that size; K = 1001 or a third trial does not, and
+    # is refused before any drop is drawn
+    have = 16 * 9 * 1000 * 2 + 8 * 3 * 1000 + 8 * 3 * 2
     real_sysconf = os.sysconf
 
     def sysconf(name):
@@ -660,6 +695,9 @@ def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "generate_channels", never)
     assert main(["run", "fig3_eligible_users", "--config", str(_cfg_file(
         tmp_path, "snr_db_grid = 0\nK_rule = fixed:1001\ntrials = 2\n")),
+        "--out", str(tmp_path / "never.csv")]) == 2
+    assert main(["run", "fig3_eligible_users", "--config", str(_cfg_file(
+        tmp_path, "snr_db_grid = 0\nK_rule = fixed:1000\ntrials = 3\n")),
         "--out", str(tmp_path / "never.csv")]) == 2
     assert not (tmp_path / "never.csv").exists()
 
