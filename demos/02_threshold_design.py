@@ -25,18 +25,19 @@ for branch in (0, -1):
     w = lambert_w(branch, z)
     print(f"  branch {branch:2d}: w = {w:+.6f}, w*exp(w) = {w * np.exp(w):+.6f}")
 
-# 2. Threshold rules for a 2-stream system (n=4, d=2) as the user
-#    population grows. The rules agree to a few percent once K is in
-#    the hundreds, and every threshold shrinks with K: more users make
-#    the scheduler pickier.
+# 2. Threshold rules for a 2-stream system (d=2, so n=4 receive
+#    antennas) as the user population grows. Each rule takes K and d; the
+#    operating quantities take the G(4, 2) constants. The rules agree to
+#    a few percent once K is in the hundreds, and every threshold shrinks
+#    with K: more users make the scheduler pickier.
 p42 = ManifoldParams(4, 2)
 print("\nthresholds for n=4, d=2   (numeric / lambert / asymptotic)")
 print(f"{'K':>6} {'numeric':>10} {'lambert':>10} {'asympt':>10} "
       f"{'E[eligible]':>12} {'P[outage]':>10}")
 for K in (10, 100, 1000, 10000):
-    xn = threshold_numeric(K, p42)
-    xl = threshold_lambert(K, p42)
-    xa = threshold_asymptotic(K, p42)
+    xn = threshold_numeric(K, 2)
+    xl = threshold_lambert(K, 2)
+    xa = threshold_asymptotic(K, 2)
     print(f"{K:6d} {xn:10.5f} {xl:10.5f} {xa:10.5f} "
           f"{expected_eligible(xn, K, p42):12.3f} "
           f"{outage_probability(xn, K, p42):10.2e}")
@@ -44,12 +45,11 @@ for K in (10, 100, 1000, 10000):
 # 3. For single-stream users (n=2, d=1) the optimum is available in
 #    closed form, including the metric value it achieves (the achieved
 #    value needs at least two users to compete).
-p21 = ManifoldParams(2, 1)
 print("\nsingle-stream closed form vs numeric (n=2, d=1)")
 print(f"{'K':>6} {'closed form':>12} {'numeric':>10} {'E[metric]':>12}")
 for K in (2, 10, 100, 1000):
     xc = optimal_threshold_d1(K)
-    xn = threshold_numeric(K, p21)
+    xn = threshold_numeric(K, 1)
     print(f"{K:6d} {xc:12.6f} {xn:10.6f} "
           f"{min_expected_metric_d1(K):12.6f}")
 

@@ -40,8 +40,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    if args.K < 1:
-        raise ConfigError(f"--K must be at least 1, got {args.K}")
+    if not 1 <= args.K <= sys.float_info.max:
+        raise ConfigError(f"--K must lie in [1, {sys.float_info.max:.4g}], got {args.K}")
     print("%.9g" % design_threshold(args.method, args.K, args.d))
     return 0
 

@@ -21,8 +21,9 @@ trial order and each point is reduced in grid order.
 Within a chunk, the channel draw (grassmann.complex_normal) and the
 selection metrics (channel.cell_metrics) work in blocks of a fixed size,
 with the same stream and bits as one pass; so a run needs its largest
-drop with its (3, K) metrics, its stored rows and a constant that does
-not grow with K, which is what it checks against physical memory first.
+drop with its (3, K) metrics, two copies of its stored rows and a
+constant that does not grow with K, which is what it checks against
+physical memory first.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
                      UnknownExperiment)
-from .grassmann import INV_SQRT2, ManifoldParams, complex_normal
+from .grassmann import INV_SQRT2, complex_normal
 from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
 from .oia import select_conventional, select_one_bit
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
@@ -237,8 +238,9 @@ def parse_k_rule(rule: str):
             values = tuple(sorted(int(v) for v in parts[1].split(",")))
         except ValueError as exc:
             raise ConfigError(f"bad fixed K list {parts[1]!r}") from exc
-        if not values or values[0] < 1:
-            raise ConfigError("fixed K values must be positive integers")
+        if not values or not 1 <= values[0] <= values[-1] <= sys.float_info.max:
+            raise ConfigError("fixed K values must be integers in "
+                              f"[1, {sys.float_info.max:.4g}]")
         if len(set(values)) != len(values):
             raise ConfigError(f"fixed K values must be distinct, got {parts[1]!r}")
         return "fixed", values
@@ -265,14 +267,13 @@ def design_threshold(method: str, K: int, d: int) -> float:
     """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
     for K candidate users with d streams, on G(2d, d), cached."""
     _check_threshold_method(method, d)
-    params = ManifoldParams(2 * d, d)
     if method == "closed_form_d1":
         return optimal_threshold_d1(K)
     if method == "lambert":
-        return threshold_lambert(K, params)
+        return threshold_lambert(K, d)
     if method == "asymptotic":
-        return threshold_asymptotic(K, params)
-    return threshold_numeric(K, params)
+        return threshold_asymptotic(K, d)
+    return threshold_numeric(K, d)
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
@@ -481,13 +482,14 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
 def _check_run_fits(cfg: ExperimentConfig) -> None:
     """Refuse a run whose largest channel drop, with its (3, K) metric
     array, and its stored float64 rows (points x trials x keys x 3) exceed
-    physical memory; the draw and the metrics work in blocks whose size
-    does not grow with K."""
+    physical memory; the rows count twice, as the run holds them alongside
+    their concatenation, while the draw and the metrics work in blocks
+    whose size does not grow with K."""
     kmax = max(max(ks) for ks in cfg.k_values)
     entries = max(_drop_entries(cfg, point) for point in range(len(cfg.k_values)))
     keys = sum(EXPERIMENTS[cfg.experiment].key_count(ks) for ks in cfg.k_values)
     need = (np.dtype(complex).itemsize * entries
-            + np.dtype(float).itemsize * 3 * (kmax + cfg.trials * keys))
+            + np.dtype(float).itemsize * 3 * (kmax + 2 * cfg.trials * keys))
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):

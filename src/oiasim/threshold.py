@@ -1,14 +1,15 @@
 """Design of the 1-bit feedback threshold.
 
-For d = 1 the expected selected-user metric has a closed-form minimizer.
-For general d the expected-metric upper bound x + (d - x)(1 - c x^{d^2})^K
-is minimized either exactly on a grid (numeric oracle), through the
-Lambert W function after an exponential approximation of the outage factor,
-or by the asymptotic form (A log K / (c K))^{1/d^2} that drops the
-constant term.
+Each design takes K users per cell and d streams, with nr = 2d, so the
+metric lives on G(2d, d) with CDF exponent d^2. For d = 1 the expected
+selected-user metric has a closed-form minimizer. For general d the
+expected-metric upper bound x + (d - x)(1 - c x^{d^2})^K is minimized
+either exactly on a grid (numeric oracle), through the Lambert W function
+after an exponential approximation of the outage factor, or by the
+asymptotic form (A log K / (c K))^{1/d^2} that drops the constant term.
 
-lambert_w and threshold_numeric import their scipy routine on first call;
-the closed form and the asymptotic form need numpy only.
+scipy is imported on first use: by lambert_w, by threshold_numeric
+(golden) and by the G(2d, d) constant c at d > 1 (gammaln).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import LambertDomain, ShapeMismatch, TooFewUsers
+from .errors import LambertDomain, TooFewUsers
 from .grassmann import ManifoldParams
 from .oia import expected_metric_one_bit, expected_metric_upper_bound
 
@@ -66,22 +67,16 @@ def lambert_w(branch: int, z: float) -> float:
     return float(lambertw(z, branch).real)
 
 
-def _require_full_dof_setup(p: ManifoldParams):
-    if p.n != 2 * p.d:
-        raise ShapeMismatch("threshold formulas assume nr = 2d (exponent d^2)")
-
-
-def threshold_lambert(K: int, p: ManifoldParams) -> float:
+def threshold_lambert(K: int, d: int) -> float:
     """Threshold from the Lambert W_{-1} stationary point of the
     exponential-approximation objective (y/c)^(1/d^2) + d e^{-K y}.
 
     For d = 1 the stationary point is y = log(K)/K directly. Raises
     TooFewUsers when K is below the validity range of the method.
     """
-    _require_full_dof_setup(p)
+    p = ManifoldParams(2 * d, d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
-    d = p.d
     dsq = d * d
     alpha = 1.0 / dsq - 1.0
     if d == 1:
@@ -96,14 +91,14 @@ def threshold_lambert(K: int, p: ManifoldParams) -> float:
     return (y / p.c) ** (1.0 / dsq)
 
 
-def threshold_asymptotic(K: int, p: ManifoldParams) -> float:
+def threshold_asymptotic(K: int, d: int) -> float:
     """Asymptotic threshold x = (A log K/(c K))^(1/d^2) with A = 1/d^2;
     the constant term of the paper's form is 0 (it does not affect the
     achieved degrees of freedom)."""
-    _require_full_dof_setup(p)
+    p = ManifoldParams(2 * d, d)
     if K < 2:
         raise TooFewUsers("asymptotic form requires K >= 2")
-    dsq = p.d * p.d
+    dsq = d * d
     A = 1.0 / dsq
     y = A * math.log(K) / K
     if not 0.0 < y < 1.0:
@@ -111,15 +106,15 @@ def threshold_asymptotic(K: int, p: ManifoldParams) -> float:
     return (y / p.c) ** (1.0 / dsq)
 
 
-def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
-                       p: ManifoldParams) -> np.ndarray:
-    """expected_metric_one_bit ("exact") or expected_metric_upper_bound
-    ("bound") at every point of a positive grid, in one numpy pass; the
-    values may differ from the scalar functions' in the last bits."""
-    x = grid if objective == "bound" else np.minimum(grid, p.x_max)
+def _objective_on_grid(grid: np.ndarray, K: int, p: ManifoldParams) -> np.ndarray:
+    """threshold_numeric's objective, expected_metric_one_bit at d = 1 and
+    expected_metric_upper_bound otherwise, at every point of a positive
+    grid, in one numpy pass; the values may differ from the scalar
+    functions' in the last bits."""
+    x = grid if p.d > 1 else np.minimum(grid, p.x_max)
     F = np.minimum(p.c * x**p.exponent, 1.0)
     p_out = (1.0 - F) ** K
-    if objective == "bound":
+    if p.d > 1:
         return x + (p.d - x) * p_out
     D = p.exponent
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -127,7 +122,7 @@ def _objective_on_grid(objective: str, grid: np.ndarray, K: int,
     return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
 
 
-def threshold_numeric(K: int, p: ManifoldParams) -> float:
+def threshold_numeric(K: int, d: int) -> float:
     """Grid-plus-golden-section minimizer of the expected selected metric:
     the argmin of a 10,000-point log grid, evaluated in one numpy pass,
     then golden-section search on the scalar objective around it.
@@ -135,13 +130,13 @@ def threshold_numeric(K: int, p: ManifoldParams) -> float:
     The objective is expected_metric_one_bit for d = 1 (where the metric
     law is exact) and the closed-form upper bound otherwise.
     """
+    p = ManifoldParams(2 * d, d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
-    objective = "exact" if p.d == 1 else "bound"
-    scalar = expected_metric_one_bit if p.d == 1 else expected_metric_upper_bound
+    scalar = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
     x_max = p.x_max
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
-    i = int(np.argmin(_objective_on_grid(objective, grid, K, p)))
+    i = int(np.argmin(_objective_on_grid(grid, K, p)))
     x_star = float(grid[i])
     if 0 < i < len(grid) - 1:
         from scipy.optimize import golden

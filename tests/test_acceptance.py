@@ -116,9 +116,9 @@ def test_criterion_03_eligible_users(tmp_path):
 def test_criterion_04_threshold_agreement():
     gaps = []
     for K in (100, 1000, 10000):
-        xn = threshold_numeric(K, P42)
-        xl = threshold_lambert(K, P42)
-        xa = threshold_asymptotic(K, P42)
+        xn = threshold_numeric(K, 2)
+        xl = threshold_lambert(K, 2)
+        xa = threshold_asymptotic(K, 2)
         gaps.append(abs(xl - xn) / xn)
         assert xa < xl
     ok = all(g < 0.1 for g in gaps) and gaps[0] > gaps[1] > gaps[2]

@@ -65,7 +65,7 @@ def _selection_law_misses(rows, report_prob=optimal_threshold_d1):
 
 def _d2_threshold(K):
     """The optimal design at d = 2, the one fig5 runs."""
-    return threshold_numeric(K, ManifoldParams(4, 2))
+    return threshold_numeric(K, 2)
 
 
 def _d2_report_prob(K):

@@ -1,12 +1,13 @@
 """Exit codes and output of the oia-sim command line."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
-from oiasim import ManifoldParams, threshold_numeric
+from oiasim import threshold_numeric
 from oiasim.cli import main
 
 # Output of the threshold designs that import scipy on first use (golden,
@@ -44,7 +45,7 @@ def test_threshold_numeric_value(capsys):
                "--K", "100"])
     assert rc == 0
     printed = capsys.readouterr().out.strip()
-    assert printed == "%.9g" % threshold_numeric(100, ManifoldParams(4, 2))
+    assert printed == "%.9g" % threshold_numeric(100, 2)
 
 
 @pytest.mark.parametrize("method,printed", [("numeric", "0.522664091"),
@@ -100,6 +101,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for method, d, K in (("numeric", "2", "0"), ("closed_form_d1", "1", "-3"),
                          ("lambert", "2", "0"), ("asymptotic", "1", "-1")):
         assert main(["threshold", "--method", method, "--d", d, "--K", K]) == 2
+    # so is a K past the largest double, which every design would turn
+    # into a float; the largest double itself is designed
+    for method, d in (("closed_form_d1", "1"), ("numeric", "1"), ("lambert", "2"),
+                      ("asymptotic", "2")):
+        capsys.readouterr()
+        assert main(["threshold", "--method", method, "--d", d,
+                     "--K", str(2 ** 1024)]) == 2
+        assert "--K must lie in" in capsys.readouterr().err
+    assert main(["threshold", "--method", "closed_form_d1", "--d", "1",
+                 "--K", str(int(sys.float_info.max))]) == 0
     # the receive antennas follow from d: --nr is no option
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--method", "numeric", "--d", "2", "--nr", "4",

@@ -5,6 +5,7 @@ import glob
 import hashlib
 import math
 import os
+import sys
 import time
 
 import numpy as np
@@ -47,6 +48,25 @@ def test_parse_k_rule_forms():
 def test_parse_k_rule_rejects(rule):
     with pytest.raises(ConfigError):
         parse_k_rule(rule)
+
+
+def test_fixed_k_beyond_the_double_range_refused_while_parsing(tmp_path, monkeypatch):
+    # every design computes with float(K), which overflows from the first
+    # integer past the largest double; such a K is a usage error
+    largest = int(sys.float_info.max)
+    assert parse_k_rule(f"fixed:1,{largest}") == ("fixed", (1, largest))
+    with pytest.raises(ConfigError, match="fixed K values"):
+        parse_k_rule(f"fixed:100,{2 ** 1024}")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a threshold was designed for a refused K")
+
+    for name in ("threshold_lambert", "threshold_asymptotic", "threshold_numeric"):
+        monkeypatch.setattr(harness, name, never)
+    out = tmp_path / "never.csv"
+    assert main(["run", "fig4_threshold_compare", "--config", str(_cfg_file(
+        tmp_path, f"K_rule = fixed:100,{2 ** 1024}\n")), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_make_config_defaults():
@@ -221,7 +241,7 @@ def test_threshold_value_dispatch():
     method = harness._optimal_method(make_config("fig2_sumrate_d1").d)
     assert design_threshold(method, 100, 1) == optimal_threshold_d1(100)
     method = harness._optimal_method(make_config("fig5_sumrate_d2").d)
-    assert design_threshold(method, 50, 2) == threshold_numeric(50, ManifoldParams(4, 2))
+    assert design_threshold(method, 50, 2) == threshold_numeric(50, 2)
     # a d = 1 experiment run at d = 2 parses and designs numeric
     assert harness._optimal_method(make_config("fig3_eligible_users", {"d": 2}).d) == "numeric"
     # the closed form exists at d = 1 only, and the dispatch says so
@@ -254,7 +274,7 @@ def test_threshold_used_is_the_optimal_design_for_d(tmp_path, experiment, d):
             assert math.isnan(row.threshold_used)
             continue
         expected = (optimal_threshold_d1(row.K) if d == 1
-                    else threshold_numeric(row.K, ManifoldParams(4, 2)))
+                    else threshold_numeric(row.K, 2))
         assert row.threshold_used == expected
         assert line.split(",")[8] == "%.9g" % expected
 
@@ -642,15 +662,15 @@ def test_run_experiment_refuses_drop_larger_than_memory(tmp_path, monkeypatch):
 
 def test_run_experiment_refuses_rows_larger_than_memory(tmp_path, monkeypatch):
     # 10^11 fig6 trials keep 9 points x 14 keys x 3 float64 rows each,
-    # 302 TB, though every drop is small: refused before any task runs,
-    # without a list of the trials
+    # 302 TB held twice, though every drop is small: refused before any
+    # task runs, without a list of the trials
     def never(*args, **kwargs):
         raise AssertionError("generate_channels called for an oversized run")
 
     monkeypatch.setattr(harness, "generate_channels", never)
     cfg = make_config("fig6_oia_vs_ia", {"trials": 10 ** 11,
                                          "output_path": str(tmp_path / "x.csv")})
-    with pytest.raises(ConfigError, match=r"need about 3.02e\+14 B, more than"):
+    with pytest.raises(ConfigError, match=r"need about 6.05e\+14 B, more than"):
         run_experiment(cfg)
     assert not (tmp_path / "x.csv").exists()
 
@@ -670,19 +690,22 @@ def _cfg_file(tmp_path, text):
     return path
 
 
-def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
-    # a d = 1 drop of K users holds 16 B per channel entry (9 K nr nt of
-    # them) and 3 K float64 metrics, and each trial stores 3 float64 per
-    # key and point: 312,048 B at K = 1000 and 2 trials, which fits a
-    # memory of exactly that size; K = 1001 or a third trial does not, and
-    # is refused before any drop is drawn
-    have = 16 * 9 * 1000 * 2 + 8 * 3 * 1000 + 8 * 3 * 2
+def _physical_memory(monkeypatch, have):
     real_sysconf = os.sysconf
 
     def sysconf(name):
         return {"SC_PHYS_PAGES": have, "SC_PAGE_SIZE": 1}.get(name) or real_sysconf(name)
 
     monkeypatch.setattr(os, "sysconf", sysconf)
+
+
+def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
+    # a d = 1 drop of K users holds 16 B per channel entry (9 K nr nt of
+    # them) and 3 K float64 metrics, and each trial stores 3 float64 per
+    # key and point, held twice: 312,096 B at K = 1000 and 2 trials, which
+    # fits a memory of exactly that size; K = 1001 or a third trial does
+    # not, and is refused before any drop is drawn
+    _physical_memory(monkeypatch, 16 * 9 * 1000 * 2 + 8 * 3 * 1000 + 2 * 8 * 3 * 2)
     out = tmp_path / "fits.csv"
     assert main(["run", "fig3_eligible_users", "--config", str(_cfg_file(
         tmp_path, "snr_db_grid = 0\nK_rule = fixed:1000\ntrials = 2\n")),
@@ -700,6 +723,30 @@ def test_drop_check_counts_the_drop_and_its_metrics(tmp_path, monkeypatch):
         tmp_path, "snr_db_grid = 0\nK_rule = fixed:1000\ntrials = 3\n")),
         "--out", str(tmp_path / "never.csv")]) == 2
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_row_check_counts_the_rows_twice(tmp_path, monkeypatch):
+    # the run holds its rows alongside their concatenation: at K = 1 the
+    # 1000 trials' rows (24,000 B) dwarf the 288 B drop and its 24 B of
+    # metrics; a memory that holds one copy of the rows is refused before
+    # any drop is drawn, one that holds two runs
+    config = _cfg_file(tmp_path, "snr_db_grid = 0\nK_rule = fixed:1\ntrials = 1000\n")
+    one_copy = 16 * 18 + 8 * 3 + 8 * 3 * 1000
+    _physical_memory(monkeypatch, one_copy + 8 * 3 * 1000)
+    out = tmp_path / "fits.csv"
+    assert main(["run", "fig3_eligible_users", "--config", str(config),
+                 "--out", str(out)]) == 0
+    assert out.exists()
+
+    def never(*args, **kwargs):
+        raise AssertionError("generate_channels called for an oversized run")
+
+    monkeypatch.setattr(harness, "generate_channels", never)
+    _physical_memory(monkeypatch, one_copy)
+    cfg = make_config("fig3_eligible_users", load_config_file(str(config)))
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_experiment(cfg)
+    assert not os.path.exists(cfg.output_path)
 
 
 @pytest.mark.parametrize("overrides, message", [

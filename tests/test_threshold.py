@@ -104,8 +104,8 @@ def test_lambert_w_residuals_both_branches():
 def test_threshold_lambert_close_to_numeric_and_converging():
     gaps = []
     for K in (100, 1000, 10000):
-        xl = threshold_lambert(K, P42)
-        xn = threshold_numeric(K, P42)
+        xl = threshold_lambert(K, 2)
+        xn = threshold_numeric(K, 2)
         gaps.append(abs(xl - xn) / xn)
     assert gaps[0] < 0.1
     assert gaps[0] > gaps[1] > gaps[2]
@@ -115,7 +115,7 @@ def test_threshold_lambert_stationarity_of_its_objective():
     # the closed form targets x + d exp(-K c x^(d^2)); its derivative at
     # the returned x is smaller in magnitude than 10% to either side
     K = 100
-    x = threshold_lambert(K, P42)
+    x = threshold_lambert(K, 2)
     obj = lambda t: t + P42.d * math.exp(-K * P42.c * t ** P42.exponent)
     def slope(t, eps=1e-7):
         return abs((obj(t * (1 + eps)) - obj(t * (1 - eps))) / (2 * t * eps))
@@ -125,23 +125,23 @@ def test_threshold_lambert_stationarity_of_its_objective():
 
 def test_threshold_lambert_d1_reduction():
     for K in (10, 100, 1000):
-        assert threshold_lambert(K, P21) == pytest.approx(math.log(K) / K,
-                                                          rel=1e-12)
+        assert threshold_lambert(K, 1) == pytest.approx(math.log(K) / K,
+                                                        rel=1e-12)
 
 
 def test_threshold_lambert_too_few_users():
     with pytest.raises(TooFewUsers):
-        threshold_lambert(2, P42)
+        threshold_lambert(2, 2)
 
 
 def test_threshold_asymptotic_values():
-    assert threshold_asymptotic(7, P21) == pytest.approx(math.log(7.0) / 7.0,
-                                                         rel=1e-12)
+    assert threshold_asymptotic(7, 1) == pytest.approx(math.log(7.0) / 7.0,
+                                                       rel=1e-12)
     expected = (0.25 * math.log(10 ** 4) / (0.5 * 10 ** 4)) ** 0.25
-    assert threshold_asymptotic(10 ** 4, P42) == pytest.approx(expected,
-                                                               rel=1e-12)
+    assert threshold_asymptotic(10 ** 4, 2) == pytest.approx(expected,
+                                                             rel=1e-12)
     with pytest.raises(TooFewUsers):
-        threshold_asymptotic(1, P42)
+        threshold_asymptotic(1, 2)
 
 
 def test_threshold_asymptotic_constant_term():
@@ -149,27 +149,27 @@ def test_threshold_asymptotic_constant_term():
     for K, p in ((1000, P42), (50, ManifoldParams(6, 3))):
         dsq = p.d * p.d
         y = (1.0 / dsq) * math.log(K) / K
-        assert threshold_asymptotic(K, p) == (y / p.c) ** (1.0 / dsq)
+        assert threshold_asymptotic(K, p.d) == (y / p.c) ** (1.0 / dsq)
 
 
 def test_threshold_asymptotic_below_lambert_and_converging():
     ratios = []
     for K in (10 ** 3, 10 ** 5, 10 ** 7):
-        xa = threshold_asymptotic(K, P42)
-        xl = threshold_lambert(K, P42)
+        xa = threshold_asymptotic(K, 2)
+        xl = threshold_lambert(K, 2)
         assert xa < xl
         ratios.append(xa / xl)
     assert abs(ratios[0] - 1) > abs(ratios[1] - 1) > abs(ratios[2] - 1)
 
 
 def test_threshold_numeric_exact_mode_matches_closed_form():
-    assert threshold_numeric(10, P21) == pytest.approx(
+    assert threshold_numeric(10, 1) == pytest.approx(
         optimal_threshold_d1(10), abs=1e-6)
 
 
 def test_threshold_numeric_stationary_on_bound():
     K = 100
-    x = threshold_numeric(K, P42)
+    x = threshold_numeric(K, 2)
     f = lambda t: expected_metric_upper_bound(t, K, P42)
     def slope(t, eps=1e-7):
         return abs((f(t * (1 + eps)) - f(t * (1 - eps))) / (2 * t * eps))
@@ -228,7 +228,7 @@ def test_threshold_numeric_equals_scalar_loop_reference(d):
     # the scalar functions', but its argmin, and so the threshold, may not
     p = ManifoldParams(2 * d, d)
     for K, x in _scalar_loop_thresholds(p).items():
-        assert threshold_numeric(K, p) == x, K
+        assert threshold_numeric(K, d) == x, K
 
 
 def test_bound_objective_unimodal_on_grid():
@@ -248,14 +248,78 @@ def test_dof_loss_proxy_decreases_with_power(d, p):
     seq = []
     for P in (10.0, 100.0, 1000.0, 10000.0):
         K = math.ceil(P ** d)
-        x = optimal_threshold_d1(K) if d == 1 else threshold_numeric(K, p)
+        x = optimal_threshold_d1(K) if d == 1 else threshold_numeric(K, d)
         seq.append(math.log2(P * expected_metric_upper_bound(x, K, p))
                    / math.log2(P))
     assert all(a > b for a, b in zip(seq, seq[1:]))
 
 
-def test_threshold_methods_require_full_dof_geometry():
+@pytest.mark.parametrize("design", [threshold_lambert, threshold_asymptotic,
+                                    threshold_numeric])
+@pytest.mark.parametrize("d", [0, -1])
+def test_threshold_designs_refuse_d_below_one(design, d):
     with pytest.raises(ShapeMismatch):
-        threshold_lambert(100, ManifoldParams(4, 1))
-    with pytest.raises(ShapeMismatch):
-        threshold_asymptotic(100, ManifoldParams(4, 1))
+        design(100, d)
+
+
+_DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
+# each design's value at every K of _DESIGN_KS, recorded when the designs
+# took a ManifoldParams(2d, d); None where the design raised TooFewUsers
+_DESIGN_VALUES = {
+    ("closed_form_d1", 1): (
+        0.6321205588285577, 0.5, 0.42264973081037427, 0.2257363173188729,
+        0.04545154333816592, 0.0068908186250203896, 0.0009207020433491531,
+        0.00011512377870293022),
+    ("lambert", 1): (
+        None, 0.34657359027997264, 0.3662040962227033, 0.23025850929940458,
+        0.04605170185988092, 0.006907755278982137, 0.0009210340371976184,
+        0.00011512925464970229),
+    ("lambert", 2): (
+        None, None, None, 0.960878892992925, 0.5609346815782484,
+        0.32562192198266715, 0.18825465820984078, 0.10850025541362611),
+    ("lambert", 3): (
+        None, None, None, 1.4936062559439982, 1.1605307888420093,
+        0.9016233485296741, 0.7003984066347547, 0.5440262769992671),
+    ("asymptotic", 1): (
+        None, 0.34657359027997264, 0.3662040962227033, 0.23025850929940458,
+        0.04605170185988092, 0.006907755278982137, 0.0009210340371976184,
+        0.00011512925464970229),
+    ("asymptotic", 2): (
+        None, 0.6451955560749384, 0.6541439070282776, 0.5825006619916888,
+        0.38954167034928966, 0.2424246274864004, 0.1464911610401579,
+        0.08710416549698259),
+    ("asymptotic", 3): (
+        None, 1.0548731775692375, 1.0613506409990938, 1.0080200332312184,
+        0.8429577920082362, 0.6827479641590566, 0.5457973020390311,
+        0.4331996057090815),
+    ("numeric", 1): (
+        0.3030736328900581, 0.4999999989969489, 0.42264972163961445,
+        0.22573631672728633, 0.045451543065073444, 0.006890818444658504,
+        0.0009207020876101756, 0.00011512379132068014),
+    ("numeric", 2): (
+        1.189207115002721, 1.1272902884601046, 1.0567428549299678,
+        0.8481329839695775, 0.522664090707468, 0.3099655054436268,
+        0.1811099347764941, 0.10504185455643072),
+    ("numeric", 3): (
+        1.514820006411103, 1.504582523477747, 1.4751915432390108,
+        1.3400643269671004, 1.064938477216204, 0.835039353381908,
+        0.6526390682282672, 0.5093253534831355),
+}
+_DESIGNS = {"closed_form_d1": lambda K, d: optimal_threshold_d1(K),
+            "lambert": threshold_lambert, "asymptotic": threshold_asymptotic,
+            "numeric": threshold_numeric}
+_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+
+
+@pytest.mark.parametrize("method, d", sorted(_DESIGN_VALUES))
+def test_design_values_are_pinned(method, d):
+    # bit for bit, or the same TooFewUsers, at every K
+    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
+        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
+                    f"{_PINNED_VERSIONS[1]}")
+    for K, expected in zip(_DESIGN_KS, _DESIGN_VALUES[method, d]):
+        if expected is None:
+            with pytest.raises(TooFewUsers):
+                _DESIGNS[method](K, d)
+        else:
+            assert _DESIGNS[method](K, d) == expected, K
