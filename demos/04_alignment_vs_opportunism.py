@@ -14,9 +14,9 @@ ia_link_rates takes.
 
 import numpy as np
 
-from oiasim import (closed_form_ia, flops_ia_individual, flops_ia_joint,
-                    flops_oia_1bit, ia_link_rates, interferer_indices,
-                    quantized_channel_set)
+from oiasim import (closed_form_ia, feedback_mode, flops_ia_individual,
+                    flops_ia_joint, flops_oia_1bit, ia_link_rates,
+                    interferer_indices, quantized_channel_set)
 
 rng = np.random.default_rng(11)
 P_DB = 20.0
@@ -48,10 +48,9 @@ for _ in range(TRIALS):
           + 1j * rng.standard_normal((3, 3, 2, 2))) / np.sqrt(2.0)
     perfect += np.mean(ia_link_rates(ch, *closed_form_ia(ch), P))
     for b in quantized:
-        # brute-force codebooks are exponential in b, so large budgets
-        # switch to the matched statistical perturbation model
-        mode = "rvq" if b <= 24 else "perturbation"
-        qch = quantized_channel_set(ch, b, mode, rng)
+        # brute-force codebooks are exponential in b, so feedback_mode
+        # switches large budgets to the matched perturbation model
+        qch = quantized_channel_set(ch, b, feedback_mode(b), rng)
         quantized[b] += np.mean(ia_link_rates(ch, *closed_form_ia(qch), P))
 print(f"  perfect : {perfect / TRIALS:7.3f} bits")
 for b, total in quantized.items():

@@ -19,7 +19,7 @@ from .grassmann import ManifoldParams, ball_volume, metric_cdf, quantization_bou
 from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
                       make_config, run_experiment, run_trial, run_trials,
                       write_csv)
-from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
+from .ia import closed_form_ia, feedback_mode, ia_link_rates, quantized_channel_set
 from .oia import (expected_eligible, expected_metric_one_bit,
                   expected_metric_upper_bound, outage_probability,
                   select_conventional, select_one_bit)

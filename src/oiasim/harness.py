@@ -50,7 +50,8 @@ from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
 from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
                      UnknownExperiment)
 from .grassmann import INV_SQRT2, complex_normal
-from .ia import closed_form_ia, ia_link_rates, quantized_channel_set
+from .ia import (MAX_BITS, closed_form_ia, feedback_mode, ia_link_rates,
+                 quantized_channel_set)
 from .oia import select_conventional, select_one_bit
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
@@ -63,9 +64,6 @@ THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 # the designs fig4 compares; a Monte Carlo run designs _optimal_method(d)
 _FIG4_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
-_RVQ_BIT_LIMIT = 24
-# the largest even bit budget b with 2^(b/2) codewords a finite double
-_MAX_BITS = 2046
 _INT_FIELDS = ("d", "trials", "seed")
 # the largest d with valid G(2d, d) constants: log c_{2d,d} falls strictly
 # with d, -652.8 at d = 18 and -746.5 at d = 19, where c underflows to 0
@@ -140,9 +138,9 @@ class ExperimentConfig:
                 f"ceil_P_pow exponent {payload} is not a multiple of d={self.d}")
         if spec.k_rule != "any" and kind != "fixed":
             raise ConfigError(f"{self.experiment} requires K_rule fixed:...")
-        if spec.k_rule == "bits" and any(b % 2 or b > _MAX_BITS for b in payload):
+        if spec.k_rule == "bits" and any(b % 2 or b > MAX_BITS for b in payload):
             raise ConfigError(f"{self.experiment} needs even bit budgets of at most "
-                              f"{_MAX_BITS}, got {self.K_rule!r}")
+                              f"{MAX_BITS}, got {self.K_rule!r}")
         k_values = []
         for snr_db in grid:
             ks = (0,)
@@ -369,10 +367,9 @@ def _trial_fig6(cfg, P, bit_values, rngs, redraws):
     call each. A degenerate budget is quantized again, alone, after the
     others of its trial."""
     keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws)
-    modes = ["rvq" if b <= _RVQ_BIT_LIMIT else "perturbation" for b in bit_values]
     ch2 = np.stack([_draw_ia_channels(rng) for rng in rngs])
-    quantized = np.stack([quantized_channel_set(ch2, b, mode, rngs)
-                          for b, mode in zip(bit_values, modes)], axis=1)
+    quantized = np.stack([quantized_channel_set(ch2, b, feedback_mode(b), rngs)
+                          for b in bit_values], axis=1)
     while True:
         try:
             sol = closed_form_ia(quantized)
@@ -380,8 +377,8 @@ def _trial_fig6(cfg, P, bit_values, rngs, redraws):
         except DegenerateChannel as exc:
             for t, n in zip(*np.nonzero(exc.where)):
                 _count_redraw(redraws, t)
-                quantized[t, n] = quantized_channel_set(ch2[t], bit_values[n],
-                                                        modes[n], rngs[t])
+                b = bit_values[n]
+                quantized[t, n] = quantized_channel_set(ch2[t], b, feedback_mode(b), rngs[t])
     return (keys + tuple(("ia_individual", b) for b in bit_values),
             np.concatenate([rows, _ia_rows(ch2[:, None], sol, P)], axis=1))
 
@@ -461,7 +458,7 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
     means are exact up to the one division."""
     n = len(trial_rows)
     rows = []
-    columns = np.ascontiguousarray(trial_rows.transpose(1, 2, 0))
+    columns = trial_rows.transpose(1, 2, 0)  # each key's strided columns, no copy
     for (scheme, K), (sums, outages, eligible) in zip(keys, columns):
         rows.append(ResultRow(
             experiment=cfg.experiment,
@@ -570,7 +567,7 @@ class Experiment:
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
     redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
     runs (None: the optimal design at the config's d); its K rule, "any",
-    "fixed" (a fixed: list) or "bits" (even bit budgets up to _MAX_BITS);
+    "fixed" (a fixed: list) or "bits" (even bit budgets up to ia.MAX_BITS);
     and key_count, the keys its trial gives a point of K values ks.
     """
 

@@ -10,7 +10,7 @@ cross channels separately, either against a fresh random codebook per
 link (RVQ) or through a statistical perturbation model whose squared
 chordal error equals the random-codebook distortion bound. IA is then
 computed from the de-vectorized quantized channels and evaluated on the
-true ones.
+true ones. feedback_mode picks the model for a per-cell budget.
 
 closed_form_ia and ia_link_rates work on stacks of drops, shape
 (..., 3, 3, 2, 2) indexed receiver then transmitter; one drop is the
@@ -26,7 +26,6 @@ result equals the one-vector call bit for bit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +33,8 @@ from .channel import _check_power, interferer_indices
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from .grassmann import _DRAW_BLOCK, ManifoldParams, quantization_bound
 
+RVQ_BIT_LIMIT = 24  # the largest budget feedback_mode gives explicit codebooks
+MAX_BITS = 2046  # the largest even budget b with 2^(b/2) codewords a finite double
 _COND_LIMIT = 1e12
 _UNIT_ATOL = 1e-12
 _CELLS = np.arange(3)
@@ -143,11 +144,9 @@ def ia_link_rates(ch, precoders, filters, P: float) -> np.ndarray:
     return np.log2(1.0 + signal / (1.0 + leak))
 
 
-@lru_cache(maxsize=None)
-def _perturbation_distortion(bits_per_vector: int, n: int) -> float:
-    """quantization_bound(2^bits_per_vector, (n, 1)) clipped to [0, 1]."""
-    return float(np.clip(quantization_bound(2**bits_per_vector, ManifoldParams(n, 1)),
-                         0.0, 1.0))
+def feedback_mode(bits_total: int) -> str:
+    """fig6's quantizer model: "rvq" up to RVQ_BIT_LIMIT bits, else "perturbation"."""
+    return "rvq" if bits_total <= RVQ_BIT_LIMIT else "perturbation"
 
 
 def _rvq(w, g) -> np.ndarray:
@@ -188,7 +187,8 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
     replaced by its de-vectorized quantized direction, scaled back to the
     true Frobenius norm; direct channels pass through.
 
-    Each receiver splits bits_total equally over its two cross channels.
+    Each receiver splits bits_total, even and in [2, MAX_BITS] (else
+    OddBitSplit, before any draw), equally over its two cross channels.
     mode "rvq" quantizes against fresh random codebooks of 2^(bits_total/2)
     i.i.d. complex Gaussian codewords, "perturbation" uses the statistical
     error model with the clipped rank-1 distortion bound. Each drop's six
@@ -202,13 +202,13 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
     rngs = [rng] if H.ndim == 4 else rng
     if H.ndim > 5 or not isinstance(rngs, (list, tuple)) or len(rngs) != len(drops):
         raise ShapeMismatch("need one drop and a Generator, or T drops and T Generators")
-    if bits_total < 2 or bits_total % 2:
-        raise OddBitSplit(
-            f"total bits {bits_total} cannot be split equally over two vectors")
+    if not 2 <= bits_total <= MAX_BITS or bits_total % 2:
+        raise OddBitSplit(f"total bits {bits_total} are not an even number "
+                          f"in [2, {MAX_BITS}] to split over two vectors")
     if mode == "rvq":
         shape, quantize = (2, 2 ** (bits_total // 2), 4), _rvq
     elif mode == "perturbation":
-        z = _perturbation_distortion(bits_total // 2, 4)
+        z = np.clip(quantization_bound(2**(bits_total // 2), ManifoldParams(4, 1)), 0, 1)
         shape, quantize = (2, 4), lambda w, g: _perturb(w, g, z)
     else:
         raise ShapeMismatch(f"unknown feedback mode {mode!r}")

@@ -82,7 +82,10 @@ def threshold_lambert(K: int, d: int) -> float:
     if d == 1:
         y = math.log(K) / K if K > 1 else 0.0
     else:
-        arg = K * p.c * (d**3 * K) ** (1.0 / alpha) / alpha
+        try:  # d^3 K past the largest double: its power through its log
+            arg = K * p.c * (d**3 * K) ** (1.0 / alpha) / alpha
+        except OverflowError:
+            arg = K * p.c * math.exp(math.log(d**3 * K) / alpha) / alpha
         if not _BRANCH_POINT <= arg < 0.0:
             raise TooFewUsers(f"Lambert argument {arg:.6g} outside [-1/e, 0)")
         y = alpha / K * lambert_w(-1, arg)

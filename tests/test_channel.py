@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oiasim import (ChannelSet, DegenerateChannel, ShapeMismatch, cell_metrics,
-                    closed_form_ia, generate_channels, ia_link_rates,
+                    closed_form_ia, feedback_mode, generate_channels, ia_link_rates,
                     interference_covariance, interferer_indices, make_config,
                     postfilter, quantized_channel_set, run_trial,
                     select_conventional, select_one_bit, served_links, user_rate)
@@ -559,8 +559,7 @@ def _replay_trial(cfg, snr_db, t):
         replay[("ia_closed_form", 1)] = ((sum(rates), 0, np.nan), [0, 0, 0])
     if cfg.experiment == "fig6_oia_vs_ia":
         for b in ks:
-            mode = "rvq" if b <= 24 else "perturbation"
-            sol = closed_form_ia(quantized_channel_set(ch2, b, mode, rng))
+            sol = closed_form_ia(quantized_channel_set(ch2, b, feedback_mode(b), rng))
             rates = ia_link_rates(ch2, *sol, P)
             replay[("ia_individual", b)] = ((sum(rates), 0, np.nan), [0, 0, 0])
     return replay

@@ -176,6 +176,14 @@ def test_runtime_errors_exit_3(tmp_path, capsys):
     assert main(["threshold", "--method", "lambert", "--d", "2",
                  "--K", "2"]) == 3
     assert "error:" in capsys.readouterr().err
+    # d^3 K past the largest double is designed, or refused as too few
+    # users where the Lambert argument underflows; never a traceback
+    assert main(["threshold", "--method", "lambert", "--d", "18",
+                 "--K", str(2 ** 1012)]) == 0
+    assert capsys.readouterr().out == "0.877937093\n"
+    assert main(["threshold", "--method", "lambert", "--d", "2",
+                 "--K", str(2 ** 1022)]) == 3
+    assert "error: Lambert argument" in capsys.readouterr().err
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not dir", encoding="utf-8")
     rc = main(["run", "fig7_complexity_table",

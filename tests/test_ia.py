@@ -16,12 +16,12 @@ from ia_oracle import (AggregatedChannel, aggregate_channel, composite_distance,
                        ia_limited_feedback_rate, ia_sum_rate,
                        perturb_quantization_model, random_unit_vectors)
 from oiasim import (DegenerateChannel, ManifoldParams, OddBitSplit,
-                    ShapeMismatch, closed_form_ia, ia_link_rates, make_config,
-                    quantization_bound, quantized_channel_set, run_trial)
+                    ShapeMismatch, closed_form_ia, feedback_mode, ia_link_rates,
+                    make_config, quantization_bound, quantized_channel_set,
+                    run_trial)
 from oiasim import harness, ia
 from oiasim.channel import interferer_indices
 from oiasim.grassmann import INV_SQRT2, complex_normal
-from oiasim.ia import _perturbation_distortion
 
 P41 = ManifoldParams(4, 1)
 
@@ -232,16 +232,22 @@ def test_rank_one_quantization_exact_mean_below_bound():
 
 
 def test_perturbation_distortion_of_fig6_budgets_matches_the_gammaln_formula():
-    # every fig6 budget above the RVQ limit goes through the perturbation
-    # model, whose distortion now takes log Gamma(1/3) from math.lgamma
+    # every fig6 budget that feedback_mode sends to the perturbation model
+    # gets the clipped bound, which takes log Gamma(1/3) from math.lgamma
     _, budgets = harness.parse_k_rule(make_config("fig6_oia_vs_ia").K_rule)
-    budgets = [b for b in budgets if b > harness._RVQ_BIT_LIMIT]
-    assert budgets
+    budgets = [b for b in budgets if feedback_mode(b) == "perturbation"]
+    assert budgets == [28, 32, 36, 40]
     for bits in budgets:
         K = 2 ** (bits // 2)
         ref = math.exp(gammaln(1.0 / 3.0) - np.log(3.0) - np.log(K * P41.c) / 3.0)
-        assert _perturbation_distortion(bits // 2, 4) == pytest.approx(
-            float(np.clip(ref, 0.0, 1.0)), rel=1e-15, abs=0)
+        z = float(np.clip(quantization_bound(K, P41), 0.0, 1.0))
+        assert z == pytest.approx(float(np.clip(ref, 0.0, 1.0)), rel=1e-15, abs=0)
+
+
+def test_feedback_mode_switches_to_perturbation_above_the_rvq_limit():
+    assert ia.RVQ_BIT_LIMIT == 24
+    assert [feedback_mode(b) for b in (2, 10, 24)] == ["rvq"] * 3
+    assert [feedback_mode(b) for b in (26, 40, ia.MAX_BITS)] == ["perturbation"] * 3
 
 
 @pytest.mark.parametrize("bits_per_vector", [2, 4])
@@ -275,11 +281,31 @@ def test_quantize_individual_rejects_unsplittable_budgets():
                 quantized_channel_set(ch, bits, mode, rng)
 
 
+@pytest.mark.parametrize("bits", [ia.MAX_BITS + 2, 2 ** 40, 2 ** 40 + 1])
+@pytest.mark.parametrize("mode", ["rvq", "perturbation"])
+def test_quantizer_refuses_budgets_past_the_cap_before_drawing(bits, mode):
+    # 2^(b/2) codewords past 2046 bits are not a finite double: refused
+    # with the library error, and the generator is not touched
+    ch = _draw(np.random.default_rng(70))
+    rng = np.random.default_rng(71)
+    state = rng.bit_generator.state
+    with pytest.raises(OddBitSplit, match="2046"):
+        quantized_channel_set(ch, bits, mode, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_quantizer_takes_the_largest_budget():
+    ch = _draw(np.random.default_rng(72))
+    q = quantized_channel_set(ch, ia.MAX_BITS, feedback_mode(ia.MAX_BITS),
+                              np.random.default_rng(73))
+    assert np.all(np.isfinite(q))
+
+
 @pytest.mark.parametrize("bits", [10, 16, 24, 28, 40])
 def test_quantization_kernel_matches_per_link_oracle(bits):
     # same codewords (RVQ) or directions (perturbation), bit for bit, and
     # the same rng position afterwards as the per-link code
-    mode = "rvq" if bits <= 24 else "perturbation"
+    mode = feedback_mode(bits)
     for seed in range(12):
         ch = _draw(np.random.default_rng(seed))
         rng, ref_rng = np.random.default_rng([seed, bits]), np.random.default_rng([seed, bits])
@@ -295,7 +321,7 @@ def test_stacked_quantization_equals_per_drop_calls(bits):
     # five drops in one call, each with its own generator: at 16 bits a
     # block holds 16 links, so blocks cross drops; every drop, and every
     # generator's position, is that of its one-drop call
-    mode = "rvq" if bits <= 24 else "perturbation"
+    mode = feedback_mode(bits)
     for seed in range(3):
         drops = complex_normal(np.random.default_rng(seed), (5, 3, 3, 2, 2), INV_SQRT2)
         rngs = [np.random.default_rng([seed, bits, t]) for t in range(5)]
@@ -503,14 +529,6 @@ def test_perturbation_model_bit_identical_to_reference_draw():
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("bits, n", [(1, 4), (13, 4), (20, 4), (150, 4), (6, 8)])
-def test_perturbation_distortion_cache_equals_direct_bound(bits, n):
-    direct = float(np.clip(quantization_bound(2 ** bits, ManifoldParams(n, 1)),
-                           0.0, 1.0))
-    assert _perturbation_distortion(bits, n) == direct
-    assert _perturbation_distortion(bits, n) == direct
-
-
 def test_stacked_closed_form_ia_matches_scalar_oracle():
     # 600 solves (100 drops, each perfect and at five budgets) as one stack,
     # given C-ordered, Fortran-ordered and as nested lists: precoders,
@@ -518,8 +536,7 @@ def test_stacked_closed_form_ia_matches_scalar_oracle():
     rng = np.random.default_rng(2024)
     drops = complex_normal(rng, (100, 3, 3, 2, 2), INV_SQRT2)
     budgets = (10, 16, 24, 28, 40)
-    stack = np.stack([[ch] + [quantized_channel_set(ch, b, "rvq" if b <= 24
-                                                    else "perturbation", rng)
+    stack = np.stack([[ch] + [quantized_channel_set(ch, b, feedback_mode(b), rng)
                               for b in budgets] for ch in drops])
     P = 10.0 ** 2.5
     ref = [[ia_oracle.closed_form_ia(q) for q in row] for row in stack]

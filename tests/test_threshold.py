@@ -134,6 +134,20 @@ def test_threshold_lambert_too_few_users():
         threshold_lambert(2, 2)
 
 
+def test_threshold_lambert_takes_d3_K_past_the_largest_double():
+    # d^3 K = 18^3 2^1012 is no double: its power goes through its log,
+    # where the direct power raised OverflowError
+    with pytest.raises(OverflowError):
+        float(18 ** 3 * 2 ** 1012)
+    assert threshold_lambert(2 ** 1012, 18) == pytest.approx(0.8779370933, rel=1e-9)
+    # the direct form is kept where it is finite: 18^3 2^1000 is a double
+    assert threshold_lambert(2 ** 1000, 18) == pytest.approx(0.9007672881, rel=1e-9)
+    # at d = 2 the Lambert argument underflows to -0, as at K = 2^1000
+    for K in (2 ** 1000, 2 ** 1022):
+        with pytest.raises(TooFewUsers, match="-0"):
+            threshold_lambert(K, 2)
+
+
 def test_threshold_asymptotic_values():
     assert threshold_asymptotic(7, 1) == pytest.approx(math.log(7.0) / 7.0,
                                                        rel=1e-12)
