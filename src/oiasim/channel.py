@@ -82,6 +82,8 @@ def cell_metrics(ch: ChannelSet) -> np.ndarray:
     DegenerateChannel when an interference channel of some user is zero
     (d = 1) or rank deficient (d > 1); its `where` is the (3, K) mask of
     such users, gathered over all cells and blocks, which callers redraw.
+    A metric reaches a row only through `<` against a threshold and argmin,
+    never a rate, so the arithmetic may move it by rounding.
     """
     K, nr, d = ch.h.shape[2:]
     m = np.empty((3, K))
@@ -111,62 +113,45 @@ def _block_metrics(hi: np.ndarray, links: tuple, d: int, out: np.ndarray) -> np.
     users, whose metrics are meaningless and raise no warning."""
     p, q = links
     if d == 1:
-        Hp = hi[p]
-        Hq = hi[q]
+        Hp = np.ascontiguousarray(hi[p]).reshape(-1, 2)
+        Hq = np.ascontiguousarray(hi[q]).reshape(-1, 2)
         # float views, one row (re0, im0, re1, im1) per user since nr = 2
-        a = np.ascontiguousarray(Hp).view(np.float64).reshape(len(Hp), 4)
-        b = np.ascontiguousarray(Hq).view(np.float64).reshape(len(Hq), 4)
+        a, b = Hp.view(np.float64), Hq.view(np.float64)
         np_sq = np.einsum("kj,kj->k", a, a)
         nq_sq = np.einsum("kj,kj->k", b, b)
         bad = (np_sq <= 0) | (nq_sq <= 0)
-        # real and imaginary parts of h_p^H h_q
-        re = np.einsum("kj,kj->k", a, b)
-        im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
-        m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
+        s = np.einsum("kj,kj->k", Hp.conj(), Hq)  # h_p^H h_q
+        m = 1.0 - (s.real * s.real + s.imag * s.imag) / (np_sq * nq_sq)
     else:
-        # columns, then entries, then (link, user): real and imaginary parts
-        X = hi[[p, q]].transpose(3, 2, 0, 1)
-        re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
-        bad = _orthonormalize_columns(re, im).any(axis=0)
-        # entry (b, c) of Qp^H Qq, real and imaginary part
-        pr, pi = re[:, None, :, 0], im[:, None, :, 0]
-        qr, qi = re[None, :, :, 1], im[None, :, :, 1]
-        sr = (pr * qr + pi * qi).sum(axis=2)
-        si = (pr * qi - pi * qr).sum(axis=2)
-        m = d - (sr * sr + si * si).sum(axis=(0, 1))
+        # one copy: column, then entry, then (link, user)
+        X = np.ascontiguousarray(hi[[p, q]].transpose(3, 2, 0, 1))
+        bad = _orthonormalize_columns(X).any(axis=0)
+        # entry (b, c) of Qp^H Qq
+        s = (X[:, None, :, 0].conj() * X[None, :, :, 1]).sum(axis=2)
+        m = d - (s.real * s.real + s.imag * s.imag).sum(axis=(0, 1))
     np.clip(m, 0.0, float(d), out=out)
     return bad
 
 
-def _orthonormalize_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a stack of complex (n, d) matrices in
-    place, by modified Gram-Schmidt, and return the mask of the
-    rank-deficient matrices, whose columns are then meaningless.
-
-    re and im hold the real and imaginary parts with the column first, then
-    the entry, then the stack axes: shape (d, n, ...). Every operation
-    then runs on whole rows of the stack.
-    The column norms after projection are |R_jj| of the QR factorization.
-    A matrix whose smallest is at most RANK_RTOL times its largest is
-    rank deficient; the mask is set before anything is divided by it.
+def _orthonormalize_columns(X: np.ndarray) -> np.ndarray:
+    """Orthonormalize in place, by modified Gram-Schmidt, the columns of the
+    complex matrices of X (column, entry, stack axes...), and return the
+    mask of the rank-deficient ones: whose smallest column norm after
+    projection, |R_jj| of QR, is at most RANK_RTOL times the largest, set
+    before anything is divided by it. Its rounding may move a metric, which
+    reaches a row only through `<` and argmin (see cell_metrics).
     """
     lo = hi = None
-    bad = np.zeros(re.shape[2:], dtype=bool)
-    for j in range(len(re)):
-        vr, vi = re[j], im[j]
-        for l in range(j):
-            ur, ui = re[l], im[l]
-            # u^H v, real and imaginary part
-            pr = (ur * vr + ui * vi).sum(axis=0)
-            pi = (ur * vi - ui * vr).sum(axis=0)
-            vr -= ur * pr - ui * pi
-            vi -= ur * pi + ui * pr
-        norm = np.sqrt((vr * vr + vi * vi).sum(axis=0))
+    bad = np.zeros(X.shape[2:], dtype=bool)
+    for j in range(len(X)):
+        v = X[j]
+        for u in X[:j]:
+            v -= u * (u.conj() * v).sum(axis=0)  # minus u u^H v
+        norm = np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
         lo = norm if lo is None else np.minimum(lo, norm)
         hi = norm if hi is None else np.maximum(hi, norm)
         bad |= lo <= RANK_RTOL * hi
-        vr /= norm
-        vi /= norm
+        v /= norm
     return bad
 
 

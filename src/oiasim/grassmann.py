@@ -27,10 +27,10 @@ import numpy as np
 from .errors import ShapeMismatch
 
 # A matrix is treated as rank deficient when the smallest |R_jj| of its QR
-# factorization, the column norms after projection in
-# channel._orthonormalize_columns, is at most RANK_RTOL times the largest.
-# Such draws are measure-zero under the channel law and are redrawn by the
-# caller, never repaired.
+# factorization, the column norms after projection in the complex
+# Gram-Schmidt of channel._orthonormalize_columns, is at most RANK_RTOL
+# times the largest. Such draws are measure-zero under the channel law and
+# are redrawn by the caller, never repaired.
 RANK_RTOL = 1e-12
 
 # fl(1/sqrt(2)), the scale of a unit-variance complex normal

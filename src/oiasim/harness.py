@@ -10,9 +10,9 @@ trial of a chunk draws from its own stream, in the same order as when it
 runs alone (run_trial); the chunk then computes the metrics, the
 selections (select_one_bit), the IA pairs (closed_form_ia) and the rates
 of all its trials in one stacked call each. A chunk holds at most
-_CHUNK_BYTES of the point's channel drops, and at least one trial, so
-memory stays bounded at large K. The CSV body therefore does not depend
-on the chunk size, nor on --workers.
+_CHUNK_BYTES of the point's channel drops and Generators, and at least one
+trial, so memory stays bounded at large K. The CSV body therefore does not
+depend on the chunk size, nor on --workers.
 
 A run is one list of equal trial ranges, mapped over one process pool
 (or, as one range, by the builtin map); the rows are concatenated in
@@ -68,10 +68,11 @@ _INT_FIELDS = ("d", "trials", "seed")
 # the largest d with valid G(2d, d) constants: log c_{2d,d} falls strictly
 # with d, -652.8 at d = 18 and -746.5 at d = 19, where c underflows to 0
 _MAX_DESIGN_D = 18
-# channel bytes the drops of one chunk of trials may hold: 8 fig5 drops
-# (K = 100, d = 2) or 3 at K = 1000 and d = 1; from K = 10^4 (d = 1) a
-# chunk is one trial and takes the memory of that one drop
+# bytes the drops and Generators of one chunk of trials may hold: 8 fig5
+# drops (K = 100, d = 2), 3 at K = 1000 and d = 1, or 672 trials at K = 1;
+# from K = 10^4 (d = 1) a chunk is one trial and takes that drop's memory
 _CHUNK_BYTES = 1_000_000
+_GENERATOR_BYTES = 1_200  # a trial's np.random.Generator, about 0.9-1.2 kB
 # a pooled run maps this many trial ranges per worker
 _TASKS_PER_WORKER = 4
 
@@ -400,19 +401,20 @@ def _checked_trials(cfg: ExperimentConfig, trial_indices):
 def _point_rows(cfg: ExperimentConfig, point: int, trials) -> tuple:
     """(keys, (trials, keys, 3) rows, redraws) of the checked trials at grid
     point index point, in chunks holding at most _CHUNK_BYTES of the point's
-    channel drops (at least one trial each)."""
+    channel drops and their Generators (at least one trial each)."""
     P = 10.0 ** (cfg.snr_db_grid[point] / 10.0)
     drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, point)
-    size = max(1, _CHUNK_BYTES // drop_bytes)
-    redraws = np.zeros(len(trials), dtype=int)
-    rows = []
+    size = max(1, _CHUNK_BYTES // (drop_bytes + _GENERATOR_BYTES))
+    rows, redraws = [], 0
     for start in range(0, len(trials), size):
         rngs = [np.random.default_rng([cfg.seed, point, t])
                 for t in trials[start:start + size]]
+        counts = np.zeros(len(rngs), dtype=int)
         keys, chunk = EXPERIMENTS[cfg.experiment].trial(
-            cfg, P, cfg.k_values[point], rngs, redraws[start:start + size])
+            cfg, P, cfg.k_values[point], rngs, counts)
         rows.append(chunk)
-    return keys, np.concatenate(rows), int(redraws.sum())
+        redraws += int(counts.sum())
+    return keys, np.concatenate(rows), redraws
 
 
 def run_trials(cfg: ExperimentConfig, trial_indices) -> TrialRows:

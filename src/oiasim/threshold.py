@@ -26,7 +26,8 @@ _BRANCH_POINT = -1.0 / math.e
 
 
 def optimal_threshold_d1(K: int) -> float:
-    """Exact optimal threshold for d = 1: x = 1 - (1/K)^(1/(K-1)).
+    """Exact optimal threshold for d = 1: x = 1 - (1/K)^(1/(K-1)), computed
+    as -expm1(-log(K)/(K-1)), which does not cancel at large K.
 
     K = 1 returns the continuity limit 1 - 1/e; selection is forced anyway.
     """
@@ -34,16 +35,17 @@ def optimal_threshold_d1(K: int) -> float:
         raise TooFewUsers("K must be at least 1")
     if K == 1:
         return 1.0 - math.exp(-1.0)
-    return 1.0 - (1.0 / K) ** (1.0 / (K - 1))
+    return -math.expm1(-math.log(K) / (K - 1))
 
 
 def min_expected_metric_d1(K: int) -> float:
     """Minimum expected selected metric for d = 1 at the optimal threshold:
-    (1/2)(1/K)^(K/(K-1)) - (1/2)(1/K)^(1/(K-1)) + 1/2."""
+    (1/2)(1/K)^(K/(K-1)) - (1/2)(1/K)^(1/(K-1)) + 1/2, computed from
+    t = log(K)/(K-1) as e^{-t}/(2K) - expm1(-t)/2."""
     if K < 2:
         raise TooFewUsers("closed form requires K >= 2")
-    m = 1.0 / K
-    return 0.5 * m ** (K / (K - 1)) - 0.5 * m ** (1.0 / (K - 1)) + 0.5
+    t = math.log(K) / (K - 1)
+    return 0.5 * math.exp(-t) / K - 0.5 * math.expm1(-t)
 
 
 def lambert_w(branch: int, z: float) -> float:

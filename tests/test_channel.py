@@ -376,22 +376,18 @@ def _one_pass_metrics(ch, i):
     p, q = interferer_indices(i)
     d = ch.h.shape[-1]
     if d == 1:
-        a = np.ascontiguousarray(ch.h[i, p]).view(np.float64).reshape(-1, 4)
-        b = np.ascontiguousarray(ch.h[i, q]).view(np.float64).reshape(-1, 4)
+        Hp = np.ascontiguousarray(ch.h[i, p]).reshape(-1, 2)
+        Hq = np.ascontiguousarray(ch.h[i, q]).reshape(-1, 2)
+        a, b = Hp.view(np.float64), Hq.view(np.float64)
         np_sq = np.einsum("kj,kj->k", a, a)
         nq_sq = np.einsum("kj,kj->k", b, b)
-        re = np.einsum("kj,kj->k", a, b)
-        im = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
-        m = 1.0 - (re * re + im * im) / (np_sq * nq_sq)
+        s = np.einsum("kj,kj->k", Hp.conj(), Hq)
+        m = 1.0 - (s.real * s.real + s.imag * s.imag) / (np_sq * nq_sq)
     else:
-        X = ch.h[i, [p, q]].transpose(3, 2, 0, 1)
-        re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
-        assert not channel._orthonormalize_columns(re, im).any()
-        pr, pi = re[:, None, :, 0], im[:, None, :, 0]
-        qr, qi = re[None, :, :, 1], im[None, :, :, 1]
-        sr = (pr * qr + pi * qi).sum(axis=2)
-        si = (pr * qi - pi * qr).sum(axis=2)
-        m = d - (sr * sr + si * si).sum(axis=(0, 1))
+        X = np.ascontiguousarray(ch.h[i, [p, q]].transpose(3, 2, 0, 1))
+        assert not channel._orthonormalize_columns(X).any()
+        s = (X[:, None, :, 0].conj() * X[None, :, :, 1]).sum(axis=2)
+        m = d - (s.real * s.real + s.imag * s.imag).sum(axis=(0, 1))
     return np.clip(m, 0.0, float(d))
 
 

@@ -16,10 +16,10 @@ from oiasim import channel
 def _orthonormal_basis(M):
     """Orthonormal basis of the column space of an (n, d) matrix, by the
     Gram-Schmidt kernel of cell_metrics, and whether M is rank deficient."""
-    X = np.asarray(M, dtype=complex).T[:, :, None]  # column, entry, stack of one
-    re, im = np.ascontiguousarray(X.real), np.ascontiguousarray(X.imag)
-    bad = channel._orthonormalize_columns(re, im)
-    return (re + 1j * im)[:, :, 0].T, bool(bad[0])
+    # a copy: column, entry, stack of one
+    X = np.ascontiguousarray(np.array(M, dtype=complex).T[:, :, None])
+    bad = channel._orthonormalize_columns(X)
+    return X[:, :, 0].T, bool(bad[0])
 
 
 def _projector_metrics(ch):

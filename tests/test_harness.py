@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,7 +364,8 @@ def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_
     singles = [[run_trial(cfg, snr, t) for t in range(n)] for snr in cfg.snr_db_grid]
     expected = np.stack([[o.rows for o in point] for point in singles])
     for per_chunk in (1, 2, 3, n, 10 ** 6):
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * _drop_bytes(cfg, snr_db))
+        monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                            per_chunk * (_drop_bytes(cfg, snr_db) + harness._GENERATOR_BYTES))
         out = run_trials(cfg, range(n))
         assert out.keys == tuple(point[0].keys for point in singles)
         assert out.redraws == 0
@@ -374,6 +376,66 @@ def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_
     assert np.array_equal(out.rows, expected[:, [5, 0, 3]], equal_nan=True)
     with pytest.raises(ConfigError):
         run_trials(cfg, [])
+
+
+def _generator_bytes(cfg, n):
+    """Traced bytes per Generator of a list of the n Generators that a
+    chunk of n trials at grid point index 0 makes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rngs = [np.random.default_rng([cfg.seed, 0, t]) for t in range(n)]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(rngs)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("experiment, snr_db, n", [("fig3_eligible_users", 0.0, 700),
+                                                   ("fig5_sumrate_d2", 30.0, 10),
+                                                   ("fig6_oia_vs_ia", 20.0, 80)])
+def test_chunk_holds_its_drops_and_generators_within_chunk_bytes(monkeypatch, experiment,
+                                                                  snr_db, n):
+    # at K = 1 a chunk's Generators outweigh its drops: counting drops only,
+    # a fig3 chunk held 3,472 trials, about 4 MB of Generators
+    cfg = make_config(experiment, {"snr_db_grid": str(snr_db)})
+    spec = EXPERIMENTS[experiment]
+    sizes = []
+
+    def trial(cfg, P, ks, rngs, redraws):
+        sizes.append(len(rngs))
+        return spec.trial(cfg, P, ks, rngs, redraws)
+
+    monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(spec, trial=trial))
+    run_trials(cfg, range(n))
+    size = sizes[0]
+    assert len(sizes) > 1 and size > 1 and sum(sizes) == n
+    assert size * (_drop_bytes(cfg, snr_db) + _generator_bytes(cfg, size)) <= harness._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("fig2_sumrate_d1", {}), ("fig3_eligible_users", {}),
+    ("fig3_eligible_users", {"d": "2", "snr_db_grid": "0,10,20"}),
+    ("fig5_sumrate_d2", {}), ("fig6_oia_vs_ia", {"snr_db_grid": "0,20,40"})])
+def test_rows_do_not_move_when_every_metric_moves_one_ulp(monkeypatch, experiment,
+                                                          overrides):
+    # a metric reaches the rows only through `<` against a threshold and
+    # argmin, never a rate; so cell_metrics may move metrics by rounding
+    # without moving a row, unless one ties a threshold or another metric
+    cfg = make_config(experiment, {"seed": "80516", **overrides})
+    expected = run_trials(cfg, range(12))
+    metrics = harness.cell_metrics
+    for direction in (np.inf, -np.inf):
+        calls = []
+
+        def moved(ch, direction=direction):
+            calls.append(ch)
+            return np.nextafter(metrics(ch), direction)
+
+        monkeypatch.setattr(harness, "cell_metrics", moved)
+        out = run_trials(cfg, range(12))
+        assert calls
+        assert out.keys == expected.keys
+        assert np.array_equal(out.rows, expected.rows, equal_nan=True)
 
 
 def _trial_of(rng):

@@ -1,5 +1,6 @@
 """Threshold design: closed form, Lambert W, asymptotic, numeric oracle."""
 
+import decimal
 import math
 
 import numpy as np
@@ -54,6 +55,34 @@ def test_min_expected_metric_d1_asymptotics():
         ratio = min_expected_metric_d1(K) * 2.0 * K / math.log(K)
         assert lo <= ratio <= hi
     assert min_expected_metric_d1(10 ** 7) < min_expected_metric_d1(10 ** 6)
+
+
+def _d1_reference(K):
+    """optimal_threshold_d1(K) and min_expected_metric_d1(K) to 50 digits:
+    x = 1 - e^{-t} with t = log(K)/(K-1), summed as its alternating series
+    (t <= log 2), which does not cancel, and the metric e^{-t}/(2K) + x/2."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        K = decimal.Decimal(K)
+        t = K.ln() / (K - 1)
+        x, term, n = decimal.Decimal(0), decimal.Decimal(-1), 1
+        while True:
+            term = -term * t / n
+            if x + term == x:
+                break
+            x, n = x + term, n + 1
+        return float(x), float((1 - x) / (2 * K) + x / 2)
+
+
+@pytest.mark.parametrize("K", [2, 3, 7, 10, 100, 12345, 10 ** 5, 10 ** 8, 10 ** 10,
+                               10 ** 15, 10 ** 17, 10 ** 18, 10 ** 30, 10 ** 100,
+                               10 ** 300],
+                         ids=lambda K: str(K) if K < 10 ** 6 else f"10^{len(str(K)) - 1}")
+def test_d1_closed_forms_equal_a_50_digit_reference(K):
+    # no cancellation at large K: 1 - (1/K)^(1/(K-1)) read 0 from K = 10^18
+    x, m = _d1_reference(K)
+    assert optimal_threshold_d1(K) == pytest.approx(x, rel=4e-16, abs=0)
+    assert min_expected_metric_d1(K) == pytest.approx(m, rel=4e-16, abs=0)
 
 
 def test_lambert_w_basic_values():
@@ -278,12 +307,13 @@ def test_threshold_designs_refuse_d_below_one(design, d):
 
 _DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
 # each design's value at every K of _DESIGN_KS, recorded when the designs
-# took a ManifoldParams(2d, d); None where the design raised TooFewUsers
+# took a ManifoldParams(2d, d), and closed_form_d1's when it took the
+# expm1 form; None where the design raised TooFewUsers
 _DESIGN_VALUES = {
     ("closed_form_d1", 1): (
-        0.6321205588285577, 0.5, 0.42264973081037427, 0.2257363173188729,
-        0.04545154333816592, 0.0068908186250203896, 0.0009207020433491531,
-        0.00011512377870293022),
+        0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
+        0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
+        0.00011512377870290942),
     ("lambert", 1): (
         None, 0.34657359027997264, 0.3662040962227033, 0.23025850929940458,
         0.04605170185988092, 0.006907755278982137, 0.0009210340371976184,
