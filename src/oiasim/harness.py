@@ -514,6 +514,7 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
     step = (cfg.trials if workers == 1
             else max(1, cfg.trials // (_TASKS_PER_WORKER * workers)))
     tasks = [range(s, min(s + step, cfg.trials)) for s in range(0, cfg.trials, step)]
+    workers = min(workers, len(tasks))      # no idle forks
     outputs = []
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else contextlib.nullcontext()) as pool:
@@ -707,7 +708,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
 
     workers must be an integer of at least 1; more than the CPUs this
     process may run on (os.sched_getaffinity where it exists, else
-    os.cpu_count()) are capped there.
+    os.cpu_count()) are capped there, and a Monte Carlo run starts no more
+    than it has tasks.
     """
     if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
             or workers < 1):

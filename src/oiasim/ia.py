@@ -18,9 +18,8 @@ one-element case. quantized_channel_set quantizes the six cross links of
 a drop, or of a stack of drops with one generator each, drawing and
 scoring consecutive links in blocks of at most _DRAW_BLOCK normals, which
 may span drops (one link at 24 bits, 16 at 16 bits). Norms and inner
-products are stacked matmuls of row by column vectors, which numpy hands
-to the same BLAS dot kernels as np.linalg.norm and np.vdot, so each
-result equals the one-vector call bit for bit.
+products are numpy reductions along the last axis, which the per-vector
+oracle in the tests repeats.
 """
 
 from __future__ import annotations
@@ -44,21 +43,6 @@ _P, _Q = interferer_indices(_CELLS)
 # receiver's first interferer before its second
 _RX = np.repeat(_CELLS, 2)
 _TX = np.stack([_P, _Q], axis=1).ravel()
-
-
-def _dot(a, b):
-    """Sum over the last axis of a * b for real arrays, as np.dot."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norm(x):
-    """np.linalg.norm of each complex vector along the last axis."""
-    return np.sqrt(_dot(x.real, x.real) + _dot(x.imag, x.imag))
-
-
-def _vdot(a, b):
-    """np.vdot of each pair of complex vectors along the last axis."""
-    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _as_drops(ch) -> np.ndarray:
@@ -99,18 +83,18 @@ def closed_form_ia(ch) -> tuple[np.ndarray, np.ndarray]:
     eigvals, eigvecs = np.linalg.eig(E)
     top = np.argmax(np.abs(eigvals), axis=-1)
     v1 = np.take_along_axis(eigvecs, top[..., None, None], axis=-1)[..., 0]
-    v1 = v1 / _norm(v1)[..., None]
+    v1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
     lead = np.where(v1[..., 0] != 0, v1[..., 0], v1[..., 1])
     v1 = v1 * (np.abs(lead) / lead)[..., None]
     v2 = (inv[..., 5, :, :] @ cross[..., 4, :, :] @ v1[..., None])[..., 0]
-    v2 /= _norm(v2)[..., None]
+    v2 /= np.linalg.norm(v2, axis=-1, keepdims=True)
     v3 = (inv[..., 2, :, :] @ cross[..., 3, :, :] @ v1[..., None])[..., 0]
-    v3 /= _norm(v3)[..., None]
+    v3 /= np.linalg.norm(v3, axis=-1, keepdims=True)
     v = np.stack([v1, v2, v3], axis=-2)
 
     # interference from the first interferer at each receiver
     a = (cross[..., 0::2, :, :] @ v[..., _P, :, None])[..., 0]
-    norm = _norm(a)
+    norm = np.linalg.norm(a, axis=-1)
     if np.any(norm == 0.0):
         raise DegenerateChannel("aligned interference vanished",
                                 where=np.any(norm == 0.0, axis=-1))
@@ -133,12 +117,12 @@ def ia_link_rates(ch, precoders, filters, P: float) -> np.ndarray:
     u = np.asarray(filters, dtype=complex)
     if v.shape[-2:] != (3, 2) or u.shape != v.shape:
         raise ShapeMismatch("need three precoders and filters of length 2")
-    if np.any(np.abs(_norm(np.concatenate([v, u], axis=-2)) - 1.0) > _UNIT_ATOL):
+    unit = np.linalg.norm(np.concatenate([v, u], axis=-2), axis=-1)
+    if np.any(np.abs(unit - 1.0) > _UNIT_ATOL):
         raise ShapeMismatch("precoders and filters must be unit norm")
     x = (H @ v[..., None, :, :, None])[..., 0]    # H_ij v_j
-    g = _vdot(u[..., :, None, :], x)
-    # hypot and float_power round as abs(z) ** 2 does on one complex scalar
-    gain = np.float_power(np.hypot(g.real, g.imag), 2)
+    g = (np.conj(u[..., :, None, :]) * x).sum(axis=-1)      # u_i^H H_ij v_j
+    gain = g.real * g.real + g.imag * g.imag
     signal = P * gain[..., _CELLS, _CELLS]
     leak = P * (gain[..., _CELLS, _P] + gain[..., _CELLS, _Q])
     return np.log2(1.0 + signal / (1.0 + leak))
@@ -164,7 +148,7 @@ def _rvq(w, g) -> np.ndarray:
     links = np.arange(len(w))
     best = np.argmax(score, axis=1)
     c = re[links, best] + 1j * im[links, best]
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
 def _perturb(w, g, z: float) -> np.ndarray:
@@ -174,8 +158,8 @@ def _perturb(w, g, z: float) -> np.ndarray:
     chordal distance to w is exactly z. A row whose drawn direction has
     norm <= 1e-12 comes back NaN."""
     e = g[:, 0] + 1j * g[:, 1]
-    e -= w * _vdot(w, e)[:, None]
-    norm = _norm(e)[:, None]
+    e -= w * (np.conj(w) * e).sum(axis=-1, keepdims=True)
+    norm = np.linalg.norm(e, axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.where(norm > 1e-12, e / norm, np.nan)
     return np.sqrt(1.0 - z) * w + np.sqrt(z) * e
@@ -213,10 +197,10 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
     else:
         raise ShapeMismatch(f"unknown feedback mode {mode!r}")
     cross = drops[:, _RX, _TX]
-    scale = _norm(cross.reshape(-1, 4))
+    scale = np.linalg.norm(cross.reshape(-1, 4), axis=-1)
     w = cross.transpose(0, 1, 3, 2).reshape(-1, 4)      # column-major vectorization
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = w / _norm(w)[:, None]
+        w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     # blocks of at most _DRAW_BLOCK normals (at least one link) that may
     # span drops, each drop's part drawn by its own generator
     wq = np.empty_like(w)

@@ -17,6 +17,23 @@ from oiasim.channel import interferer_indices
 from oiasim.errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from oiasim.grassmann import ManifoldParams, complex_normal, quantization_bound
 
+
+def _norm(x):
+    """The IA kernels' norm: a numpy reduction along the last axis."""
+    return np.linalg.norm(x, axis=-1)
+
+
+def _inner(a, b):
+    """The IA kernels' inner product a^H b."""
+    return (np.conj(a) * b).sum(axis=-1)
+
+
+def _gain(a, b):
+    """|a^H b|^2 as the IA kernels square a complex number."""
+    g = _inner(a, b)
+    return g.real * g.real + g.imag * g.imag
+
+
 def _as_unit_vector(w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     if w.ndim != 1:
@@ -65,17 +82,17 @@ def closed_form_ia(ch) -> tuple:
     E = inv(H[2][0]) @ H[2][1] @ inv(H[0][1]) @ H[0][2] @ inv(H[1][2]) @ H[1][0]
     eigvals, eigvecs = np.linalg.eig(E)
     v1 = eigvecs[:, int(np.argmax(np.abs(eigvals)))]
-    v1 = _phase_normalize(v1 / np.linalg.norm(v1))
+    v1 = _phase_normalize(v1 / _norm(v1))
     v2 = inv(H[2][1]) @ H[2][0] @ v1
-    v2 /= np.linalg.norm(v2)
+    v2 /= _norm(v2)
     v3 = inv(H[1][2]) @ H[1][0] @ v1
-    v3 /= np.linalg.norm(v3)
+    v3 /= _norm(v3)
     v = (v1, v2, v3)
     u = []
     for i in range(3):
         p, _ = interferer_indices(i)
         a = H[i][p] @ v[p]
-        norm = np.linalg.norm(a)
+        norm = _norm(a)
         if norm == 0.0:
             raise DegenerateChannel("aligned interference vanished")
         u.append(np.array([-np.conj(a[1]), np.conj(a[0])]) / norm)
@@ -89,9 +106,8 @@ def ia_link_rates(ch, precoders, filters, P: float) -> list:
     for i in range(3):
         p, q = interferer_indices(i)
         u, v = filters[i], precoders
-        signal = P * abs(np.vdot(u, ch[i][i] @ v[i])) ** 2
-        leak = P * (abs(np.vdot(u, ch[i][p] @ v[p])) ** 2
-                    + abs(np.vdot(u, ch[i][q] @ v[q])) ** 2)
+        signal = P * _gain(u, ch[i][i] @ v[i])
+        leak = P * (_gain(u, ch[i][p] @ v[p]) + _gain(u, ch[i][q] @ v[q]))
         rates.append(float(np.log2(1.0 + signal / (1.0 + leak))))
     return rates
 
@@ -102,7 +118,7 @@ def aggregate_channel(ch, i: int) -> AggregatedChannel:
     vecs = []
     for j in interferer_indices(i):
         w = np.asarray(ch[i][j], dtype=complex).flatten(order="F")
-        norm = np.linalg.norm(w)
+        norm = _norm(w)
         if norm == 0.0:
             raise DegenerateChannel(f"cross channel H[{i}][{j}] is zero")
         vecs.append(w / norm)
@@ -164,8 +180,8 @@ def perturb_quantization_model(w, bits_per_vector: int, rng) -> np.ndarray:
     z = float(np.clip(quantization_bound(2**bits_per_vector, p), 0.0, 1.0))
     while True:
         g = complex_normal(rng, w.shape[0])
-        g -= w * np.vdot(w, g)
-        norm = np.linalg.norm(g)
+        g -= w * _inner(w, g)
+        norm = _norm(g)
         if norm > 1e-12:
             break
     return np.sqrt(1.0 - z) * w + np.sqrt(z) * (g / norm)
@@ -190,7 +206,7 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng):
             directions = (perturb_quantization_model(agg.w1, half_bits, rng),
                           perturb_quantization_model(agg.w2, half_bits, rng))
         for j, wq in zip(interferer_indices(i), directions):
-            scale = np.linalg.norm(quantized[i][j])
+            scale = _norm(quantized[i][j].ravel())
             quantized[i][j] = (wq * scale).reshape((2, 2), order="F")
     return np.array(quantized), tuple(indices)
 

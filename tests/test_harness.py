@@ -635,6 +635,26 @@ def test_run_experiment_refuses_a_directory_output_path_before_running(tmp_path,
         run_experiment(cfg)
 
 
+def test_run_experiment_opens_no_pool_for_one_task(tmp_path, monkeypatch, capfd):
+    # 1 trial at 2 CPUs is one task: the serial path runs it, with no pool
+    # and no idle worker, and writes the serial body
+    def refuse_pool(max_workers):
+        pytest.fail(f"a pool of {max_workers} workers opened for one task")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    paths = [tmp_path / "two.csv", tmp_path / "one.csv"]
+    for workers, path in zip((2, 1), paths):
+        cfg = make_config("fig3_eligible_users",
+                          {"trials": "1", "output_path": str(path)})
+        capfd.readouterr()
+        run_experiment(cfg, workers=workers)
+        assert capfd.readouterr().err.splitlines() == [
+            "fig3_eligible_users: task 1/1 (trials 0-0) done"]
+    assert _body(str(paths[0])) == _body(str(paths[1]))
+
+
 def test_run_experiment_one_pool_capped_at_cpu_count(tmp_path, monkeypatch, capfd):
     pools = []
     mapped = []

@@ -521,8 +521,8 @@ def test_perturbation_model_bit_identical_to_reference_draw():
         ref_rng = np.random.default_rng(seed)
         z = float(np.clip(quantization_bound(2 ** 13, P41), 0.0, 1.0))
         g = ref_rng.standard_normal(4) + 1j * ref_rng.standard_normal(4)
-        g -= w * np.vdot(w, g)
-        e = g / np.linalg.norm(g)
+        g -= w * (np.conj(w) * g).sum(axis=-1)
+        e = g / np.linalg.norm(g, axis=-1)
         ref = np.sqrt(1.0 - z) * w + np.sqrt(z) * e
         rng = np.random.default_rng(seed)
         assert np.array_equal(perturb_quantization_model(w, 13, rng), ref)

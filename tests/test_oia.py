@@ -101,7 +101,7 @@ def test_select_one_bit_rows_matches_sequential_selection(seed):
         assert streams[t].random() == refs[t].random()
 
 
-def test_select_one_bit_rows_validation():
+def test_select_one_bit_validation():
     m = np.random.default_rng(0).random((2, 3, 10))
     rngs = [np.random.default_rng(t) for t in range(2)]
     states = [rng.bit_generator.state for rng in rngs]
