@@ -99,16 +99,14 @@ def ball_volume(n: int, d: int) -> float:
     return float(np.exp(log_c))
 
 
-def metric_cdf(x: float, p: ManifoldParams) -> float:
+def metric_cdf(x, p: ManifoldParams):
     """Model CDF of the squared chordal distance to a Haar-uniform subspace.
 
-    F(x) = c * x^exponent clipped to [0, 1]. Exact for d = 1 and on [0, 1]
-    for d > 1; above x = 1 it is the model the analysis uses, not the true
-    law.
+    F(x) = c * x^exponent clipped to [0, 1], elementwise (a float x stays a
+    numpy scalar through the power). Exact for d = 1 and on [0, 1] for
+    d > 1; above x = 1 it is the model the analysis uses, not the true law.
     """
-    if x <= 0.0:
-        return 0.0
-    return float(min(p.c * x**p.exponent, 1.0))
+    return np.minimum(p.c * np.maximum(x, 0.0) ** p.exponent, 1.0)
 
 
 def quantization_bound(K: int, p: ManifoldParams) -> float:

@@ -43,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .channel import (ChannelSet, cell_metrics, generate_channels,
+from .channel import (ChannelSet, _drop_shape, cell_metrics, generate_channels,
                       interference_covariance, postfilter, served_links, user_rate)
 from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
@@ -293,7 +293,7 @@ def _oia_drops(d: int, kmax: int, rngs, redraws):
     kmax) metrics. The trials with a degenerate user in any cell are
     redrawn, each from its own rng, which has drawn nothing else yet."""
     T = len(rngs)
-    ch = ChannelSet(np.empty((3, 3, T * kmax, 2 * d, d), dtype=complex))
+    ch = ChannelSet(np.empty(_drop_shape(T * kmax, d), dtype=complex))
     slots = [ch.h[:, :, t * kmax:(t + 1) * kmax] for t in range(T)]
     for rng, slot in zip(rngs, slots):
         generate_channels(rng, d, kmax, out=slot)
@@ -451,7 +451,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
 def _drop_entries(cfg: ExperimentConfig, point: int) -> int:
     """Channel entries of one drop at grid point index point: 9 links of
     max(K) users with nr x nt = 2d x d antennas each."""
-    return 18 * max(cfg.k_values[point]) * cfg.d ** 2
+    return math.prod(_drop_shape(max(cfg.k_values[point]), cfg.d))
 
 
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:

@@ -4,7 +4,8 @@ Conventional opportunistic selection feeds back the real-valued metric and
 the transmitter picks the argmin. The 1-bit protocol compares each user's
 metric against a threshold x, collects one bit per user, serves a uniformly
 random eligible user, and falls back to a uniformly random user when nobody
-is eligible (a scheduling outage). The functionals are closed forms at every d.
+is eligible (a scheduling outage). The functionals are closed forms at every d,
+elementwise in x: a float gives a float (np.float64), an array an array.
 """
 
 from __future__ import annotations
@@ -62,43 +63,40 @@ def select_one_bit(metrics: np.ndarray, ks, thresholds, rngs):
     return np.where(eligible > 0, users[np.minimum(at, len(users) - 1)], draws), eligible
 
 
-def outage_probability(x: float, K: int, p: ManifoldParams) -> float:
+def outage_probability(x, K: int, p: ManifoldParams):
     """Probability that all K users exceed the threshold, (1 - F(x))^K."""
     return (1.0 - metric_cdf(x, p)) ** K
 
 
-def expected_metric_one_bit(x: float, K: int, p: ManifoldParams) -> float:
+def expected_metric_one_bit(x, K: int, p: ManifoldParams):
     """Expected selected-user metric of the 1-bit protocol at threshold x.
 
     (1 - P_out) E[D | D < x] + P_out E[D | D >= x] under the model density
     f(t) = c D t^(D-1) on [0, x_max], in closed form at every d:
     E[D | D < x] = D x / (D + 1) and
-    E[D | D >= x] = c D (x_max^(D+1) - x^(D+1)) / ((D + 1)(1 - F(x))).
+    E[D | D >= x] = c D (x_max^(D+1) - x^(D+1)) / ((D + 1)(1 - F(x))),
+    or x where P_out = 0, for every x in (0, x_max].
     """
     x_max = p.x_max
-    if not 0.0 < x <= x_max + 1e-12:
+    if not np.all((0.0 < x) & (x <= x_max + 1e-12)):
         raise ShapeMismatch(f"threshold must lie in (0, {x_max:.6g}]")
-    x = min(x, x_max)
+    x = np.minimum(x, x_max)
     F = metric_cdf(x, p)
     p_out = (1.0 - F) ** K
     D = p.exponent
-    mean_low = D * x / (D + 1)
-    if p_out > 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         mean_high = (p.c * D / (D + 1)) * (x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
-    else:
-        mean_high = x
-    return (1.0 - p_out) * mean_low + p_out * mean_high
+    return ((1.0 - p_out) * (D * x / (D + 1))
+            + p_out * np.where(p_out > 0.0, mean_high, x))[()]
 
 
-def expected_metric_upper_bound(x: float, K: int, p: ManifoldParams) -> float:
-    """Upper bound x + (d - x)(1 - F(x))^K on the expected selected metric,
-    obtained by pushing both conditional means to their upper limits."""
-    if x <= 0.0:
-        return float(p.d)
-    return x + (p.d - x) * (1.0 - metric_cdf(x, p)) ** K
+def expected_metric_upper_bound(x, K: int, p: ManifoldParams):
+    """Upper bound x + (d - x)(1 - F(x))^K, or d at x <= 0, on the expected
+    selected metric, pushing both conditional means to their upper limits."""
+    return np.where(x <= 0.0, p.d, x + (p.d - x) * outage_probability(x, K, p))[()]
 
 
-def expected_eligible(x: float, K: int, p: ManifoldParams) -> float:
+def expected_eligible(x, K: int, p: ManifoldParams):
     """Average number of users reporting '1', K * F(x)."""
     if K < 1:
         raise ShapeMismatch("K must be at least 1")

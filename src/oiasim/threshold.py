@@ -7,6 +7,7 @@ expected-metric upper bound x + (d - x)(1 - c x^{d^2})^K is minimized
 either exactly on a grid (numeric oracle), through the Lambert W function
 after an exponential approximation of the outage factor, or by the
 asymptotic form (A log K / (c K))^{1/d^2} that drops the constant term.
+The oracle's grid and its golden-section search call the one objective.
 
 scipy is imported on first use: by lambert_w, by threshold_numeric
 (golden) and by the G(2d, d) constant c at d > 1 (gammaln).
@@ -111,26 +112,10 @@ def threshold_asymptotic(K: int, d: int) -> float:
     return (y / p.c) ** (1.0 / dsq)
 
 
-def _objective_on_grid(grid: np.ndarray, K: int, p: ManifoldParams) -> np.ndarray:
-    """threshold_numeric's objective, expected_metric_one_bit at d = 1 and
-    expected_metric_upper_bound otherwise, at every point of a positive
-    grid, in one numpy pass; the values may differ from the scalar
-    functions' in the last bits."""
-    x = grid if p.d > 1 else np.minimum(grid, p.x_max)
-    F = np.minimum(p.c * x**p.exponent, 1.0)
-    p_out = (1.0 - F) ** K
-    if p.d > 1:
-        return x + (p.d - x) * p_out
-    D = p.exponent
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_high = (p.c * D / (D + 1)) * (p.x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
-    return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
-
-
 def threshold_numeric(K: int, d: int) -> float:
     """Grid-plus-golden-section minimizer of the expected selected metric:
-    the argmin of a 10,000-point log grid, evaluated in one numpy pass,
-    then golden-section search on the scalar objective around it.
+    the argmin of a 10,000-point log grid, then golden-section search
+    around it, both on one objective, taken over the whole grid at once.
 
     The objective is expected_metric_one_bit for d = 1 (where the metric
     law is exact) and the closed-form upper bound otherwise.
@@ -138,15 +123,15 @@ def threshold_numeric(K: int, d: int) -> float:
     p = ManifoldParams(2 * d, d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
-    scalar = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
+    objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
     x_max = p.x_max
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
-    i = int(np.argmin(_objective_on_grid(grid, K, p)))
+    i = int(np.argmin(objective(grid, K, p)))
     x_star = float(grid[i])
     if 0 < i < len(grid) - 1:
         from scipy.optimize import golden
         try:
-            x_star = float(golden(lambda x: scalar(x, K, p),
+            x_star = float(golden(lambda x: objective(x, K, p),
                                   brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
         except ValueError:
             # flat bracket; the grid point is already within tolerance

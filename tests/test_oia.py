@@ -79,7 +79,7 @@ def _sequential_one_bit(metrics, x, rng):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_select_one_bit_rows_matches_sequential_selection(seed):
+def test_select_one_bit_matches_sequential_selection(seed):
     # nested prefixes of every row, each trial on its own stream: the picks
     # and eligible counts of one scalar selection per (prefix, row) in that
     # order, outages included, and every stream left at the same place

@@ -8,10 +8,11 @@ import pytest
 import scipy.special
 
 from oiasim import (LambertDomain, ManifoldParams, ShapeMismatch, TooFewUsers,
-                    expected_metric_one_bit,
+                    expected_eligible, expected_metric_one_bit,
                     expected_metric_upper_bound, lambert_w, metric_cdf,
                     min_expected_metric_d1, optimal_threshold_d1,
-                    threshold_asymptotic, threshold_lambert, threshold_numeric)
+                    outage_probability, threshold_asymptotic,
+                    threshold_lambert, threshold_numeric)
 
 P21 = ManifoldParams(2, 1)
 P42 = ManifoldParams(4, 2)
@@ -267,11 +268,62 @@ def _scalar_loop_thresholds(p):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_threshold_numeric_equals_scalar_loop_reference(d):
-    # the grid values of the one numpy pass may differ in the last bits from
-    # the scalar functions', but its argmin, and so the threshold, may not
+    # the objective's values over the whole grid may differ in the last bits
+    # from its scalar calls', but its argmin, and so the threshold, may not
     p = ManifoldParams(2 * d, d)
     for K, x in _scalar_loop_thresholds(p).items():
         assert threshold_numeric(K, d) == x, K
+
+
+def _objective_on_grid(grid, K, p):
+    """Reference for threshold_numeric's grid objective, written out in one
+    numpy pass: expected_metric_one_bit at d = 1, the upper bound otherwise.
+    The elementwise functionals must give its bits over the whole grid."""
+    x = grid if p.d > 1 else np.minimum(grid, p.x_max)
+    F = np.minimum(p.c * x**p.exponent, 1.0)
+    p_out = (1.0 - F) ** K
+    if p.d > 1:
+        return x + (p.d - x) * p_out
+    D = p.exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_high = (p.c * D / (D + 1)) * (p.x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
+    return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
+
+
+@pytest.mark.parametrize("K", [1, 10, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_metric_law_functionals_are_elementwise(d, K):
+    # On threshold_numeric's grid every functional returns the grid's shape
+    # and, element by element, its scalar call's value within 8 eps of
+    # max(|value|, 1). An array's ** may take numpy's SIMD pow, which may
+    # round F's power and the outage power an ulp or so away from the C
+    # library's; F enters (1 - F)^K with gain K F (1 - F)^(K-1) <= 1, so
+    # each value moves by a few eps of max(|value|, 1) (at most 2.5 seen
+    # under numpy 2.4.6 on AVX-512). A float in gives a float out.
+    p = ManifoldParams(2 * d, d)
+    grid = np.logspace(np.log10(p.x_max) - 9.0, np.log10(p.x_max), 10000)
+    functionals = {
+        "metric_cdf": lambda x: metric_cdf(x, p),
+        "outage_probability": lambda x: outage_probability(x, K, p),
+        "expected_eligible": lambda x: expected_eligible(x, K, p),
+        "expected_metric_one_bit": lambda x: expected_metric_one_bit(x, K, p),
+        "expected_metric_upper_bound": lambda x: expected_metric_upper_bound(x, K, p),
+    }
+    eps = np.finfo(float).eps
+    for name, f in functionals.items():
+        values = f(grid)
+        assert isinstance(values, np.ndarray) and values.shape == grid.shape, name
+        scalars = [f(x) for x in grid.tolist()]
+        assert all(isinstance(v, float) for v in scalars), name
+        scalars = np.array(scalars)
+        assert (np.abs(values - scalars) <= 8 * eps * np.maximum(np.abs(scalars), 1.0)).all(), name
+    for bad in (0.0, -1e-3, p.x_max * (1 + 1e-9), np.nan):
+        with pytest.raises(ShapeMismatch):
+            expected_metric_one_bit(np.append(grid, bad), K, p)
+    # the objective threshold_numeric minimizes, over its whole grid, has
+    # the reference's bits, so its argmin holds on every numpy version
+    objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
+    assert np.array_equal(objective(grid, K, p), _objective_on_grid(grid, K, p))
 
 
 def test_bound_objective_unimodal_on_grid():
