@@ -337,9 +337,20 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     return keys, rows.reshape(len(rngs), len(keys), 3)
 
 
-def _ia_rows(ch2, sol, P) -> np.ndarray:
-    """Rows of IA solutions sol = (precoders, filters) on ch2, one per
-    solution: every cell served, none in outage, no eligibility."""
+def _ia_rows(ch2, csi, redraw, P, redraws) -> np.ndarray:
+    """Rows, (trials, ..., 3), of closed-form IA solved on csi, a (trials,
+    ..., 3, 3, 2, 2) stack, and rated on the true channels ch2 broadcast
+    against it: every cell served, none in outage, no eligibility. Each
+    entry closed_form_ia marks degenerate is replaced, in index order, by
+    redraw(t, ...) of its index, counted against trial t, until none is."""
+    while True:
+        try:
+            sol = closed_form_ia(csi)
+            break
+        except DegenerateChannel as exc:
+            for index in zip(*np.nonzero(exc.where)):
+                _count_redraw(redraws, index[0])
+                csi[index] = redraw(*index)
     rates = ia_link_rates(ch2, *sol, P)
     rows = np.zeros(rates.shape)
     rows[..., 0] = rates[..., 0] + rates[..., 1] + rates[..., 2]
@@ -348,40 +359,26 @@ def _ia_rows(ch2, sol, P) -> np.ndarray:
 
 
 def _trial_fig2(cfg, P, ks, rngs, redraws):
+    """Perfect CSI: IA is solved and rated on the same channels, so a
+    degenerate trial draws its IA channels again."""
     keys, rows = _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=True)
     ch2 = np.stack([_draw_ia_channels(rng) for rng in rngs])
-    while True:
-        try:
-            sol = closed_form_ia(ch2)
-            break
-        except DegenerateChannel as exc:
-            for t in np.flatnonzero(exc.where):
-                _count_redraw(redraws, t)
-                ch2[t] = _draw_ia_channels(rngs[t])
-    return (keys + (("ia_closed_form", 1),),
-            np.concatenate([rows, _ia_rows(ch2, sol, P)[:, None]], axis=1))
+    ia = _ia_rows(ch2, ch2, lambda t: _draw_ia_channels(rngs[t]), P, redraws)
+    return keys + (("ia_closed_form", 1),), np.concatenate([rows, ia[:, None]], axis=1)
 
 
 def _trial_fig6(cfg, P, bit_values, rngs, redraws):
     """Every trial draws its IA channels, then each bit budget, ascending,
-    quantizes the whole chunk in one call; IA and its rates take one stacked
-    call each. A degenerate budget is quantized again, alone, after the
-    others of its trial."""
+    quantizes the whole chunk in one call. A degenerate budget is quantized
+    again, alone, after the others of its trial."""
     keys, rows = _oia_rows(cfg, P, bit_values, rngs, redraws)
     ch2 = np.stack([_draw_ia_channels(rng) for rng in rngs])
     quantized = np.stack([quantized_channel_set(ch2, b, feedback_mode(b), rngs)
                           for b in bit_values], axis=1)
-    while True:
-        try:
-            sol = closed_form_ia(quantized)
-            break
-        except DegenerateChannel as exc:
-            for t, n in zip(*np.nonzero(exc.where)):
-                _count_redraw(redraws, t)
-                b = bit_values[n]
-                quantized[t, n] = quantized_channel_set(ch2[t], b, feedback_mode(b), rngs[t])
+    ia = _ia_rows(ch2[:, None], quantized, lambda t, n: quantized_channel_set(
+        ch2[t], bit_values[n], feedback_mode(bit_values[n]), rngs[t]), P, redraws)
     return (keys + tuple(("ia_individual", b) for b in bit_values),
-            np.concatenate([rows, _ia_rows(ch2[:, None], sol, P)], axis=1))
+            np.concatenate([rows, ia], axis=1))
 
 
 def _checked_trials(cfg: ExperimentConfig, trial_indices):
@@ -403,7 +400,8 @@ def _point_rows(cfg: ExperimentConfig, point: int, trials) -> tuple:
     point index point, in chunks holding at most _CHUNK_BYTES of the point's
     channel drops and their Generators (at least one trial each)."""
     P = 10.0 ** (cfg.snr_db_grid[point] / 10.0)
-    drop_bytes = np.dtype(complex).itemsize * _drop_entries(cfg, point)
+    drop_bytes = (np.dtype(complex).itemsize
+                  * math.prod(_drop_shape(max(cfg.k_values[point]), cfg.d)))
     size = max(1, _CHUNK_BYTES // (drop_bytes + _GENERATOR_BYTES))
     rows, redraws = [], 0
     for start in range(0, len(trials), size):
@@ -448,12 +446,6 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
     return TrialRows(keys, rows[0], redraws)
 
 
-def _drop_entries(cfg: ExperimentConfig, point: int) -> int:
-    """Channel entries of one drop at grid point index point: 9 links of
-    max(K) users with nr x nt = 2d x d antennas each."""
-    return math.prod(_drop_shape(max(cfg.k_values[point]), cfg.d))
-
-
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
     """One ResultRow per (scheme, K) key from the (trials, keys, 3) rows of
     one grid point. Outage and eligible totals are exact integers, so their
@@ -485,9 +477,8 @@ def _check_run_fits(cfg: ExperimentConfig) -> None:
     their concatenation, while the draw and the metrics work in blocks
     whose size does not grow with K."""
     kmax = max(max(ks) for ks in cfg.k_values)
-    entries = max(_drop_entries(cfg, point) for point in range(len(cfg.k_values)))
     keys = sum(EXPERIMENTS[cfg.experiment].key_count(ks) for ks in cfg.k_values)
-    need = (np.dtype(complex).itemsize * entries
+    need = (np.dtype(complex).itemsize * math.prod(_drop_shape(kmax, cfg.d))
             + np.dtype(float).itemsize * 3 * (kmax + 2 * cfg.trials * keys))
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

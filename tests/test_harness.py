@@ -540,6 +540,29 @@ def test_drop_that_stays_degenerate_gives_up_mid_chunk(monkeypatch, experiment, 
     assert calls == [2] * 6
 
 
+def test_run_prints_one_redraw_summary(tmp_path, monkeypatch, capsys):
+    # one redraw in five trials is more than 0.1% of them; a clean run has none
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "20", "trials": "5",
+                                              "output_path": str(tmp_path / "f3.csv")})
+    run_experiment(cfg)
+    assert "degenerate redraws" not in capsys.readouterr().err
+    spoiled = []
+
+    def first_draw_of_trial_2(t, args):
+        if t != 2 or spoiled:
+            return False
+        spoiled.append(t)
+        return True
+
+    calls = _spoil(monkeypatch, "generate_channels", 0, first_draw_of_trial_2,
+                   _zero_link)
+    run_experiment(cfg)
+    assert [calls.count(t) for t in range(5)] == [1, 1, 2, 1, 1]
+    summary = [line for line in capsys.readouterr().err.splitlines()
+               if "degenerate redraws" in line]
+    assert summary == ["fig3_eligible_users: 1 degenerate redraws over 5 trials"]
+
+
 def test_fig2_row_layout(tmp_path):
     out = tmp_path / "fig2.csv"
     cfg = make_config("fig2_sumrate_d1", {"trials": "1",
@@ -590,6 +613,24 @@ def test_write_csv_refuses_bad_directory(tmp_path):
             experiment="e", snr_db=0.0, K=1, scheme="s", mean_sum_rate=1.0,
             stderr=0.0, outage_rate=0.0, mean_eligible=1.0,
             threshold_used=0.5, trials=1)])
+
+
+def test_write_csv_failed_rename_keeps_target_and_leaves_no_temp_file(tmp_path,
+                                                                     monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("old table\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError, match="rename refused"):
+        write_csv(str(path), [ResultRow(
+            experiment="e", snr_db=0.0, K=1, scheme="s", mean_sum_rate=1.0,
+            stderr=0.0, outage_rate=0.0, mean_eligible=1.0,
+            threshold_used=0.5, trials=1)])
+    assert path.read_text(encoding="utf-8") == "old table\n"
+    assert glob.glob(str(tmp_path / ".oiasim-*.csv")) == []
 
 
 def test_run_experiment_reproducible_across_workers(tmp_path):
@@ -943,6 +984,22 @@ def test_fig4_threshold_table(tmp_path):
     for r in rows:
         assert math.isnan(r.snr_db)
         assert r.trials == 0
+
+
+def test_fig4_writes_nan_for_a_design_that_refuses_its_k(tmp_path):
+    # at K = 1 and d = 2 lambert and asymptotic raise TooFewUsers, while
+    # numeric takes x_max = 2^(1/4): a lone user is always eligible
+    out = tmp_path / "fig4.csv"
+    run_experiment(make_config("fig4_threshold_compare", {
+        "K_rule": "fixed:1,100", "output_path": str(out)}))
+    threshold_used = {tuple(line.split(",")[2:4]): line.split(",")[8]
+                      for line in _body(str(out))[1:]}
+    assert len(threshold_used) == 6
+    assert threshold_used[("1", "numeric")] == "1.18920712"
+    assert threshold_used[("1", "lambert")] == "nan"
+    assert threshold_used[("1", "asymptotic")] == "nan"
+    assert all(threshold_used[("100", m)] != "nan"
+               for m in ("numeric", "lambert", "asymptotic"))
 
 
 def test_fig7_flop_table(tmp_path):

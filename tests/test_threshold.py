@@ -357,6 +357,15 @@ def test_threshold_designs_refuse_d_below_one(design, d):
         design(100, d)
 
 
+@pytest.mark.parametrize("design", [threshold_lambert, threshold_asymptotic,
+                                    threshold_numeric])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("K", [0, -1])
+def test_threshold_designs_refuse_k_below_one(design, d, K):
+    with pytest.raises(TooFewUsers):
+        design(K, d)
+
+
 _DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
 # each design's value at every K of _DESIGN_KS, recorded when the designs
 # took a ManifoldParams(2d, d), and closed_form_d1's when it took the
