@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannel, ShapeMismatch
-from .grassmann import INV_SQRT2, RANK_RTOL, complex_normal
+from .grassmann import _BLOCK_SIZE, INV_SQRT2, RANK_RTOL, complex_normal
 
 _LOG2 = np.log(2.0)
-
-# channel entries per interference link in one block of cell_metrics:
-# 16384 users at d = 1 and 4096 at d = 2, whose temporaries take about
-# 1 and 3 MB; such blocks cost no more per user than one pass
-_BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ def cell_metrics(ch: ChannelSet) -> np.ndarray:
     spaces of its two interference channels.
 
     Each user's metric depends on its own channels only, so each cell's
-    users are scored in blocks of at most _BLOCK_ENTRIES // (nr nt), with
+    users are scored in blocks of at most _BLOCK_SIZE // (nr nt), with
     the same arithmetic per user and the same bits as one pass, and the
     memory beyond the (3, K) result does not grow with K. Raises
     DegenerateChannel when an interference channel of some user is zero
@@ -90,7 +85,7 @@ def cell_metrics(ch: ChannelSet) -> np.ndarray:
     bad = None  # made on the first degenerate block: a clean drop needs no (3, K) mask
     # blocks of equal size up to one user: none holds a single user, whose
     # reductions numpy would run in another order than a longer block's
-    n = -(-K // (_BLOCK_ENTRIES // (nr * d)))
+    n = -(-K // (_BLOCK_SIZE // (nr * d)))
     for i in range(3):
         links = interferer_indices(i)
         for b in range(n):

@@ -36,10 +36,11 @@ RANK_RTOL = 1e-12
 # fl(1/sqrt(2)), the scale of a unit-variance complex normal
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
-# normals per block of complex_normal's draw, its one buffer (256 KiB);
-# on a 2-CPU Xeon, blocks of 8192 drew d = 1 drops of K = 10^3-10^4 users
-# 2-3% slower than one pass, blocks of this size as fast
-_DRAW_BLOCK = 32768
+# array entries per block of every blocked loop: the normals of one
+# complex_normal buffer (256 KiB) or RVQ block, the channel entries per link
+# of a cell_metrics block (16384 users at d = 1, 4096 at d = 2); on a 2-CPU
+# Xeon such blocks cost no more per item than one pass, blocks of 8192 2-3%
+_BLOCK_SIZE = 32768
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,
     given shape, x drawn first, written into out (a complex128 array or
     view of that shape, of any strides) when given.
 
-    Each half is drawn in blocks of at most _DRAW_BLOCK normals into one
+    Each half is drawn in blocks of at most _BLOCK_SIZE normals into one
     float64 buffer and written scaled into the complex128 result, so the
     draw needs that buffer beside out and no more. standard_normal fills
     sequentially, so the blocks give the stream and bits of
@@ -138,7 +139,7 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,
     """
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
-    buf = np.empty(min(out.size, _DRAW_BLOCK))
+    buf = np.empty(min(out.size, _BLOCK_SIZE))
     for part in (out.real, out.imag):
         for dst in _c_order_blocks(part, len(buf)):
             src = buf[:dst.size]

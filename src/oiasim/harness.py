@@ -5,25 +5,25 @@ grid point index p is np.random.default_rng([seed, p, t]), so results do
 not depend on execution order or on how trials are distributed over
 worker processes; schemes under comparison share each drop.
 
-run_trials runs trials at every grid point, each point in chunks. Each
-trial of a chunk draws from its own stream, in the same order as when it
-runs alone (run_trial); the chunk then computes the metrics, the
-selections (select_one_bit), the IA pairs (closed_form_ia) and the rates
-of all its trials in one stacked call each. A chunk holds at most
-_CHUNK_BYTES of the point's channel drops and Generators, and at least one
-trial, so memory stays bounded at large K. The CSV body therefore does not
-depend on the chunk size, nor on --workers.
+run_trials runs trials at every grid point, each point in chunks, and
+returns plain (keys, rows, redraws). Each trial of a chunk draws from its
+own stream, in the same order as when it runs alone (run_trial); the chunk
+then computes the metrics, the selections (select_one_bit), the IA pairs
+(closed_form_ia) and the rates of all its trials in one stacked call each.
+A chunk holds at most _CHUNK_BYTES of the point's channel drops and
+Generators, and at least one trial, so memory stays bounded at large K.
+The CSV body therefore does not depend on the chunk size, nor on --workers.
 
 A run is one list of equal trial ranges, mapped over one process pool
-(or, as one range, by the builtin map); the rows are concatenated in
-trial order and each point is reduced in grid order.
+(or, as one range, by the builtin map); the triples are concatenated in
+trial order and each point is reduced in grid order. The output path is
+checked first, and the CSV gets the mode open() gives under the umask.
 
-Within a chunk, the channel draw (grassmann.complex_normal) and the
-selection metrics (channel.cell_metrics) work in blocks of a fixed size,
+The draw (grassmann.complex_normal), the metrics (channel.cell_metrics)
+and the RVQ codebooks work in blocks of one size, grassmann._BLOCK_SIZE,
 with the same stream and bits as one pass; so a run needs its largest
 drop with its (3, K) metrics, two copies of its stored rows and a
-constant that does not grow with K, which is what it checks against
-physical memory first.
+constant that does not grow with K, which it checks against memory first.
 """
 
 from __future__ import annotations
@@ -189,20 +189,6 @@ class ResultRow:
             raise ConfigError("outage_rate must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TrialRows:
-    """Results of one drop at one point (run_trial), a (len(keys), 3) float
-    array, or at every point (run_trials), keys per point and a (points,
-    trials, keys, 3) array. Row n of a drop is, for the (scheme, K) pair
-    keys[n], the sum rate over the three cells, the outage count and the
-    eligible-count sum (NaN for a scheme without eligibility). redraws
-    counts the degenerate draws rejected."""
-
-    keys: tuple
-    rows: np.ndarray
-    redraws: int = 0
-
-
 def parse_k_rule(rule: str):
     """Split a K_rule string into (kind, payload).
 
@@ -249,6 +235,8 @@ def parse_k_rule(rule: str):
 def _check_threshold_method(method: str, d: int) -> None:
     if method not in THRESHOLD_METHODS:
         raise ConfigError(f"unknown threshold method {method!r}")
+    if d < 1:
+        raise ConfigError("d must be at least 1")
     if method == "closed_form_d1" and d != 1:
         raise ConfigError("closed_form_d1 threshold requires d=1")
     if d > _MAX_DESIGN_D:
@@ -415,10 +403,13 @@ def _point_rows(cfg: ExperimentConfig, point: int, trials) -> tuple:
     return keys, np.concatenate(rows), redraws
 
 
-def run_trials(cfg: ExperimentConfig, trial_indices) -> TrialRows:
+def run_trials(cfg: ExperimentConfig, trial_indices) -> tuple:
     """Monte Carlo drops trial_indices at every SNR grid point, all schemes
-    evaluated; keys holds one key tuple per point, rows has shape (points,
-    trials, keys, 3).
+    evaluated, as (keys, rows, redraws): keys holds one tuple of (scheme, K)
+    keys per point; rows, of shape (points, trials, keys, 3), holds for each
+    key the sum rate over the three cells, the outage count and the
+    eligible-count sum (NaN for a scheme without eligibility); redraws
+    counts the degenerate draws rejected.
 
     Trial t at grid point index p draws from default_rng([seed, p, t]),
     exactly what run_trial(cfg, snr_db, t) draws, so its rows are that
@@ -428,12 +419,13 @@ def run_trials(cfg: ExperimentConfig, trial_indices) -> TrialRows:
     trials = _checked_trials(cfg, trial_indices)
     keys, rows, redraws = zip(*(_point_rows(cfg, point, trials)
                                 for point in range(len(cfg.snr_db_grid))))
-    return TrialRows(keys, np.stack(rows), sum(redraws))
+    return keys, np.stack(rows), sum(redraws)
 
 
-def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRows:
-    """One Monte Carlo drop at one SNR grid point, all schemes evaluated;
-    run_trials' rows of that trial at that point.
+def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> tuple:
+    """One Monte Carlo drop at one SNR grid point, all schemes evaluated:
+    run_trials' (keys, rows, redraws) of that trial at that point, with
+    rows of shape (keys, 3).
 
     The rng derives from (seed, grid index of snr_db, trial_index), so the
     same triple always reproduces the same rows. The keys, and their order,
@@ -443,7 +435,7 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> TrialRo
     if not isinstance(snr_db, numbers.Real) or float(snr_db) not in cfg.snr_db_grid:
         raise ConfigError(f"snr_db {snr_db!r} is not on the grid {cfg.snr_db_grid}")
     keys, rows, redraws = _point_rows(cfg, cfg.snr_db_grid.index(float(snr_db)), trials)
-    return TrialRows(keys, rows[0], redraws)
+    return keys, rows[0], redraws
 
 
 def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
@@ -451,23 +443,20 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
     one grid point. Outage and eligible totals are exact integers, so their
     means are exact up to the one division."""
     n = len(trial_rows)
-    rows = []
     columns = trial_rows.transpose(1, 2, 0)  # each key's strided columns, no copy
-    for (scheme, K), (sums, outages, eligible) in zip(keys, columns):
-        rows.append(ResultRow(
-            experiment=cfg.experiment,
-            snr_db=float(snr_db),
-            K=K,
-            scheme=scheme,
-            mean_sum_rate=float(sums.mean()),
-            stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            outage_rate=float(outages.sum() / (3 * n)),
-            mean_eligible=float(eligible.sum() / (3 * n)),
-            threshold_used=(design_threshold(_optimal_method(cfg.d), K, cfg.d)
-                            if scheme == "oia_1bit" else float("nan")),
-            trials=n,
-        ))
-    return rows
+    return [ResultRow(
+        experiment=cfg.experiment,
+        snr_db=float(snr_db),
+        K=K,
+        scheme=scheme,
+        mean_sum_rate=float(sums.mean()),
+        stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        outage_rate=float(outages.sum() / (3 * n)),
+        mean_eligible=float(eligible.sum() / (3 * n)),
+        threshold_used=(design_threshold(_optimal_method(cfg.d), K, cfg.d)
+                        if scheme == "oia_1bit" else float("nan")),
+        trials=n,
+    ) for (scheme, K), (sums, outages, eligible) in zip(keys, columns)]
 
 
 def _check_run_fits(cfg: ExperimentConfig) -> None:
@@ -514,12 +503,11 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
             outputs.append(out)
             print(f"{cfg.experiment}: task {n}/{len(tasks)} (trials {trials.start}-"
                   f"{trials.stop - 1}) done", file=sys.stderr)
-    trial_rows = np.concatenate([o.rows for o in outputs], axis=1)
-    rows = []
-    for point, snr_db in enumerate(cfg.snr_db_grid):
-        rows.extend(_aggregate_point(cfg, snr_db, outputs[0].keys[point],
-                                     trial_rows[point]))
-    redraws = sum(o.redraws for o in outputs)
+    keys, trial_rows, redraws = zip(*outputs)
+    trial_rows = np.concatenate(trial_rows, axis=1)
+    rows = [row for point, snr_db in enumerate(cfg.snr_db_grid) for row in
+            _aggregate_point(cfg, snr_db, keys[0][point], trial_rows[point])]
+    redraws = sum(redraws)
     total = cfg.trials * len(cfg.snr_db_grid)
     if redraws > 0.001 * total:
         print(f"{cfg.experiment}: {redraws} degenerate redraws over "
@@ -656,10 +644,16 @@ def make_config(experiment: str, overrides: dict | None = None) -> ExperimentCon
     return ExperimentConfig(**values)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return "%.9g" % value
-    return str(value)
+def _temp_file(path: str) -> str:
+    """Name of a new empty temp file beside path, its directory made if need be."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, name = tempfile.mkstemp(dir=directory, prefix=".oiasim-", suffix=".csv")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    os.close(fd)
+    return name
 
 
 def write_csv(path: str, rows: list) -> None:
@@ -667,35 +661,35 @@ def write_csv(path: str, rows: list) -> None:
 
     The first line is a '# generated_at=...' comment; the rest is the
     header (field names of the row type) and one line per row, floats
-    with 9 significant digits.
+    with 9 significant digits. The file mode is open()'s under the umask.
     """
     if not rows:
         raise ConfigError("refusing to write an empty table")
     names = tuple(f.name for f in dataclasses.fields(type(rows[0])))
     lines = [",".join(names)]
     for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, n)) for n in names))
+        lines.append(",".join("%.9g" % v if isinstance(v, float) else str(v)
+                              for v in dataclasses.astuple(row)))
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     content = f"# generated_at={stamp}\n" + "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_name = None
+    tmp_name = _temp_file(path)
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".oiasim-", suffix=".csv")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp_name, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
+        os.umask(umask := os.umask(0o077))  # reads the umask, leaving it as it was
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
-        tmp_name = None
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     finally:
-        if tmp_name is not None and os.path.exists(tmp_name):
+        if os.path.exists(tmp_name):
             os.unlink(tmp_name)
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Produce all rows of one experiment and write them to cfg.output_path,
-    which is refused before anything runs if it names a directory.
+    which is refused before anything runs if it names a directory or a temp
+    file cannot be made beside it.
 
     workers must be an integer of at least 1; more than the CPUs this
     process may run on (os.sched_getaffinity where it exists, else
@@ -705,12 +699,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
             or workers < 1):
         raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     if os.path.isdir(cfg.output_path):
         raise ConfigError(f"output_path {cfg.output_path!r} is a directory")
+    os.unlink(_temp_file(cfg.output_path))  # fail now, not in write_csv after the run
     rows = EXPERIMENTS[cfg.experiment].runner(cfg, min(workers, cpus))
     write_csv(cfg.output_path, rows)
     return rows

@@ -16,7 +16,7 @@ closed_form_ia and ia_link_rates work on stacks of drops, shape
 (..., 3, 3, 2, 2) indexed receiver then transmitter; one drop is the
 one-element case. quantized_channel_set quantizes the six cross links of
 a drop, or of a stack of drops with one generator each, drawing and
-scoring consecutive links in blocks of at most _DRAW_BLOCK normals, which
+scoring consecutive links in blocks of at most _BLOCK_SIZE normals, which
 may span drops (one link at 24 bits, 16 at 16 bits). Norms and inner
 products are numpy reductions along the last axis, which the per-vector
 oracle in the tests repeats.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import _check_power, interferer_indices
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
-from .grassmann import _DRAW_BLOCK, ManifoldParams, quantization_bound
+from .grassmann import _BLOCK_SIZE, ManifoldParams, quantization_bound
 
 RVQ_BIT_LIMIT = 24  # the largest budget feedback_mode gives explicit codebooks
 MAX_BITS = 2046  # the largest even budget b with 2^(b/2) codewords a finite double
@@ -201,10 +201,10 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
     w = cross.transpose(0, 1, 3, 2).reshape(-1, 4)      # column-major vectorization
     with np.errstate(divide="ignore", invalid="ignore"):
         w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    # blocks of at most _DRAW_BLOCK normals (at least one link) that may
+    # blocks of at most _BLOCK_SIZE normals (at least one link) that may
     # span drops, each drop's part drawn by its own generator
     wq = np.empty_like(w)
-    step = max(1, _DRAW_BLOCK // math.prod(shape))
+    step = max(1, _BLOCK_SIZE // math.prod(shape))
     for lo in range(0, len(w), step):
         hi = min(lo + step, len(w))
         g = [rngs[t].standard_normal((min(hi, 6 * t + 6) - max(lo, 6 * t),) + shape)

@@ -55,9 +55,9 @@ def fig5_sums():
     # margins clear 3 stderr at every grid point
     cfg = make_config("fig5_sumrate_d2", {"seed": "3"})
     ks = (10, 50, 100)
-    out = run_trials(cfg, range(cfg.trials))
+    keys, rows, _ = run_trials(cfg, range(cfg.trials))
     # the fixed K list gives every point the same keys
-    sums = {K: out.rows[:, :, out.keys[0].index(("oia_1bit", K)), 0] for K in ks}
+    sums = {K: rows[:, :, keys[0].index(("oia_1bit", K)), 0] for K in ks}
     return cfg.snr_db_grid, ks, sums
 
 

@@ -1,4 +1,4 @@
-"""Property test of the point reducer: TrialRows rows against per-cell lists."""
+"""Property test of the point reducer: run_trials rows against per-cell lists."""
 
 import math
 

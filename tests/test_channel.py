@@ -108,8 +108,8 @@ def test_generate_channels_bit_identical_to_reference_draw(monkeypatch, K, d):
     # into the strided per-trial slots of a multi-trial drop
     shape = (3, 3, K, 2 * d, d)
     n = math.prod(shape)
-    for block in (grassmann._DRAW_BLOCK, n - 1, n, n + 1, n // 3 - 1):
-        monkeypatch.setattr(grassmann, "_DRAW_BLOCK", max(block, 1))
+    for block in (grassmann._BLOCK_SIZE, n - 1, n, n + 1, n // 3 - 1):
+        monkeypatch.setattr(grassmann, "_BLOCK_SIZE", max(block, 1))
         for seed in (0, 1, 12345, 2 ** 40 + 3):
             ref, after = _reference_draw(seed, shape)
             rng = np.random.default_rng(seed)
@@ -392,7 +392,7 @@ def _one_pass_metrics(ch, i):
 
 
 def _users_per_block(d):
-    return channel._BLOCK_ENTRIES // (2 * d * d)
+    return channel._BLOCK_SIZE // (2 * d * d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -401,7 +401,7 @@ def test_cell_metrics_blocks_equal_one_pass_bit_for_bit(monkeypatch, block, d):
     # one block minus one, one block, one block plus one, and several
     # blocks with a remainder, at the default block and at 64 users
     if block is not None:
-        monkeypatch.setattr(channel, "_BLOCK_ENTRIES", block * 2 * d * d)
+        monkeypatch.setattr(channel, "_BLOCK_SIZE", block * 2 * d * d)
     b = _users_per_block(d)
     for K in (b - 1, b, b + 1, 3 * b + 5):
         ch = generate_channels(np.random.default_rng(K + d), d, K)
@@ -417,7 +417,7 @@ def test_cell_metrics_degenerate_mask_gathered_over_blocks(monkeypatch, d, plant
     # 197 users per cell in four blocks of at most 64: the (cell, user)
     # pairs planted in the first, second or last block, of one cell or of
     # two, are exactly those `where` marks
-    monkeypatch.setattr(channel, "_BLOCK_ENTRIES", 64 * 2 * d * d)
+    monkeypatch.setattr(channel, "_BLOCK_SIZE", 64 * 2 * d * d)
     h = generate_channels(np.random.default_rng(460 + d), d, 197).h.copy()
     for i, k in planted:
         p, q = interferer_indices(i)
@@ -571,20 +571,20 @@ def test_run_trial_records_match_per_user_oracle(experiment, ks):
     cfg = make_config(experiment, {"K_rule": "fixed:" + ",".join(map(str, ks))}
                       if experiment in ("fig5_sumrate_d2", "fig6_oia_vs_ia") else {})
     for t in range(4):
-        out = run_trial(cfg, 20.0, t)
-        assert out.redraws == 0
+        keys, rows, redraws = run_trial(cfg, 20.0, t)
+        assert redraws == 0
         replay = _replay_trial(cfg, 20.0, t)
-        assert out.keys == tuple(replay)
+        assert keys == tuple(replay)
         expected = np.array([row for row, _ in replay.values()], dtype=float)
-        assert np.array_equal(out.rows, expected, equal_nan=True)
+        assert np.array_equal(rows, expected, equal_nan=True)
 
 
 def test_run_trial_single_user_rows_match_oracle():
     # K = 1: both schemes are forced onto user 0 of every cell
     cfg = make_config("fig2_sumrate_d1")
     for t in range(4):
-        out = run_trial(cfg, 0.0, t)
+        rows = run_trial(cfg, 0.0, t)[1]
         replay = _replay_trial(cfg, 0.0, t)
         assert [users for _, users in replay.values()] == [[0, 0, 0]] * 3
-        assert np.array_equal(out.rows, [row for row, _ in replay.values()],
+        assert np.array_equal(rows, [row for row, _ in replay.values()],
                               equal_nan=True)

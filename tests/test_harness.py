@@ -282,19 +282,18 @@ def test_threshold_used_is_the_optimal_design_for_d(tmp_path, experiment, d):
 
 def test_run_trial_deterministic():
     cfg = make_config("fig2_sumrate_d1")
-    a = run_trial(cfg, 10.0, 3)
-    b = run_trial(cfg, 10.0, 3)
-    assert a.keys == (("oia_perfect", 10), ("oia_1bit", 10), ("ia_closed_form", 1))
-    assert a.rows.shape == (3, 3) and a.rows.dtype == np.float64
-    assert np.array_equal(a.rows, b.rows, equal_nan=True)
-    c = run_trial(cfg, 10.0, 4)
-    assert c.keys == a.keys
-    assert not np.array_equal(a.rows[:, 0], c.rows[:, 0])
+    keys, a, _ = run_trial(cfg, 10.0, 3)
+    assert keys == (("oia_perfect", 10), ("oia_1bit", 10), ("ia_closed_form", 1))
+    assert a.shape == (3, 3) and a.dtype == np.float64
+    assert np.array_equal(a, run_trial(cfg, 10.0, 3)[1], equal_nan=True)
+    c_keys, c, _ = run_trial(cfg, 10.0, 4)
+    assert c_keys == keys
+    assert not np.array_equal(a[:, 0], c[:, 0])
     # outage counts in [0, 3]; only the 1-bit scheme has eligible counts
-    assert np.array_equal(a.rows[[0, 2], 1], [0.0, 0.0])
-    assert 0 <= a.rows[1, 1] <= 3
-    assert 0 <= a.rows[1, 2] <= 3 * 10
-    assert np.isnan(a.rows[[0, 2], 2]).all()
+    assert np.array_equal(a[[0, 2], 1], [0.0, 0.0])
+    assert 0 <= a[1, 1] <= 3
+    assert 0 <= a[1, 2] <= 3 * 10
+    assert np.isnan(a[[0, 2], 2]).all()
 
 
 def test_run_trial_single_user_is_forced():
@@ -302,10 +301,10 @@ def test_run_trial_single_user_is_forced():
     # each cell's rate and hence the sum, bit for bit
     cfg = make_config("fig2_sumrate_d1")
     for t in range(5):
-        out = run_trial(cfg, 0.0, t)
-        assert out.keys[:2] == (("oia_perfect", 1), ("oia_1bit", 1))
-        assert out.rows[0, 0] == out.rows[1, 0]
-        assert out.rows[1, 2] == 3 - out.rows[1, 1]
+        keys, rows, _ = run_trial(cfg, 0.0, t)
+        assert keys[:2] == (("oia_perfect", 1), ("oia_1bit", 1))
+        assert rows[0, 0] == rows[1, 0]
+        assert rows[1, 2] == 3 - rows[1, 1]
 
 
 def test_run_trial_unknown_experiment():
@@ -329,10 +328,10 @@ def test_run_trials_refuse_bad_trial_indices(monkeypatch):
         with pytest.raises(ConfigError, match="at least one trial index"):
             run_trials(cfg, empty)
     assert draws == []
-    assert run_trials(cfg, [np.int64(2)]).rows.shape[:2] == (1, 1)
+    assert run_trials(cfg, [np.int64(2)])[1].shape[:2] == (1, 1)
     # a range is taken as it is, a descending one in its own order
-    assert np.array_equal(run_trials(cfg, range(3, -1, -1)).rows,
-                          run_trials(cfg, [3, 2, 1, 0]).rows)
+    assert np.array_equal(run_trials(cfg, range(3, -1, -1))[1],
+                          run_trials(cfg, [3, 2, 1, 0])[1])
 
 
 def test_run_trials_refuse_snr_off_the_grid():
@@ -362,18 +361,18 @@ def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_
     cfg = make_config(experiment, {"snr_db_grid": f"10,{snr_db}"})
     n = 7
     singles = [[run_trial(cfg, snr, t) for t in range(n)] for snr in cfg.snr_db_grid]
-    expected = np.stack([[o.rows for o in point] for point in singles])
+    expected = np.stack([[rows for _, rows, _ in point] for point in singles])
     for per_chunk in (1, 2, 3, n, 10 ** 6):
         monkeypatch.setattr(harness, "_CHUNK_BYTES",
                             per_chunk * (_drop_bytes(cfg, snr_db) + harness._GENERATOR_BYTES))
-        out = run_trials(cfg, range(n))
-        assert out.keys == tuple(point[0].keys for point in singles)
-        assert out.redraws == 0
-        assert out.rows.shape == (2, n, len(out.keys[1]), 3)
-        assert np.array_equal(out.rows, expected, equal_nan=True)
+        keys, rows, redraws = run_trials(cfg, range(n))
+        assert keys == tuple(point[0][0] for point in singles)
+        assert redraws == 0
+        assert rows.shape == (2, n, len(keys[1]), 3)
+        assert np.array_equal(rows, expected, equal_nan=True)
     # any order and subset of trials: each row is its own trial's
-    out = run_trials(cfg, [5, 0, 3])
-    assert np.array_equal(out.rows, expected[:, [5, 0, 3]], equal_nan=True)
+    rows = run_trials(cfg, [5, 0, 3])[1]
+    assert np.array_equal(rows, expected[:, [5, 0, 3]], equal_nan=True)
     with pytest.raises(ConfigError):
         run_trials(cfg, [])
 
@@ -432,10 +431,10 @@ def test_rows_do_not_move_when_every_metric_moves_one_ulp(monkeypatch, experimen
             return np.nextafter(metrics(ch), direction)
 
         monkeypatch.setattr(harness, "cell_metrics", moved)
-        out = run_trials(cfg, range(12))
+        keys, rows, _ = run_trials(cfg, range(12))
         assert calls
-        assert out.keys == expected.keys
-        assert np.array_equal(out.rows, expected.rows, equal_nan=True)
+        assert keys == expected[0]
+        assert np.array_equal(rows, expected[1], equal_nan=True)
 
 
 def _trial_of(rng):
@@ -497,7 +496,7 @@ def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experimen
                                    "K_rule": "fixed:10,16,40"}
                       if experiment == "fig6_oia_vs_ia" else {"snr_db_grid": "20"})
     n, bad = 5, 2
-    clean = run_trials(cfg, range(n))
+    clean = run_trials(cfg, range(n))[1]
 
     matches = []
 
@@ -509,19 +508,19 @@ def test_degenerate_draw_mid_chunk_redraws_only_its_trial(monkeypatch, experimen
         return len(matches) % 2 == 1
 
     calls = _spoil(monkeypatch, name, rng_arg, first_of_a_run, spoil)
-    chunk = run_trials(cfg, range(n))
+    _, chunk, redraws = run_trials(cfg, range(n))
     draws = [calls.count(t) for t in range(n)]
     del calls[:]
     singles = [run_trial(cfg, 20.0, t) for t in range(n)]
     assert [calls.count(t) for t in range(n)] == draws
     assert draws[bad] == draws[0] + 1
-    assert chunk.redraws == 1
-    assert [o.redraws for o in singles] == [0, 0, 1, 0, 0]
-    assert np.array_equal(chunk.rows[0], np.stack([o.rows for o in singles]),
+    assert redraws == 1
+    assert [r for _, _, r in singles] == [0, 0, 1, 0, 0]
+    assert np.array_equal(chunk[0], np.stack([rows for _, rows, _ in singles]),
                           equal_nan=True)
     keep = [t for t in range(n) if t != bad]
-    assert np.array_equal(chunk.rows[0, keep], clean.rows[0, keep], equal_nan=True)
-    assert not np.array_equal(chunk.rows[0, bad], clean.rows[0, bad], equal_nan=True)
+    assert np.array_equal(chunk[0, keep], clean[0, keep], equal_nan=True)
+    assert not np.array_equal(chunk[0, bad], clean[0, bad], equal_nan=True)
 
 
 @pytest.mark.parametrize("experiment, spoil", [("fig3_eligible_users", _zero_link),
@@ -633,6 +632,23 @@ def test_write_csv_failed_rename_keeps_target_and_leaves_no_temp_file(tmp_path,
     assert glob.glob(str(tmp_path / ".oiasim-*.csv")) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_csv_gives_the_mode_of_the_umask(tmp_path, umask, mode):
+    # the temp file is made 0600; the table gets what open() would give it,
+    # and the process umask is left as it was
+    path = tmp_path / "t.csv"
+    old = os.umask(umask)
+    try:
+        write_csv(str(path), [ResultRow(
+            experiment="e", snr_db=0.0, K=1, scheme="s", mean_sum_rate=1.0,
+            stderr=0.0, outage_rate=0.0, mean_eligible=1.0,
+            threshold_used=0.5, trials=1)])
+        assert os.umask(umask) == umask
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
+
+
 def test_run_experiment_reproducible_across_workers(tmp_path):
     paths = [tmp_path / f"run{i}.csv" for i in range(3)]
     for path, workers in zip(paths, (1, 1, 2)):
@@ -674,6 +690,24 @@ def test_run_experiment_refuses_a_directory_output_path_before_running(tmp_path,
                       {"trials": "2", "output_path": str(tmp_path)})
     with pytest.raises(ConfigError, match="is a directory"):
         run_experiment(cfg)
+
+
+def test_run_experiment_refuses_an_unwritable_output_path_before_running(tmp_path,
+                                                                        monkeypatch,
+                                                                        capfd):
+    # a path below a regular file fails as write_csv would, before any trial
+    # runs, and leaves nothing behind
+    monkeypatch.setattr(harness, "generate_channels",
+                        lambda *args, **kwargs: pytest.fail("trials ran"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    cfg = make_config("fig3_eligible_users",
+                      {"trials": "2", "output_path": str(blocker / "x.csv")})
+    with pytest.raises(IoError, match="cannot write .*x.csv: "):
+        run_experiment(cfg)
+    assert "task" not in capfd.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+    assert os.listdir(tmp_path) == ["blocker"]
 
 
 def test_run_experiment_opens_no_pool_for_one_task(tmp_path, monkeypatch, capfd):
@@ -804,7 +838,7 @@ def test_key_count_is_the_keys_a_trial_gives(experiment):
     # the memory check counts the stored rows by the registry's key_count
     cfg = make_config(experiment, {"snr_db_grid": "10"})
     assert (harness.EXPERIMENTS[experiment].key_count(cfg.k_values[0])
-            == len(run_trial(cfg, 10.0, 0).keys))
+            == len(run_trial(cfg, 10.0, 0)[0]))
 
 
 def _cfg_file(tmp_path, text):
@@ -1033,9 +1067,9 @@ def test_fig7_counts_exact_at_every_accepted_budget(tmp_path, d):
 
 def test_ia_rows_present_in_fig6_trial():
     cfg = make_config("fig6_oia_vs_ia", {"snr_db_grid": "20"})
-    out = run_trial(cfg, 20.0, 0)
-    keys = set(out.keys)
-    assert len(keys) == len(out.keys) == len(out.rows) == 14
+    key_list, rows, _ = run_trial(cfg, 20.0, 0)
+    keys = set(key_list)
+    assert len(keys) == len(key_list) == len(rows) == 14
     for b in (10, 16, 24, 28, 32, 36, 40):
         assert ("oia_1bit", b) in keys
         assert ("ia_individual", b) in keys

@@ -377,7 +377,7 @@ def test_rvq_blocks_draw_the_per_link_stream(monkeypatch, block, links, stacked)
     # at 10 bits a link's codebook holds 2 * 32 * 4 = 256 normals; each
     # block of links gives the oracle's codewords and rng position, alone
     # and in a stack of two drops, where a block may span both
-    monkeypatch.setattr(ia, "_DRAW_BLOCK", block)
+    monkeypatch.setattr(ia, "_BLOCK_SIZE", block)
     for seed in range(4):
         ch = _draw(np.random.default_rng(seed))
         rng, ref_rng = np.random.default_rng([seed, 10]), np.random.default_rng([seed, 10])
@@ -603,7 +603,7 @@ def test_fig6_trial_redraws_only_the_degenerate_budget(monkeypatch, zero_link):
     # counted; every other row is the undisturbed one
     cfg = make_config("fig6_oia_vs_ia", {"snr_db_grid": "20",
                                          "K_rule": "fixed:10,16,40"})
-    clean = run_trial(cfg, 20.0, 0)
+    keys, clean, clean_redraws = run_trial(cfg, 20.0, 0)
     real = harness.quantized_channel_set
     calls = []
 
@@ -618,14 +618,14 @@ def test_fig6_trial_redraws_only_the_degenerate_budget(monkeypatch, zero_link):
     monkeypatch.setattr(harness, "quantized_channel_set", spoiled)
     runs = [run_trial(cfg, 20.0, 0) for _ in range(2)]
     assert calls == [10, 16, 40, 16] * 2
-    for out in runs:
-        assert out.redraws == clean.redraws + 1
-        assert out.keys == clean.keys
-        redrawn = out.keys.index(("ia_individual", 16))
-        keep = [n for n in range(len(out.keys)) if n != redrawn]
-        assert np.array_equal(out.rows[keep], clean.rows[keep], equal_nan=True)
-        assert out.rows[redrawn, 0] != clean.rows[redrawn, 0]
-    assert np.array_equal(runs[0].rows, runs[1].rows, equal_nan=True)
+    redrawn = keys.index(("ia_individual", 16))
+    keep = [n for n in range(len(keys)) if n != redrawn]
+    for out_keys, rows, redraws in runs:
+        assert redraws == clean_redraws + 1
+        assert out_keys == keys
+        assert np.array_equal(rows[keep], clean[keep], equal_nan=True)
+        assert rows[redrawn, 0] != clean[redrawn, 0]
+    assert np.array_equal(runs[0][1], runs[1][1], equal_nan=True)
 
 
 def test_fig6_trial_gives_up_on_a_budget_that_stays_degenerate(monkeypatch):
