@@ -182,12 +182,6 @@ def postfilter(R: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(R)[1][..., :R.shape[-1] // 2]
 
 
-def _check_power(P) -> None:
-    """The one rule for a transmit power: finite and > 0."""
-    if not 0.0 < P < np.inf:
-        raise ShapeMismatch(f"need a finite power P > 0, got {P}")
-
-
 def user_rate(links: np.ndarray, U: np.ndarray, P: float):
     """Achievable rate of a user with served links (..., 3, nr, nt), as
     served_links returns them, behind postfilter U (..., nr, d), at
@@ -200,7 +194,8 @@ def user_rate(links: np.ndarray, U: np.ndarray, P: float):
 
     The rate has the shape of the leading axes: a float for one user.
     """
-    _check_power(P)
+    if not 0.0 < P < np.inf:
+        raise ShapeMismatch(f"need a finite power P > 0, got {P}")
     d = U.shape[-1]
     scale = P / d
     # U^H H_ii, U^H H_ip and U^H H_iq in one stacked matmul

@@ -165,6 +165,11 @@ class ExperimentConfig:
         if not self.output_path:
             object.__setattr__(self, "output_path",
                                os.path.join("results", f"{self.experiment}.csv"))
+        # os.replace refuses these only after the run
+        if (os.path.basename(self.output_path) in ("", ".", "..")
+                or "\0" in self.output_path):
+            raise ConfigError(f"output_path {self.output_path!r} names no file "
+                              f"or holds a NUL byte")
 
 
 @dataclass(frozen=True)
@@ -612,7 +617,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     overrides, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -14,12 +14,13 @@ true ones. feedback_mode picks the model for a per-cell budget.
 
 closed_form_ia and ia_link_rates work on stacks of drops, shape
 (..., 3, 3, 2, 2) indexed receiver then transmitter; one drop is the
-one-element case. quantized_channel_set quantizes the six cross links of
-a drop, or of a stack of drops with one generator each, drawing and
-scoring consecutive links in blocks of at most _BLOCK_SIZE normals, which
-may span drops (one link at 24 bits, 16 at 16 bits). Norms and inner
-products are numpy reductions along the last axis, which the per-vector
-oracle in the tests repeats.
+one-element case; ia_link_rates rates each receiver's precoded links
+with channel.user_rate, OIA's rate formula. quantized_channel_set
+quantizes the six cross links of a drop, or of a stack of drops with one
+generator each, drawing and scoring consecutive links in blocks of at
+most _BLOCK_SIZE normals, which may span drops (one link at 24 bits, 16
+at 16 bits). Norms and inner products are numpy reductions along the
+last axis, which the per-vector oracle in the tests repeats.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .channel import _check_power, interferer_indices
+from .channel import interferer_indices, user_rate
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
 from .grassmann import _BLOCK_SIZE, ManifoldParams, quantization_bound
 
@@ -43,6 +44,8 @@ _P, _Q = interferer_indices(_CELLS)
 # receiver's first interferer before its second
 _RX = np.repeat(_CELLS, 2)
 _TX = np.stack([_P, _Q], axis=1).ravel()
+# each receiver's own transmitter, then its interferers: served_links' order
+_SERVED = np.stack([_CELLS, _P, _Q], axis=1)
 
 
 def _as_drops(ch) -> np.ndarray:
@@ -107,11 +110,10 @@ def ia_link_rates(ch, precoders, filters, P: float) -> np.ndarray:
     on channels ch; the unit precoders and filters, (..., 3, 2) arrays as
     closed_form_ia returns them, and ch broadcast over their leading axes.
 
-    Treats residual interference as noise: receiver i gets
-    log2(1 + P|u^H H_ii v_i|^2 / (1 + P sum_{j != i} |u^H H_ij v_j|^2)),
-    at a power P that is finite and > 0.
+    Receiver i's precoded links H_ii v_i, H_ip v_p, H_iq v_q are rated by
+    channel.user_rate behind the filter u_i, residual interference
+    treated as noise, at a power P that is finite and > 0.
     """
-    _check_power(P)
     H = _as_drops(ch)
     v = np.asarray(precoders, dtype=complex)
     u = np.asarray(filters, dtype=complex)
@@ -120,12 +122,8 @@ def ia_link_rates(ch, precoders, filters, P: float) -> np.ndarray:
     unit = np.linalg.norm(np.concatenate([v, u], axis=-2), axis=-1)
     if np.any(np.abs(unit - 1.0) > _UNIT_ATOL):
         raise ShapeMismatch("precoders and filters must be unit norm")
-    x = (H @ v[..., None, :, :, None])[..., 0]    # H_ij v_j
-    g = (np.conj(u[..., :, None, :]) * x).sum(axis=-1)      # u_i^H H_ij v_j
-    gain = g.real * g.real + g.imag * g.imag
-    signal = P * gain[..., _CELLS, _CELLS]
-    leak = P * (gain[..., _CELLS, _P] + gain[..., _CELLS, _Q])
-    return np.log2(1.0 + signal / (1.0 + leak))
+    links = H[..., _CELLS[:, None], _SERVED, :, :] @ v[..., _SERVED, :, None]
+    return user_rate(links, u[..., None], P)
 
 
 def feedback_mode(bits_total: int) -> str:

@@ -101,7 +101,28 @@ def closed_form_ia(ch) -> tuple:
 
 
 def ia_link_rates(ch, precoders, filters, P: float) -> list:
-    """Per-receiver rates of one drop's IA solution, one link at a time."""
+    """Per-receiver rates of one drop's IA solution, one receiver at a
+    time, in the determinant form of oiasim.channel.user_rate:
+    log2 det(1 + A + B) - log2 det(1 + B) with A = P |u^H H_ii v_i|^2 and
+    B = P sum_{j != i} |u^H H_ij v_j|^2 as 1x1 matrices."""
+    rates = []
+    for i in range(3):
+        uh = np.conj(filters[i])[None, :]
+        g = [uh @ (np.asarray(ch[i][j]) @ precoders[j][:, None])
+             for j in (i, *interferer_indices(i))]
+        A = P * (g[0] @ np.conj(g[0]))
+        B = P * (g[1] @ np.conj(g[1]) + g[2] @ np.conj(g[2]))
+        eye = np.eye(1)
+        gain = np.linalg.slogdet(eye + A + B)[1] / np.log(2.0)
+        loss = np.linalg.slogdet(eye + B)[1] / np.log(2.0)
+        rates.append(float(gain - loss))
+    return rates
+
+
+def ia_link_rates_sinr(ch, precoders, filters, P: float) -> list:
+    """Per-receiver rates of one drop's IA solution in the SINR form,
+    log2(1 + P|u^H H_ii v_i|^2 / (1 + P sum_{j != i} |u^H H_ij v_j|^2)),
+    one link at a time: the same rate as ia_link_rates up to rounding."""
     rates = []
     for i in range(3):
         p, q = interferer_indices(i)

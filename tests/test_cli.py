@@ -1,6 +1,7 @@
 """Exit codes and output of the oia-sim command line."""
 
 import hashlib
+import os
 import sys
 
 import numpy as np
@@ -176,6 +177,38 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "fig2_sumrate_d1", "--seed", "-1", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_output_path_naming_no_file_exits_2_before_the_run(tmp_path, capsys):
+    # one ending in a separator, "." or "..": the rename into place refused
+    # it only after every trial had run
+    outdir = tmp_path / "outdir"
+    for end in (os.sep, os.sep + ".", os.sep + ".."):
+        assert main(["run", "fig3_eligible_users", "--trials", "3",
+                     "--out", str(outdir) + end]) == 2
+        err = capsys.readouterr().err
+        assert "names no file" in err and "task" not in err
+    assert not outdir.exists()
+
+
+def test_output_path_holding_a_nul_byte_exits_2_before_the_run(tmp_path, capsys):
+    # the rename into place raised a traceback after every trial had run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"output_path = " + bytes(tmp_path / "a") + b"\0b.csv\n")
+    assert main(["run", "fig3_eligible_users", "--trials", "3",
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "holds a NUL byte" in err and "task" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_config_file_not_in_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"trials = 3\nseed = \xff\n")
+    assert main(["run", "fig3_eligible_users", "--config", str(cfg),
+                 "--out", str(tmp_path / "never.csv")]) == 2
+    assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):

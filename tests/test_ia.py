@@ -551,6 +551,22 @@ def test_stacked_closed_form_ia_matches_scalar_oracle():
         assert np.array_equal(rates, ref_rates)
 
 
+def test_ia_rates_agree_with_the_sinr_form():
+    # user_rate's determinant form and the SINR form are one rate: on
+    # perfect CSI and on CSI quantized at 4, 10, 24 and 40 bits, up to
+    # P = 1e10, they differ by rounding only
+    rng = np.random.default_rng(2029)
+    drops = complex_normal(rng, (80, 3, 3, 2, 2), INV_SQRT2)
+    stack = np.stack([[ch] + [quantized_channel_set(ch, b, feedback_mode(b), rng)
+                              for b in (4, 10, 24, 40)] for ch in drops])
+    precoders, filters = closed_form_ia(stack)
+    for P in (1.0, 10.0 ** 2.5, 1e5, 1e10):
+        rates = ia_link_rates(drops[:, None], precoders, filters, P)
+        ref = [[ia_oracle.ia_link_rates_sinr(ch, v, u, P) for v, u in zip(*sol)]
+               for ch, *sol in zip(drops, precoders, filters)]
+        assert np.max(np.abs(rates - np.array(ref))) < 1e-13
+
+
 def test_closed_form_ia_flags_each_degenerate_drop():
     rng = np.random.default_rng(46)
     stack = complex_normal(rng, (5, 3, 3, 2, 2), INV_SQRT2)
