@@ -62,8 +62,8 @@ for b, total in quantized.items():
 print("\nper-cell feedback flops at matching budgets")
 print(f"{'bits':>5} {'oia_1bit':>12} {'ia_individual':>14} {'ia_joint':>12}")
 for b in (8, 16, 24, 32, 40):
-    print(f"{b:5d} {flops_oia_1bit(2, 1, b):12d} "
-          f"{flops_ia_individual(2, 2, b):14d} {flops_ia_joint(2, 2, b):12d}")
+    print(f"{b:5d} {flops_oia_1bit(1, b):12d} "
+          f"{flops_ia_individual(b):14d} {flops_ia_joint(b):12d}")
 
 print("\nalignment needs orders of magnitude more feedback computation "
       "for the same budget once the codebooks grow")

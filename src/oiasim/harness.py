@@ -147,10 +147,11 @@ class ExperimentConfig:
             ks = (0,)
             with contextlib.suppress(OverflowError):
                 P = 10.0 ** (snr_db / 10.0)
-                # K only from a finite P: math.ceil(nan) raises ValueError
+                # K only from a finite P: math.ceil(nan) raises ValueError;
+                # P^E from the decibels: a rounded P misses powers of ten
                 if 0.0 < P < math.inf:
                     ks = payload if kind == "fixed" else (
-                        math.ceil(P if kind == "ceil_P" else P**payload),)
+                        math.ceil(10.0 ** ((payload or 1) * snr_db / 10.0)),)
             if min(ks) < 1:
                 raise ConfigError(f"snr_db {snr_db} gives no finite power P > 0 "
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
@@ -198,10 +199,10 @@ def parse_k_rule(rule: str):
     """Split a K_rule string into (kind, payload).
 
     "ceil_P" couples K to power as K = ceil(P); "ceil_P_pow:E" as
-    K = ceil(P^E) with integer E; "fixed:10,50,100" evaluates the listed
-    K values (ascending) at every SNR point. For the OIA-vs-IA
-    comparison the fixed values double as the per-cell feedback bit
-    budgets, with K = n_bits users.
+    K = ceil(P^E) = ceil(10^(E snr_db / 10)) with integer E;
+    "fixed:10,50,100" evaluates the listed K values (ascending) at every
+    SNR point. For the OIA-vs-IA comparison the fixed values double as
+    the per-cell feedback bit budgets, with K = n_bits users.
     """
     if not isinstance(rule, str):
         raise ConfigError(f"K_rule must be a string, got {rule!r}")
@@ -537,13 +538,11 @@ def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
 
 
 def _run_fig7(cfg: ExperimentConfig, workers: int = 1) -> list:
-    """OIA counted at nr = 2d, IA at the 2 x 2 links of the IA baseline,
-    the only ones oiasim.ia handles."""
     rows = []
     for b in cfg.k_values[0]:
-        rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(2 * cfg.d, cfg.d, b)))
-        rows.append(FlopReport("ia_joint", b, flops_ia_joint(2, 2, b)))
-        rows.append(FlopReport("ia_individual", b, flops_ia_individual(2, 2, b)))
+        rows.append(FlopReport("oia_1bit", b, flops_oia_1bit(cfg.d, b)))
+        rows.append(FlopReport("ia_joint", b, flops_ia_joint(b)))
+        rows.append(FlopReport("ia_individual", b, flops_ia_individual(b)))
     return rows
 
 

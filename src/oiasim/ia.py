@@ -68,16 +68,14 @@ def closed_form_ia(ch) -> tuple[np.ndarray, np.ndarray]:
     with it. u_i is orthogonal to the aligned interference at receiver i.
 
     Raises DegenerateChannel when a cross matrix of any drop has condition
-    number >= 1e12 (or NaN); its `where` holds the mask of such drops, and
-    callers redraw them.
+    number >= 1e12 or a non-finite entry; its `where` holds the mask of
+    such drops, and callers redraw them.
     """
     H = _as_drops(ch)
     cross = H[..., _RX, _TX, :, :]      # H01 H02 H12 H10 H20 H21
-    # a matrix with a non-finite entry is zeroed: its 0/0 condition is NaN
+    # a matrix with a non-finite entry is zeroed: its condition reads inf
     finite = np.isfinite(cross).all(axis=(-2, -1), keepdims=True)
-    s = np.linalg.svd(np.where(finite, cross, 0.0), compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~np.all(s[..., 0] / s[..., 1] < _COND_LIMIT, axis=-1)
+    bad = ~np.all(np.linalg.cond(np.where(finite, cross, 0.0)) < _COND_LIMIT, axis=-1)
     if np.any(bad):
         raise DegenerateChannel("a cross channel is ill-conditioned", where=bad)
     inv = np.linalg.inv(cross)

@@ -82,7 +82,7 @@ def expected_metric_one_bit(x, K: int, p: ManifoldParams):
         raise ShapeMismatch(f"threshold must lie in (0, {x_max:.6g}]")
     x = np.minimum(x, x_max)
     F = metric_cdf(x, p)
-    p_out = (1.0 - F) ** K
+    p_out = outage_probability(x, K, p)
     D = p.exponent
     with np.errstate(divide="ignore", invalid="ignore"):
         mean_high = (p.c * D / (D + 1)) * (x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)

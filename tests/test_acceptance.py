@@ -163,8 +163,8 @@ def test_criterion_06_oia_vs_ia_crossover(fig6_rows):
 
 
 def test_criterion_07_complexity_ratio():
-    ia = flops_ia_individual(2, 2, 10)
-    oia = flops_oia_1bit(2, 1, 10)
+    ia = flops_ia_individual(10)
+    oia = flops_oia_1bit(1, 10)
     ok = ia == 7680 and oia == 600 and ia / oia == 12.8 and ia / oia > 10.0
     _line(7, ok, f"ia_individual/oia_1bit at 10 bits = {ia}/{oia} "
                  f"= {ia / oia}")

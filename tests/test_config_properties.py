@@ -36,15 +36,15 @@ def test_accepted_grid_and_seed_give_finite_power_and_users(grid, seed, K_rule):
         assert min(ks) >= 1
 
 
-def _point_k_values(K_rule, P):
-    """The K values of a grid point of power P, computed from the K rule
-    per point as the config check, the trial loop and the drop sizing once
-    each did: the oracle of ExperimentConfig.k_values."""
+def _point_k_values(K_rule, snr_db):
+    """The K values of a grid point at snr_db, computed from the K rule per
+    point: the oracle of ExperimentConfig.k_values. P^E is 10^(E snr_db / 10),
+    so K is exact at powers of ten, where a rounded P raised to E is not."""
     kind, payload = parse_k_rule(K_rule)
     if kind == "ceil_P":
-        return (math.ceil(P),)
+        return (math.ceil(10.0 ** (snr_db / 10.0)),)
     if kind == "ceil_P_pow":
-        return (math.ceil(P**payload),)
+        return (math.ceil(10.0 ** (payload * snr_db / 10.0)),)
     return payload
 
 
@@ -55,11 +55,11 @@ def _oracle_k_values(grid, K_rule):
     for snr_db in grid:
         try:
             P = 10.0 ** (snr_db / 10.0)
-            if not (0.0 < P < math.inf and min(_point_k_values(K_rule, P)) >= 1):
+            if not (0.0 < P < math.inf and min(_point_k_values(K_rule, snr_db)) >= 1):
                 return None
         except OverflowError:
             return None
-        k_values.append(_point_k_values(K_rule, P))
+        k_values.append(_point_k_values(K_rule, snr_db))
     return tuple(k_values)
 
 

@@ -198,6 +198,17 @@ def test_k_values_derived_and_read_only():
         (10, 50, 100), (10, 50, 100))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.k_values = ()
+
+
+def test_ceil_p_pow_is_exact_at_powers_of_ten():
+    # a rounded P = 10^(snr_db/10) raised to E can land an ulp above 10^n,
+    # which the ceiling turns into one user too many
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "5,25,35",
+                                              "K_rule": "ceil_P_pow:2"})
+    assert cfg.k_values == ((10,), (10 ** 5,), (10 ** 7,))
+    cfg = make_config("fig3_eligible_users", {"snr_db_grid": "5,7.5,12.5",
+                                              "K_rule": "ceil_P_pow:4", "d": 2})
+    assert cfg.k_values == ((100,), (1000,), (10 ** 5,))
     with pytest.raises(ConfigError, match="k_values"):
         make_config("fig3_eligible_users", {"k_values": ((1,),)})
     with pytest.raises(TypeError):

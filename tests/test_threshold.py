@@ -428,3 +428,15 @@ def test_design_values_are_pinned(method, d):
                 _DESIGNS[method](K, d)
         else:
             assert _DESIGNS[method](K, d) == expected, K
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: 1 - F rounds to 1 inside "
+                   "(1 - F)^K and the grid spans 9 decades, so the numeric design "
+                   "saturates at large K; the exact form moves the fig5_d2 pin")
+def test_numeric_design_keeps_falling_at_large_K():
+    # the optimal threshold shrinks as K grows: at d = 2 from 2.2e-4 to
+    # 7.3e-5 to 2.4e-6, at d = 1 to the closed form's 2.76e-11 at 10^12
+    x16, x18, x24 = (threshold_numeric(10 ** e, 2) for e in (16, 18, 24))
+    assert x16 > x18 > x24
+    assert threshold_numeric(10 ** 12, 1) == pytest.approx(
+        optimal_threshold_d1(10 ** 12), rel=1e-6)
