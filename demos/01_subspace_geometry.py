@@ -12,8 +12,8 @@ comes to the quantization distortion bound.
 
 import numpy as np
 
-from oiasim import (ManifoldParams, cell_metrics, generate_channels,
-                    interferer_indices, metric_cdf, quantization_bound)
+from oiasim import (cell_metrics, generate_channels, interferer_indices,
+                    metric_cdf, quantization_bound)
 
 rng = np.random.default_rng(2024)
 
@@ -43,26 +43,25 @@ for d in (1, 2):
 #    Compare against the empirical CDF.
 print("\nempirical CDF of the metric vs c * x^(d(n-d)) on [0, 1]")
 for d in (1, 2):
-    p = ManifoldParams(2 * d, d)
     dist = cell_metrics(generate_channels(rng, d, 20000)).ravel()
     xs = np.linspace(0.0, 1.0, 201)
     ecdf = np.searchsorted(np.sort(dist), xs, side="right") / dist.size
-    model = np.array([metric_cdf(float(x), p) for x in xs])
+    model = np.array([metric_cdf(float(x), d) for x in xs])
     print(f"  n={2 * d} d={d}: sup |ecdf - model| = "
           f"{np.max(np.abs(ecdf - model)):.4f}")
 
 # 3. The best of K users, the minimum of K i.i.d. metrics, has expected
-#    value below (Gamma(1/D)/D) * (K c)^(-1/D), the distortion bound of a
-#    random codebook of K subspaces.
+#    value below (Gamma(1/D)/D) * K^(-1/D), D = n - 1, the distortion bound
+#    of a random codebook of K unit vectors in C^n; the d = 1 metric is that
+#    distance at n = 2.
 #    At K = 64 the bound is 1/64 against a mean of 1/65, so the mean is
 #    taken over 36000 minima (12 batches of 1000 drops, three cells each),
 #    whose standard error is a third of that margin.
 print("\nbest-of-K metric vs the quantization bound (n=2, d=1)")
-p21 = ManifoldParams(2, 1)
 for K in (1, 4, 16, 64):
     best = [cell_metrics(generate_channels(rng, 1, 1000 * K)).reshape(3, 1000, K).min(axis=2)
             for _ in range(12)]
-    bound = quantization_bound(K, p21)
+    bound = quantization_bound(K, 2)
     print(f"  K={K:3d}: measured {np.mean(best):.4f}  bound {bound:.4f}")
 
 print("\nthe measured mean sits just under the bound and both shrink "

@@ -11,10 +11,9 @@ users and the probability that no user is eligible.
 
 import numpy as np
 
-from oiasim import (ManifoldParams, expected_eligible, lambert_w,
-                    min_expected_metric_d1, optimal_threshold_d1,
-                    outage_probability, threshold_asymptotic,
-                    threshold_lambert, threshold_numeric)
+from oiasim import (expected_eligible, lambert_w, min_expected_metric_d1,
+                    optimal_threshold_d1, outage_probability,
+                    threshold_asymptotic, threshold_lambert, threshold_numeric)
 
 # 1. The Lambert W function drives the closed-form rule. Both real
 #    branches are available; W_0 grows from the origin and W_{-1}
@@ -26,11 +25,10 @@ for branch in (0, -1):
     print(f"  branch {branch:2d}: w = {w:+.6f}, w*exp(w) = {w * np.exp(w):+.6f}")
 
 # 2. Threshold rules for a 2-stream system (d=2, so n=4 receive
-#    antennas) as the user population grows. Each rule takes K and d; the
-#    operating quantities take the G(4, 2) constants. The rules agree to
+#    antennas) as the user population grows. Each rule and each operating
+#    quantity takes K and d, with the metric on G(4, 2). The rules agree to
 #    a few percent once K is in the hundreds, and every threshold shrinks
 #    with K: more users make the scheduler pickier.
-p42 = ManifoldParams(4, 2)
 print("\nthresholds for n=4, d=2   (numeric / lambert / asymptotic)")
 print(f"{'K':>6} {'numeric':>10} {'lambert':>10} {'asympt':>10} "
       f"{'E[eligible]':>12} {'P[outage]':>10}")
@@ -39,8 +37,8 @@ for K in (10, 100, 1000, 10000):
     xl = threshold_lambert(K, 2)
     xa = threshold_asymptotic(K, 2)
     print(f"{K:6d} {xn:10.5f} {xl:10.5f} {xa:10.5f} "
-          f"{expected_eligible(xn, K, p42):12.3f} "
-          f"{outage_probability(xn, K, p42):10.2e}")
+          f"{expected_eligible(xn, K, 2):12.3f} "
+          f"{outage_probability(xn, K, 2):10.2e}")
 
 # 3. For single-stream users (n=2, d=1) the optimum is available in
 #    closed form, including the metric value it achieves (the achieved

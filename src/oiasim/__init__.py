@@ -15,7 +15,8 @@ from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
 from .errors import (ConfigError, DegenerateChannel, IoError, LambertDomain,
                      OddBitSplit, OiaSimError, ShapeMismatch, TooFewUsers,
                      UnknownExperiment)
-from .grassmann import ManifoldParams, ball_volume, metric_cdf, quantization_bound
+from .grassmann import (MAX_D, ball_volume, metric_cdf, quantization_bound,
+                        support_edge)
 from .harness import (ExperimentConfig, EXPERIMENTS, ResultRow, design_threshold,
                       make_config, run_experiment, run_trial, run_trials,
                       write_csv)

@@ -1,18 +1,21 @@
-"""Constants and draws on the complex Grassmannian manifold G(n, d).
+"""Constants and draws on the complex Grassmannian.
 
-Provides the ball-volume constant that normalizes the small-ball CDF of
-the squared chordal distance to a uniformly random subspace, the resulting
-metric CDF, the random-codebook quantization distortion bound, and the
-complex normal draw that the channel drops and the codebooks share. The
-metric itself, for every user of a drop, is channel.cell_metrics.
+Provides, on G(2d, d), where the selection metric of d streams at nr = 2d
+receive antennas lives, the ball-volume constant that normalizes the
+small-ball CDF of the squared chordal distance to a uniformly random
+subspace, the CDF's support edge and the metric CDF itself; the
+random-codebook distortion bound for unit vectors of C^n (lines of
+G(n, 1)); and the complex normal draw that the channel drops and the
+codebooks share. The metric itself, for every user of a drop, is
+channel.cell_metrics.
 
 The squared chordal distance between subspaces with orthonormal bases A and B
 is d_c^2(A, B) = (1/2) * ||A A^H - B B^H||_F^2 = d - ||A^H B||_F^2.
-For a fixed subspace and a Haar-uniform one, the CDF of d_c^2 behaves like
-F(x) = c_{n,d} * x^{d(n-d)} for small x (exact on [0, 1], and everywhere for
-d = 1).
+For a fixed subspace of G(2d, d) and a Haar-uniform one, the CDF of d_c^2
+behaves like F(x) = c_{2d,d} * x^{d^2} for small x (exact on [0, 1], and
+everywhere for d = 1). MAX_D is the largest d whose c_{2d,d} is nonzero.
 
-The d = 1 geometry needs numpy only (c_{n,1} = 1, and the distortion bound
+The d = 1 geometry needs numpy only (c_{2,1} = 1, and the distortion bound
 takes log Gamma from math.lgamma); ball_volume with d > 1 imports
 scipy.special.gammaln on its first call.
 """
@@ -20,7 +23,6 @@ scipy.special.gammaln on its first call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,84 +44,60 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Xeon such blocks cost no more per item than one pass, blocks of 8192 2-3%
 _BLOCK_SIZE = 32768
 
+# the largest d with valid G(2d, d) constants: log c_{2d,d} falls strictly
+# with d, -652.8 at d = 18 and -746.5 at d = 19, where c underflows to 0
+MAX_D = 18
 
-@dataclass(frozen=True)
-class ManifoldParams:
-    """Constants of G(n, d) used by the metric-CDF model.
 
-    Attributes
-    ----------
-    n : int
-        Ambient dimension (receive antennas for selection metrics,
-        nr * nt for vectorized-channel quantization).
-    d : int
-        Dimension of the subspaces.
-    c : float
-        Ball-volume constant c_{n,d}.
-    exponent : int
-        d * (n - d), the small-ball CDF exponent.
+def ball_volume(d: int) -> float:
+    """Ball-volume constant c_{2d,d} of the complex Grassmannian G(2d, d).
+
+    c_{n,d} = [1/Gamma(d(n-d)+1)] * prod_{i=1..d} Gamma(n-i+1)/Gamma(d-i+1)
+    at n = 2d, for 1 <= d <= MAX_D.
     """
-
-    n: int
-    d: int
-    c: float = field(init=False)
-    exponent: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", ball_volume(self.n, self.d))
-        object.__setattr__(self, "exponent", self.d * (self.n - self.d))
-        if self.c <= 0:
-            raise ShapeMismatch("invalid manifold constants")
-        if self.x_max > self.d + 1e-12:
-            raise ShapeMismatch("CDF support edge exceeds the metric range d")
-
-    @property
-    def x_max(self) -> float:
-        """Support edge of the CDF model, the x with c * x^exponent = 1."""
-        return (1.0 / self.c) ** (1.0 / self.exponent)
-
-
-def ball_volume(n: int, d: int) -> float:
-    """Ball-volume constant c_{n,d} of the complex Grassmannian G(n, d).
-
-    c_{n,d} = [1/Gamma(d(n-d)+1)] * prod_{i=1..d} Gamma(n-i+1)/Gamma(d-i+1).
-
-    Parameters
-    ----------
-    n, d : int
-        Ambient and subspace dimensions, 1 <= d <= n/2.
-    """
-    if not 1 <= d <= n // 2:
-        raise ShapeMismatch(f"ball_volume requires 1 <= d <= n/2, got ({n}, {d})")
+    if not 1 <= d <= MAX_D:
+        raise ShapeMismatch(f"ball_volume requires 1 <= d <= {MAX_D}, got {d}")
     if d == 1:  # the log-Gamma sum below cancels to exactly 0
         return 1.0
     from scipy.special import gammaln
+    n = 2 * d
     log_c = -gammaln(d * (n - d) + 1)
     for i in range(1, d + 1):
         log_c += gammaln(n - i + 1) - gammaln(d - i + 1)
     return float(np.exp(log_c))
 
 
-def metric_cdf(x, p: ManifoldParams):
-    """Model CDF of the squared chordal distance to a Haar-uniform subspace.
+def support_edge(d: int) -> float:
+    """Support edge of the metric-CDF model on G(2d, d), the x with
+    c_{2d,d} x^(d^2) = 1; at most d, the range of the metric."""
+    return (1.0 / ball_volume(d)) ** (1.0 / (d * d))
 
-    F(x) = c * x^exponent clipped to [0, 1], elementwise (a float x stays a
-    numpy scalar through the power). Exact for d = 1 and on [0, 1] for
-    d > 1; above x = 1 it is the model the analysis uses, not the true law.
+
+def metric_cdf(x, d: int):
+    """Model CDF of the squared chordal distance to a Haar-uniform subspace
+    of G(2d, d).
+
+    F(x) = c_{2d,d} * x^(d^2) clipped to [0, 1], elementwise (a float x
+    stays a numpy scalar through the power). Exact for d = 1 and on [0, 1]
+    for d > 1; above x = 1 it is the model the analysis uses, not the true
+    law.
     """
-    return np.minimum(p.c * np.maximum(x, 0.0) ** p.exponent, 1.0)
+    return np.minimum(ball_volume(d) * np.maximum(x, 0.0) ** (d * d), 1.0)
 
 
-def quantization_bound(K: int, p: ManifoldParams) -> float:
-    """Upper bound on E[min over K random subspaces of d_c^2].
+def quantization_bound(K: int, n: int) -> float:
+    """Upper bound on E[min over K random unit vectors of d_c^2] to a fixed
+    unit vector of C^n.
 
-    Q(K) <= (Gamma(1/D)/D) * (K c)^(-1/D) with D = d(n-d), the random-codebook
-    distortion bound on G(n, d).
+    Q(K) <= (Gamma(1/D)/D) * K^(-1/D) with D = n - 1, the random-codebook
+    distortion bound on G(n, 1), whose constant c_{n,1} is 1.
     """
+    if n < 2:
+        raise ShapeMismatch(f"codewords need at least 2 entries, got {n}")
     if K < 1:
         raise ShapeMismatch("K must be at least 1")
-    D = p.exponent
-    return float(np.exp(math.lgamma(1.0 / D) - np.log(D) - np.log(K * p.c) / D))
+    D = n - 1
+    return float(np.exp(math.lgamma(1.0 / D) - np.log(D) - np.log(float(K)) / D))
 
 
 def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0,

@@ -49,7 +49,7 @@ from .complexity import (FlopReport, flops_ia_individual, flops_ia_joint,
                          flops_oia_1bit)
 from .errors import (ConfigError, DegenerateChannel, IoError, TooFewUsers,
                      UnknownExperiment)
-from .grassmann import INV_SQRT2, complex_normal
+from .grassmann import INV_SQRT2, MAX_D, complex_normal
 from .ia import (MAX_BITS, closed_form_ia, feedback_mode, ia_link_rates,
                  quantized_channel_set)
 from .oia import select_conventional, select_one_bit
@@ -65,9 +65,6 @@ THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
 _FIG4_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
 _INT_FIELDS = ("d", "trials", "seed")
-# the largest d with valid G(2d, d) constants: log c_{2d,d} falls strictly
-# with d, -652.8 at d = 18 and -746.5 at d = 19, where c underflows to 0
-_MAX_DESIGN_D = 18
 # bytes the drops and Generators of one chunk of trials may hold: 8 fig5
 # drops (K = 100, d = 2), 3 at K = 1000 and d = 1, or 672 trials at K = 1;
 # from K = 10^4 (d = 1) a chunk is one trial and takes that drop's memory
@@ -245,9 +242,9 @@ def _check_threshold_method(method: str, d: int) -> None:
         raise ConfigError("d must be at least 1")
     if method == "closed_form_d1" and d != 1:
         raise ConfigError("closed_form_d1 threshold requires d=1")
-    if d > _MAX_DESIGN_D:
+    if d > MAX_D:
         raise ConfigError(f"d={d} has no valid G(2d, d) constants to design "
-                          f"a threshold (d <= {_MAX_DESIGN_D})")
+                          f"a threshold (d <= {MAX_D})")
 
 
 def _optimal_method(d: int) -> str:

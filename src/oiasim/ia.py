@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import interferer_indices, user_rate
 from .errors import DegenerateChannel, OddBitSplit, ShapeMismatch
-from .grassmann import _BLOCK_SIZE, ManifoldParams, quantization_bound
+from .grassmann import _BLOCK_SIZE, quantization_bound
 
 RVQ_BIT_LIMIT = 24  # the largest budget feedback_mode gives explicit codebooks
 MAX_BITS = 2046  # the largest even budget b with 2^(b/2) codewords a finite double
@@ -188,7 +188,7 @@ def quantized_channel_set(ch, bits_total: int, mode: str, rng) -> np.ndarray:
     if mode == "rvq":
         shape, quantize = (2, 2 ** (bits_total // 2), 4), _rvq
     elif mode == "perturbation":
-        z = np.clip(quantization_bound(2**(bits_total // 2), ManifoldParams(4, 1)), 0, 1)
+        z = np.clip(quantization_bound(2**(bits_total // 2), 4), 0, 1)
         shape, quantize = (2, 4), lambda w, g: _perturb(w, g, z)
     else:
         raise ShapeMismatch(f"unknown feedback mode {mode!r}")

@@ -1,7 +1,8 @@
 """Design of the 1-bit feedback threshold.
 
 Each design takes K users per cell and d streams, with nr = 2d, so the
-metric lives on G(2d, d) with CDF exponent d^2. For d = 1 the expected
+metric lives on G(2d, d) with CDF exponent d^2 and constant
+c = grassmann.ball_volume(d), which refuses d outside 1..grassmann.MAX_D. For d = 1 the expected
 selected-user metric has a closed-form minimizer. For general d the
 expected-metric upper bound x + (d - x)(1 - c x^{d^2})^K is minimized
 either exactly on a grid (numeric oracle), through the Lambert W function
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import LambertDomain, TooFewUsers
-from .grassmann import ManifoldParams
+from .grassmann import ball_volume, support_edge
 from .oia import expected_metric_one_bit, expected_metric_upper_bound
 
 _BRANCH_POINT = -1.0 / math.e
@@ -77,7 +78,7 @@ def threshold_lambert(K: int, d: int) -> float:
     For d = 1 the stationary point is y = log(K)/K directly. Raises
     TooFewUsers when K is below the validity range of the method.
     """
-    p = ManifoldParams(2 * d, d)
+    c = ball_volume(d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
     dsq = d * d
@@ -86,22 +87,22 @@ def threshold_lambert(K: int, d: int) -> float:
         y = math.log(K) / K if K > 1 else 0.0
     else:
         try:  # d^3 K past the largest double: its power through its log
-            arg = K * p.c * (d**3 * K) ** (1.0 / alpha) / alpha
+            arg = K * c * (d**3 * K) ** (1.0 / alpha) / alpha
         except OverflowError:
-            arg = K * p.c * math.exp(math.log(d**3 * K) / alpha) / alpha
+            arg = K * c * math.exp(math.log(d**3 * K) / alpha) / alpha
         if not _BRANCH_POINT <= arg < 0.0:
             raise TooFewUsers(f"Lambert argument {arg:.6g} outside [-1/e, 0)")
         y = alpha / K * lambert_w(-1, arg)
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"stationary point y={y:.6g} outside (0, 1)")
-    return (y / p.c) ** (1.0 / dsq)
+    return (y / c) ** (1.0 / dsq)
 
 
 def threshold_asymptotic(K: int, d: int) -> float:
     """Asymptotic threshold x = (A log K/(c K))^(1/d^2) with A = 1/d^2;
     the constant term of the paper's form is 0 (it does not affect the
     achieved degrees of freedom)."""
-    p = ManifoldParams(2 * d, d)
+    c = ball_volume(d)
     if K < 2:
         raise TooFewUsers("asymptotic form requires K >= 2")
     dsq = d * d
@@ -109,7 +110,7 @@ def threshold_asymptotic(K: int, d: int) -> float:
     y = A * math.log(K) / K
     if not 0.0 < y < 1.0:
         raise TooFewUsers(f"asymptotic y={y:.6g} outside (0, 1)")
-    return (y / p.c) ** (1.0 / dsq)
+    return (y / c) ** (1.0 / dsq)
 
 
 def threshold_numeric(K: int, d: int) -> float:
@@ -120,18 +121,17 @@ def threshold_numeric(K: int, d: int) -> float:
     The objective is expected_metric_one_bit for d = 1 (where the metric
     law is exact) and the closed-form upper bound otherwise.
     """
-    p = ManifoldParams(2 * d, d)
+    x_max = support_edge(d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
     objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
-    x_max = p.x_max
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
-    i = int(np.argmin(objective(grid, K, p)))
+    i = int(np.argmin(objective(grid, K, d)))
     x_star = float(grid[i])
     if 0 < i < len(grid) - 1:
         from scipy.optimize import golden
         try:
-            x_star = float(golden(lambda x: objective(x, K, p),
+            x_star = float(golden(lambda x: objective(x, K, d),
                                   brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
         except ValueError:
             # flat bracket; the grid point is already within tolerance

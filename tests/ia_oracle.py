@@ -15,7 +15,7 @@ import numpy as np
 from oiasim import ia as kernels
 from oiasim.channel import interferer_indices
 from oiasim.errors import DegenerateChannel, OddBitSplit, ShapeMismatch
-from oiasim.grassmann import ManifoldParams, complex_normal, quantization_bound
+from oiasim.grassmann import complex_normal, quantization_bound
 
 
 def _norm(x):
@@ -197,8 +197,7 @@ def perturb_quantization_model(w, bits_per_vector: int, rng) -> np.ndarray:
     if bits_per_vector < 1:
         raise ShapeMismatch("bits_per_vector must be at least 1")
     w = _as_unit_vector(w)
-    p = ManifoldParams(w.shape[0], 1)
-    z = float(np.clip(quantization_bound(2**bits_per_vector, p), 0.0, 1.0))
+    z = float(np.clip(quantization_bound(2**bits_per_vector, w.shape[0]), 0.0, 1.0))
     while True:
         g = complex_normal(rng, w.shape[0])
         g -= w * _inner(w, g)

@@ -13,16 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from oiasim import (ManifoldParams, cell_metrics, closed_form_ia,
+from oiasim import (ball_volume, cell_metrics, closed_form_ia,
                     expected_metric_one_bit, flops_ia_individual, flops_oia_1bit,
                     generate_channels, lambert_w, make_config,
                     min_expected_metric_d1, optimal_threshold_d1,
                     quantization_bound, run_experiment, run_trials,
                     threshold_asymptotic, threshold_lambert, threshold_numeric)
 from oiasim.channel import interferer_indices
-
-P21 = ManifoldParams(2, 1)
-P42 = ManifoldParams(4, 2)
 
 
 def _unit_rows(rng, n, length):
@@ -247,14 +244,15 @@ def test_criterion_09_property_suite():
             cb = _unit_rows(rng, 10 ** 4 * K, 2).reshape(10 ** 4, K, 2)
             dist = 1.0 - np.abs(np.einsum("nkj,nj->nk", cb.conj(), w)) ** 2
             mins.append(dist.min(axis=1))
-        assert np.concatenate(mins).mean() <= quantization_bound(K, P21)
+        assert np.concatenate(mins).mean() <= quantization_bound(K, 2)
     rng = np.random.default_rng(9242)
     for K in (1, 10, 100):
         W = _subspace_batch(rng, 10 ** 4, 4, 2)
         C = _subspace_batch(rng, 10 ** 4 * K, 4, 2).reshape(10 ** 4, K, 4, 2)
         g = np.einsum("nkij,nil->nkjl", C.conj(), W)
         dist = 2.0 - np.einsum("nkjl,nkjl->nk", g, g.conj()).real
-        assert dist.min(axis=1).mean() <= quantization_bound(K, P42)
+        # the random-codebook bound (Gamma(1/D)/D) (K c)^(-1/D) on G(4, 2), D = 4
+        assert dist.min(axis=1).mean() <= math.gamma(0.25) / 4 * (K * ball_volume(2)) ** -0.25
 
     # (d) Lambert W residuals on 1000 points per branch
     for z in np.logspace(-8, 8, 1000):
@@ -267,7 +265,7 @@ def test_criterion_09_property_suite():
     # (f) closed-form expected metric vs uniform-metric Monte Carlo
     K = 50
     x = optimal_threshold_d1(K)
-    target = expected_metric_one_bit(x, K, P21)
+    target = expected_metric_one_bit(x, K, 1)
     rng = np.random.default_rng(99)
     total = 0.0
     for _ in range(10):

@@ -26,7 +26,7 @@ import pytest
 from scipy.special import exp1
 from scipy.stats import norm
 
-from oiasim import (ManifoldParams, cell_metrics, expected_metric_one_bit,
+from oiasim import (cell_metrics, expected_metric_one_bit,
                     generate_channels, harness, make_config, min_expected_metric_d1,
                     optimal_threshold_d1, run_experiment, select_one_bit,
                     threshold_numeric)
@@ -128,11 +128,11 @@ def test_one_bit_selection_follows_the_d1_selected_metric_law():
     assert abs(_selected_metric_z(optimal_threshold_d1(K),
                                   min_expected_metric_d1(K))) <= z
     assert abs(_selected_metric_z(0.5, expected_metric_one_bit(
-        0.5, K, ManifoldParams(2, 1)))) <= z
+        0.5, K, 1))) <= z
 
 
 def test_selected_metric_check_fails_on_a_threshold_planted_high():
-    law = expected_metric_one_bit(0.5, 10, ManifoldParams(2, 1))
+    law = expected_metric_one_bit(0.5, 10, 1)
     assert abs(_selected_metric_z(0.55, law)) > _z_bound(2)
 
 

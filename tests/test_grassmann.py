@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from oiasim import (ChannelSet, ManifoldParams, ShapeMismatch, ball_volume,
-                    cell_metrics, generate_channels, interferer_indices,
-                    metric_cdf, quantization_bound)
+from oiasim import (MAX_D, ChannelSet, ShapeMismatch, ball_volume, cell_metrics,
+                    generate_channels, interferer_indices, metric_cdf,
+                    quantization_bound, support_edge)
 from oiasim import channel
 
 
@@ -98,55 +98,50 @@ def test_chordal_distance_symmetry_range_and_unitary_invariance():
 
 
 def test_ball_volume_values():
-    assert ball_volume(2, 1) == pytest.approx(1.0, rel=1e-12)
-    assert ball_volume(4, 2) == pytest.approx(0.5, rel=1e-12)
-    assert ball_volume(4, 1) == pytest.approx(1.0, rel=1e-12)
+    assert ball_volume(1) == pytest.approx(1.0, rel=1e-12)
+    assert ball_volume(2) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_ball_volume_domain():
-    with pytest.raises(ShapeMismatch):
-        ball_volume(3, 2)
-    with pytest.raises(ShapeMismatch):
-        ball_volume(2, 0)
+    for d in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            ball_volume(d)
 
 
-def test_manifold_params_constants():
-    p = ManifoldParams(4, 2)
-    assert p.c == pytest.approx(0.5, rel=1e-12)
-    assert p.exponent == 4
-    assert p.x_max == pytest.approx(2.0 ** 0.25, rel=1e-12)
-    assert ManifoldParams(2, 1).x_max == pytest.approx(1.0, rel=1e-12)
+def test_support_edge_values():
+    assert support_edge(2) == pytest.approx(2.0 ** 0.25, rel=1e-12)
+    assert support_edge(1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_metric_cdf_values():
-    assert metric_cdf(0.5, ManifoldParams(2, 1)) == pytest.approx(0.5)
-    assert metric_cdf(2.0, ManifoldParams(2, 1)) == 1.0
-    assert metric_cdf(0.5, ManifoldParams(4, 2)) == pytest.approx(0.03125)
-    assert metric_cdf(-1.0, ManifoldParams(2, 1)) == 0.0
+    assert metric_cdf(0.5, 1) == pytest.approx(0.5)
+    assert metric_cdf(2.0, 1) == 1.0
+    assert metric_cdf(0.5, 2) == pytest.approx(0.03125)
+    assert metric_cdf(-1.0, 1) == 0.0
 
 
-@pytest.mark.parametrize("n,d", [(2, 1), (4, 2), (4, 1)])
-def test_metric_cdf_monotone_and_saturates(n, d):
-    p = ManifoldParams(n, d)
-    xs = np.linspace(0.0, p.x_max, 200)
-    vals = [metric_cdf(x, p) for x in xs]
+# ids name the manifold G(2d, d) as n-d
+@pytest.mark.parametrize("d", [1, 2], ids=["2-1", "4-2"])
+def test_metric_cdf_monotone_and_saturates(d):
+    xs = np.linspace(0.0, support_edge(d), 200)
+    vals = [metric_cdf(x, d) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert abs(metric_cdf(p.x_max, p) - 1.0) < 1e-12
+    assert abs(metric_cdf(support_edge(d), d) - 1.0) < 1e-12
 
 
 def test_quantization_bound_values():
-    assert quantization_bound(1, ManifoldParams(2, 1)) == pytest.approx(1.0)
-    assert quantization_bound(100, ManifoldParams(2, 1)) == pytest.approx(0.01)
-    with pytest.raises(ShapeMismatch):
-        quantization_bound(0, ManifoldParams(2, 1))
+    assert quantization_bound(1, 2) == pytest.approx(1.0)
+    assert quantization_bound(100, 2) == pytest.approx(0.01)
+    for K, n in ((0, 2), (-1, 4), (4, 1), (4, 0)):
+        with pytest.raises(ShapeMismatch):
+            quantization_bound(K, n)
 
 
 def test_quantization_bound_rank_one_formula():
-    # closed form Gamma(1/D)/D * (K c)^(-1/D) for G(4, 1)
-    p = ManifoldParams(4, 1)
+    # closed form Gamma(1/D)/D * K^(-1/D) for unit vectors of C^4, D = 3
     K = 2 ** 12
-    expected = np.exp(gammaln(1.0 / 3.0)) / 3.0 * (K * p.c) ** (-1.0 / 3.0)
-    assert quantization_bound(K, p) == pytest.approx(expected, rel=1e-12)
+    expected = np.exp(gammaln(1.0 / 3.0)) / 3.0 * K ** (-1.0 / 3.0)
+    assert quantization_bound(K, 4) == pytest.approx(expected, rel=1e-12)
 
 
 def _ball_volume_gammaln(n, d):
@@ -157,12 +152,22 @@ def _ball_volume_gammaln(n, d):
 
 
 def test_ball_volume_d1_is_the_gammaln_formula_bit_for_bit():
-    # c_{n,1} = 1 is returned without scipy; the log-Gamma sum cancels to
+    # c_{2,1} = 1 is returned without scipy; the log-Gamma sum cancels to
     # exactly 0, so the formula gives the same bits
-    for n in range(2, 65):
-        assert ball_volume(n, 1) == 1.0 == _ball_volume_gammaln(n, 1)
-    for n, d in ((4, 2), (6, 3), (8, 2), (16, 8)):
-        assert ball_volume(n, d) == _ball_volume_gammaln(n, d)
+    assert ball_volume(1) == 1.0 == _ball_volume_gammaln(2, 1)
+    for d in range(2, MAX_D + 1):
+        assert ball_volume(d) == _ball_volume_gammaln(2 * d, d)
+
+
+def test_max_d_is_the_last_d_with_a_nonzero_ball_volume():
+    # the formula underflows to 0 one past MAX_D, which ball_volume refuses
+    for d in range(1, MAX_D + 1):
+        assert _ball_volume_gammaln(2 * d, d) > 0.0
+        # the model's support lies inside the metric's range [0, d]
+        assert support_edge(d) <= d
+    assert _ball_volume_gammaln(2 * (MAX_D + 1), MAX_D + 1) == 0.0
+    with pytest.raises(ShapeMismatch):
+        ball_volume(MAX_D + 1)
 
 
 def test_quantization_bound_matches_the_gammaln_formula():
@@ -172,10 +177,9 @@ def test_quantization_bound_matches_the_gammaln_formula():
     for D in range(1, 17):
         ulp = np.spacing(gammaln(1.0 / D))
         assert abs(math.lgamma(1.0 / D) - gammaln(1.0 / D)) <= 4 * ulp
-        p = ManifoldParams(D + 1, 1)
         for K in 2 ** np.arange(21):
-            ref = float(np.exp(gammaln(1.0 / D) - np.log(D) - np.log(K * p.c) / D))
-            assert quantization_bound(int(K), p) == pytest.approx(ref, rel=1.5e-15, abs=0)
+            ref = float(np.exp(gammaln(1.0 / D) - np.log(D) - np.log(float(K)) / D))
+            assert quantization_bound(int(K), D + 1) == pytest.approx(ref, rel=1.5e-15, abs=0)
 
 
 def test_quantization_bound_dominates_line_quantizer_mean():
@@ -183,31 +187,28 @@ def test_quantization_bound_dominates_line_quantizer_mean():
     # 1/(K+1) and the bound is 1/K; Monte Carlo with the pinned seed keeps
     # the K = 100 margin positive.
     rng = np.random.default_rng(20260814)
-    p = ManifoldParams(2, 1)
     for K in (1, 10, 100):
         mins = rng.random((10 ** 4, K)).min(axis=1)
-        assert mins.mean() <= quantization_bound(K, p)
+        assert mins.mean() <= quantization_bound(K, 2)
 
 
 def test_metric_matches_cdf_spot_values_d1():
     # P(d_c^2 <= x) = F(x); binomial 4-sigma margins at 4000 users
-    p = ManifoldParams(2, 1)
     n = 4000
     dists = cell_metrics(generate_channels(np.random.default_rng(23), 1, n))[0]
     for x in (0.2, 0.5, 0.8):
         emp = float(np.mean(dists <= x))
-        f = metric_cdf(x, p)
+        f = metric_cdf(x, 1)
         assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)
 
 
 def test_metric_d2_law_is_x4_over_2():
     # on G(4, 2) the metric's CDF is exactly x^4 / 2 on [0, 1]; binomial
     # 4-sigma margins at 3 x 20000 users
-    p = ManifoldParams(4, 2)
     dists = cell_metrics(generate_channels(np.random.default_rng(29), 2, 20000)).ravel()
     n = dists.size
     for x in (0.25, 0.5, 0.75, 1.0):
-        f = metric_cdf(x, p)
+        f = metric_cdf(x, 2)
         assert f == pytest.approx(x ** 4 / 2, rel=1e-12)
         emp = float(np.mean(dists <= x))
         assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)

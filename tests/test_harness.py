@@ -19,7 +19,7 @@ from oiasim import (EXPERIMENTS, ConfigError, DegenerateChannel, ExperimentConfi
                     optimal_threshold_d1, run_experiment, run_trial, run_trials,
                     threshold_numeric, write_csv)
 from oiasim.cli import main
-from oiasim.grassmann import ManifoldParams
+from oiasim.grassmann import MAX_D, ball_volume, support_edge
 from oiasim.harness import design_threshold, load_config_file, parse_k_rule
 
 
@@ -944,12 +944,12 @@ def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
 def test_design_dimension_limit_is_where_manifold_constants_fail():
     # c_{2d,d} is a positive double up to d = 18 and underflows to 0 from
     # d = 19 on, the limit a config that designs a threshold is held to
-    assert harness._MAX_DESIGN_D == 18
+    assert MAX_D == 18
     for d in range(1, 19):
-        assert ManifoldParams(2 * d, d).c > 0
+        assert ball_volume(d) > 0
     for d in (19, 20, 30):
         with pytest.raises(ShapeMismatch):
-            ManifoldParams(2 * d, d)
+            ball_volume(d)
 
 
 def test_design_dimension_refused_while_parsing(tmp_path, monkeypatch):
@@ -1019,7 +1019,7 @@ def test_fig4_threshold_table(tmp_path):
     cfg = make_config("fig4_threshold_compare", {"output_path": str(out)})
     rows = run_experiment(cfg)
     assert len(rows) == 15
-    x_max = ManifoldParams(4, 2).x_max
+    x_max = support_edge(2)
     by_key = {(r.K, r.scheme): r.threshold_used for r in rows}
     for K in (100, 316, 1000, 3162, 10000):
         for method in ("numeric", "lambert", "asymptotic"):

@@ -15,15 +15,13 @@ import ia_oracle
 from ia_oracle import (AggregatedChannel, aggregate_channel, composite_distance,
                        ia_limited_feedback_rate, ia_sum_rate,
                        perturb_quantization_model, random_unit_vectors)
-from oiasim import (DegenerateChannel, ManifoldParams, OddBitSplit,
+from oiasim import (DegenerateChannel, OddBitSplit,
                     ShapeMismatch, closed_form_ia, feedback_mode, ia_link_rates,
                     make_config, quantization_bound, quantized_channel_set,
                     run_trial)
 from oiasim import harness, ia
 from oiasim.channel import interferer_indices
 from oiasim.grassmann import INV_SQRT2, complex_normal
-
-P41 = ManifoldParams(4, 1)
 
 
 def _draw(rng):
@@ -223,12 +221,12 @@ def test_rank_one_quantization_exact_mean_below_bound():
         K = 2 ** B
         exact = math.exp(gammaln(1.0 / 3.0) - math.log(3.0)
                          + gammaln(K + 1.0) - gammaln(K + 4.0 / 3.0))
-        bound = quantization_bound(K, P41)
+        bound = quantization_bound(K, 4)
         assert exact <= bound
     K = 2 ** 12
     exact = math.exp(gammaln(1.0 / 3.0) - math.log(3.0)
                      + gammaln(K + 1.0) - gammaln(K + 4.0 / 3.0))
-    assert exact >= 0.97 * quantization_bound(K, P41)
+    assert exact >= 0.97 * quantization_bound(K, 4)
 
 
 def test_perturbation_distortion_of_fig6_budgets_matches_the_gammaln_formula():
@@ -239,8 +237,8 @@ def test_perturbation_distortion_of_fig6_budgets_matches_the_gammaln_formula():
     assert budgets == [28, 32, 36, 40]
     for bits in budgets:
         K = 2 ** (bits // 2)
-        ref = math.exp(gammaln(1.0 / 3.0) - np.log(3.0) - np.log(K * P41.c) / 3.0)
-        z = float(np.clip(quantization_bound(K, P41), 0.0, 1.0))
+        ref = math.exp(gammaln(1.0 / 3.0) - np.log(3.0) - np.log(float(K)) / 3.0)
+        z = float(np.clip(quantization_bound(K, 4), 0.0, 1.0))
         assert z == pytest.approx(float(np.clip(ref, 0.0, 1.0)), rel=1e-15, abs=0)
 
 
@@ -258,7 +256,7 @@ def test_quantize_individual_meets_component_bound(bits_per_vector):
         ch = _draw(rng)
         q = quantized_channel_set(ch, 2 * bits_per_vector, "rvq", rng)
         total.extend(_cell_distortions(ch, q))
-    bound = 2.0 * quantization_bound(2 ** bits_per_vector, P41)
+    bound = 2.0 * quantization_bound(2 ** bits_per_vector, 4)
     assert np.mean(total) <= bound
 
 
@@ -421,7 +419,7 @@ def test_perturbation_model_hits_exact_distortion():
     for B in (1, 4, 12):
         ch = _draw(rng)
         q = quantized_channel_set(ch, 2 * B, "perturbation", rng)
-        z = float(np.clip(quantization_bound(2 ** B, P41), 0.0, 1.0))
+        z = float(np.clip(quantization_bound(2 ** B, 4), 0.0, 1.0))
         for (i, j, w), (_, _, wq) in zip(_links(ch), _links(q)):
             assert np.linalg.norm(q[i, j]) == pytest.approx(np.linalg.norm(ch[i, j]),
                                                             rel=1e-12)
@@ -519,7 +517,7 @@ def test_perturbation_model_bit_identical_to_reference_draw():
     w = _unit(np.arange(1, 5) + 1j * np.arange(4, 0, -1))
     for seed in (0, 9, 12345):
         ref_rng = np.random.default_rng(seed)
-        z = float(np.clip(quantization_bound(2 ** 13, P41), 0.0, 1.0))
+        z = float(np.clip(quantization_bound(2 ** 13, 4), 0.0, 1.0))
         g = ref_rng.standard_normal(4) + 1j * ref_rng.standard_normal(4)
         g -= w * (np.conj(w) * g).sum(axis=-1)
         e = g / np.linalg.norm(g, axis=-1)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oiasim import (ManifoldParams, ShapeMismatch, expected_eligible,
+from oiasim import (MAX_D, ShapeMismatch, ball_volume, expected_eligible,
                     expected_metric_one_bit, expected_metric_upper_bound,
-                    outage_probability, select_conventional, select_one_bit)
+                    metric_cdf, outage_probability, select_conventional,
+                    select_one_bit, support_edge)
 from oiasim.threshold import optimal_threshold_d1
 
-P21 = ManifoldParams(2, 1)
-P42 = ManifoldParams(4, 2)
+
+def _law(d):
+    """d, c, the exponent D = d^2 and the support edge of the metric law
+    on G(2d, d)."""
+    return d, ball_volume(d), d * d, support_edge(d)
 
 
 def test_select_conventional_examples():
@@ -145,19 +149,19 @@ def test_select_one_bit_saturated_threshold_uniform():
 
 
 def test_outage_probability_values():
-    assert outage_probability(0.0, 5, P21) == 1.0
-    assert outage_probability(0.3, 1, P21) == pytest.approx(0.7)
-    assert outage_probability(0.5, 2, P21) == pytest.approx(0.25)
+    assert outage_probability(0.0, 5, 1) == 1.0
+    assert outage_probability(0.3, 1, 1) == pytest.approx(0.7)
+    assert outage_probability(0.5, 2, 1) == pytest.approx(0.25)
 
 
 def test_expected_metric_one_bit_values():
-    assert expected_metric_one_bit(0.5, 2, P21) == pytest.approx(0.375)
+    assert expected_metric_one_bit(0.5, 2, 1) == pytest.approx(0.375)
     for K in (1, 5, 50):
-        assert expected_metric_one_bit(1.0, K, P21) == pytest.approx(0.5)
+        assert expected_metric_one_bit(1.0, K, 1) == pytest.approx(0.5)
     with pytest.raises(ShapeMismatch):
-        expected_metric_one_bit(0.0, 2, P21)
+        expected_metric_one_bit(0.0, 2, 1)
     with pytest.raises(ShapeMismatch):
-        expected_metric_one_bit(1.5, 2, P21)
+        expected_metric_one_bit(1.5, 2, 1)
 
 
 def test_expected_metric_one_bit_matches_uniform_simulation():
@@ -166,7 +170,7 @@ def test_expected_metric_one_bit_matches_uniform_simulation():
     K = 50
     rng = np.random.default_rng(99)
     for x in (optimal_threshold_d1(K), 0.2):
-        target = expected_metric_one_bit(x, K, P21)
+        target = expected_metric_one_bit(x, K, 1)
         total = 0.0
         for _ in range(10):
             m = rng.random((10 ** 5, K))
@@ -179,23 +183,23 @@ def test_expected_metric_one_bit_matches_uniform_simulation():
 
 
 def test_expected_metric_upper_bound_values():
-    assert expected_metric_upper_bound(0.5, 2, P21) == pytest.approx(0.625)
-    assert expected_metric_upper_bound(0.0, 7, P21) == 1.0
-    assert expected_metric_upper_bound(0.0, 7, P42) == 2.0
+    assert expected_metric_upper_bound(0.5, 2, 1) == pytest.approx(0.625)
+    assert expected_metric_upper_bound(0.0, 7, 1) == 1.0
+    assert expected_metric_upper_bound(0.0, 7, 2) == 2.0
 
 
-@pytest.mark.parametrize("p,K", [(P21, 2), (P21, 50), (P42, 2), (P42, 50)])
+@pytest.mark.parametrize("p,K", [(_law(1), 2), (_law(1), 50), (_law(2), 2), (_law(2), 50)])
 def test_bound_dominates_exact_expectation(p, K):
-    xs = np.linspace(p.x_max / 100, p.x_max, 100)
-    for x in xs:
-        exact = expected_metric_one_bit(float(x), K, p)
-        assert expected_metric_upper_bound(float(x), K, p) >= exact - 1e-9
+    d, _, _, xm = p
+    for x in np.linspace(xm / 100, xm, 100):
+        exact = expected_metric_one_bit(float(x), K, d)
+        assert expected_metric_upper_bound(float(x), K, d) >= exact - 1e-9
 
 
-@pytest.mark.parametrize("p", [P21, P42])
+@pytest.mark.parametrize("p", [_law(1), _law(2)])
 def test_conditional_means_bracket_threshold(p):
     # E[D | D < x] < x < E[D | D >= x] under the model density
-    c, D, xm = p.c, p.exponent, p.x_max
+    _, c, D, xm = p
     weighted = lambda t: t * c * D * t ** (D - 1)
     for x in (0.3 * xm, 0.6 * xm, 0.9 * xm):
         F = c * x ** D
@@ -209,8 +213,7 @@ def test_conditional_means_bracket_threshold(p):
 def test_expected_metric_one_bit_matches_quadrature(d, K):
     # the closed-form conditional means against adaptive quadrature of the
     # model density c D t^(D-1) on [0, x_max], x_max included
-    p = ManifoldParams(2 * d, d)
-    c, D, xm = p.c, p.exponent, p.x_max
+    _, c, D, xm = _law(d)
     weighted = lambda t: t * c * D * t ** (D - 1)
     for x in (1e-3 * xm, 0.1 * xm, 0.5 * xm, 0.9 * xm, 0.999 * xm, xm):
         F = min(c * x ** D, 1.0)
@@ -219,7 +222,7 @@ def test_expected_metric_one_bit_matches_quadrature(d, K):
         high = (quad(weighted, x, xm, epsabs=0.0, epsrel=1e-13)[0] / (1.0 - F)
                 if p_out > 0.0 and x < xm else x)
         exact = (1.0 - p_out) * low + p_out * high
-        assert expected_metric_one_bit(x, K, p) == pytest.approx(exact, rel=1e-12)
+        assert expected_metric_one_bit(x, K, d) == pytest.approx(exact, rel=1e-12)
 
 
 def test_expected_metric_upper_bound_dominates_simulation_d2():
@@ -239,7 +242,7 @@ def test_expected_metric_upper_bound_dominates_simulation_d2():
         sel = np.where(bits.any(axis=1), np.argmin(keys, axis=1),
                        rng.integers(K, size=dist.shape[0]))
         total += dist[np.arange(dist.shape[0]), sel].sum()
-    assert total / trials <= expected_metric_upper_bound(x, K, P42)
+    assert total / trials <= expected_metric_upper_bound(x, K, 2)
 
 
 def test_conventional_selection_dominates_one_bit():
@@ -260,11 +263,23 @@ def test_conventional_selection_dominates_one_bit():
 def test_expected_eligible_values():
     K = 1000
     x = optimal_threshold_d1(K)
-    value = expected_eligible(x, K, P21)
+    value = expected_eligible(x, K, 1)
     assert value == pytest.approx(1000.0 * (1.0 - (1.0 / 1000.0) ** (1.0 / 999.0)),
                                   rel=1e-12)
     assert value == pytest.approx(6.89, abs=0.01)
     assert value < 0.01 * K
-    assert expected_eligible(P21.x_max, K, P21) == pytest.approx(K)
+    assert expected_eligible(support_edge(1), K, 1) == pytest.approx(K)
     with pytest.raises(ShapeMismatch):
-        expected_eligible(0.5, 0, P21)
+        expected_eligible(0.5, 0, 1)
+
+
+@pytest.mark.parametrize("d", [0, MAX_D + 1])
+def test_metric_law_functionals_refuse_d_outside_the_law(d):
+    # through grassmann.ball_volume, before any value is computed
+    for f in (lambda x: metric_cdf(x, d),
+              lambda x: outage_probability(x, 10, d),
+              lambda x: expected_metric_one_bit(x, 10, d),
+              lambda x: expected_metric_upper_bound(x, 10, d),
+              lambda x: expected_eligible(x, 10, d)):
+        with pytest.raises(ShapeMismatch):
+            f(0.5)

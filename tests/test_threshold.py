@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oiasim import (LambertDomain, ManifoldParams, ShapeMismatch, TooFewUsers,
+from oiasim import (LambertDomain, ShapeMismatch, TooFewUsers, ball_volume,
                     expected_eligible, expected_metric_one_bit,
                     expected_metric_upper_bound, lambert_w, metric_cdf,
                     min_expected_metric_d1, optimal_threshold_d1,
-                    outage_probability, threshold_asymptotic,
+                    outage_probability, support_edge, threshold_asymptotic,
                     threshold_lambert, threshold_numeric)
-
-P21 = ManifoldParams(2, 1)
-P42 = ManifoldParams(4, 2)
 
 
 def test_optimal_threshold_d1_values():
@@ -47,7 +44,7 @@ def test_min_expected_metric_d1_consistency():
     for K in (2, 10, 100, 1000):
         x = optimal_threshold_d1(K)
         assert min_expected_metric_d1(K) == pytest.approx(
-            expected_metric_one_bit(x, K, P21), abs=1e-12)
+            expected_metric_one_bit(x, K, 1), abs=1e-12)
 
 
 def test_min_expected_metric_d1_asymptotics():
@@ -146,7 +143,7 @@ def test_threshold_lambert_stationarity_of_its_objective():
     # the returned x is smaller in magnitude than 10% to either side
     K = 100
     x = threshold_lambert(K, 2)
-    obj = lambda t: t + P42.d * math.exp(-K * P42.c * t ** P42.exponent)
+    obj = lambda t: t + 2 * math.exp(-K * ball_volume(2) * t ** 4)
     def slope(t, eps=1e-7):
         return abs((obj(t * (1 + eps)) - obj(t * (1 - eps))) / (2 * t * eps))
     assert slope(x) < slope(0.9 * x)
@@ -190,10 +187,10 @@ def test_threshold_asymptotic_values():
 
 def test_threshold_asymptotic_constant_term():
     # the constant term of ((A log K + B)/(c K))^(1/d^2) is B = 0
-    for K, p in ((1000, P42), (50, ManifoldParams(6, 3))):
-        dsq = p.d * p.d
+    for K, d in ((1000, 2), (50, 3)):
+        dsq = d * d
         y = (1.0 / dsq) * math.log(K) / K
-        assert threshold_asymptotic(K, p.d) == (y / p.c) ** (1.0 / dsq)
+        assert threshold_asymptotic(K, d) == (y / ball_volume(d)) ** (1.0 / dsq)
 
 
 def test_threshold_asymptotic_below_lambert_and_converging():
@@ -214,7 +211,7 @@ def test_threshold_numeric_exact_mode_matches_closed_form():
 def test_threshold_numeric_stationary_on_bound():
     K = 100
     x = threshold_numeric(K, 2)
-    f = lambda t: expected_metric_upper_bound(t, K, P42)
+    f = lambda t: expected_metric_upper_bound(t, K, 2)
     def slope(t, eps=1e-7):
         return abs((f(t * (1 + eps)) - f(t * (1 - eps))) / (2 * t * eps))
     assert slope(x) < slope(0.9 * x)
@@ -224,35 +221,35 @@ def test_threshold_numeric_stationary_on_bound():
 _SWEEP_KS = tuple(range(1, 120)) + (200, 500, 1000, 5000, 10000, 100000)
 
 
-def _scalar_loop_thresholds(p):
+def _scalar_loop_thresholds(d):
     """threshold_numeric with its grid evaluated one scalar at a time, for
     every K of _SWEEP_KS: {K: threshold}. One pass over the grid serves
     all K; each value takes the operations, in the order, of the objective
-    of p.d, expected_metric_one_bit at d = 1 and
+    of d, expected_metric_one_bit at d = 1 and
     expected_metric_upper_bound otherwise, which a sample of the grid
     checks bit for bit."""
     from scipy.optimize import golden
-    x_max, D = p.x_max, p.exponent
+    c, D, x_max = ball_volume(d), d * d, support_edge(d)
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
     vals = {K: [] for K in _SWEEP_KS}
     for x in grid.tolist():
-        if p.d == 1:
+        if d == 1:
             xe = min(x, x_max)
-            Fe = metric_cdf(xe, p)
+            Fe = metric_cdf(xe, d)
             low = D * xe / (D + 1)
-            high = ((p.c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
+            high = ((c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
                     if Fe < 1.0 else xe)
             for K in _SWEEP_KS:
                 q = (1.0 - Fe) ** K
                 vals[K].append((1.0 - q) * low + q * (high if q > 0.0 else xe))
         else:
-            Fb = metric_cdf(x, p)
+            Fb = metric_cdf(x, d)
             for K in _SWEEP_KS:
-                vals[K].append(x + (p.d - x) * (1.0 - Fb) ** K)
-    scalar = expected_metric_one_bit if p.d == 1 else expected_metric_upper_bound
+                vals[K].append(x + (d - x) * (1.0 - Fb) ** K)
+    scalar = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
     out = {}
     for K, v in vals.items():
-        fun = lambda x: scalar(x, K, p)
+        fun = lambda x: scalar(x, K, d)
         for j in range(0, len(grid), 997):
             assert v[j] == fun(grid[j])
         i = int(np.argmin(v))
@@ -270,23 +267,22 @@ def _scalar_loop_thresholds(p):
 def test_threshold_numeric_equals_scalar_loop_reference(d):
     # the objective's values over the whole grid may differ in the last bits
     # from its scalar calls', but its argmin, and so the threshold, may not
-    p = ManifoldParams(2 * d, d)
-    for K, x in _scalar_loop_thresholds(p).items():
+    for K, x in _scalar_loop_thresholds(d).items():
         assert threshold_numeric(K, d) == x, K
 
 
-def _objective_on_grid(grid, K, p):
+def _objective_on_grid(grid, K, d):
     """Reference for threshold_numeric's grid objective, written out in one
     numpy pass: expected_metric_one_bit at d = 1, the upper bound otherwise.
     The elementwise functionals must give its bits over the whole grid."""
-    x = grid if p.d > 1 else np.minimum(grid, p.x_max)
-    F = np.minimum(p.c * x**p.exponent, 1.0)
+    c, D, x_max = ball_volume(d), d * d, support_edge(d)
+    x = grid if d > 1 else np.minimum(grid, x_max)
+    F = np.minimum(c * x**D, 1.0)
     p_out = (1.0 - F) ** K
-    if p.d > 1:
-        return x + (p.d - x) * p_out
-    D = p.exponent
+    if d > 1:
+        return x + (d - x) * p_out
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean_high = (p.c * D / (D + 1)) * (p.x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
+        mean_high = (c * D / (D + 1)) * (x_max ** (D + 1) - x ** (D + 1)) / (1.0 - F)
     return (1.0 - p_out) * (D * x / (D + 1)) + p_out * np.where(p_out > 0.0, mean_high, x)
 
 
@@ -300,14 +296,14 @@ def test_metric_law_functionals_are_elementwise(d, K):
     # library's; F enters (1 - F)^K with gain K F (1 - F)^(K-1) <= 1, so
     # each value moves by a few eps of max(|value|, 1) (at most 2.5 seen
     # under numpy 2.4.6 on AVX-512). A float in gives a float out.
-    p = ManifoldParams(2 * d, d)
-    grid = np.logspace(np.log10(p.x_max) - 9.0, np.log10(p.x_max), 10000)
+    x_max = support_edge(d)
+    grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
     functionals = {
-        "metric_cdf": lambda x: metric_cdf(x, p),
-        "outage_probability": lambda x: outage_probability(x, K, p),
-        "expected_eligible": lambda x: expected_eligible(x, K, p),
-        "expected_metric_one_bit": lambda x: expected_metric_one_bit(x, K, p),
-        "expected_metric_upper_bound": lambda x: expected_metric_upper_bound(x, K, p),
+        "metric_cdf": lambda x: metric_cdf(x, d),
+        "outage_probability": lambda x: outage_probability(x, K, d),
+        "expected_eligible": lambda x: expected_eligible(x, K, d),
+        "expected_metric_one_bit": lambda x: expected_metric_one_bit(x, K, d),
+        "expected_metric_upper_bound": lambda x: expected_metric_upper_bound(x, K, d),
     }
     eps = np.finfo(float).eps
     for name, f in functionals.items():
@@ -317,34 +313,34 @@ def test_metric_law_functionals_are_elementwise(d, K):
         assert all(isinstance(v, float) for v in scalars), name
         scalars = np.array(scalars)
         assert (np.abs(values - scalars) <= 8 * eps * np.maximum(np.abs(scalars), 1.0)).all(), name
-    for bad in (0.0, -1e-3, p.x_max * (1 + 1e-9), np.nan):
+    for bad in (0.0, -1e-3, x_max * (1 + 1e-9), np.nan):
         with pytest.raises(ShapeMismatch):
-            expected_metric_one_bit(np.append(grid, bad), K, p)
+            expected_metric_one_bit(np.append(grid, bad), K, d)
     # the objective threshold_numeric minimizes, over its whole grid, has
     # the reference's bits, so its argmin holds on every numpy version
     objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
-    assert np.array_equal(objective(grid, K, p), _objective_on_grid(grid, K, p))
+    assert np.array_equal(objective(grid, K, d), _objective_on_grid(grid, K, d))
 
 
 def test_bound_objective_unimodal_on_grid():
-    xm = P42.x_max
+    xm = support_edge(2)
     grid = np.logspace(np.log10(xm) - 9.0, np.log10(xm), 10000)
-    vals = np.array([expected_metric_upper_bound(float(t), 100, P42)
+    vals = np.array([expected_metric_upper_bound(float(t), 100, 2)
                      for t in grid])
     dv = np.diff(vals)
     signs = np.sign(dv[dv != 0.0])
     assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 1
 
 
-@pytest.mark.parametrize("d,p", [(1, P21), (2, P42)])
-def test_dof_loss_proxy_decreases_with_power(d, p):
+@pytest.mark.parametrize("d", [1, 2])
+def test_dof_loss_proxy_decreases_with_power(d):
     # with K = ceil(P^d), log2(P * bound) / log2(P) must fall toward its
     # degrees-of-freedom limit as P grows
     seq = []
     for P in (10.0, 100.0, 1000.0, 10000.0):
         K = math.ceil(P ** d)
         x = optimal_threshold_d1(K) if d == 1 else threshold_numeric(K, d)
-        seq.append(math.log2(P * expected_metric_upper_bound(x, K, p))
+        seq.append(math.log2(P * expected_metric_upper_bound(x, K, d))
                    / math.log2(P))
     assert all(a > b for a, b in zip(seq, seq[1:]))
 
@@ -367,9 +363,9 @@ def test_threshold_designs_refuse_k_below_one(design, d, K):
 
 
 _DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
-# each design's value at every K of _DESIGN_KS, recorded when the designs
-# took a ManifoldParams(2d, d), and closed_form_d1's when it took the
-# expm1 form; None where the design raised TooFewUsers
+# each design's value at every K of _DESIGN_KS, recorded before the metric
+# law was keyed by d alone, and closed_form_d1's when it took the expm1
+# form; None where the design raised TooFewUsers
 _DESIGN_VALUES = {
     ("closed_form_d1", 1): (
         0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
