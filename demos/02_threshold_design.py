@@ -41,8 +41,8 @@ for K in (10, 100, 1000, 10000):
           f"{outage_probability(xn, K, 2):10.2e}")
 
 # 3. For single-stream users (n=2, d=1) the optimum is available in
-#    closed form, including the metric value it achieves (the achieved
-#    value needs at least two users to compete).
+#    closed form, which the numeric design returns, and so is the metric
+#    value it achieves (which needs at least two users to compete).
 print("\nsingle-stream closed form vs numeric (n=2, d=1)")
 print(f"{'K':>6} {'closed form':>12} {'numeric':>10} {'E[metric]':>12}")
 for K in (2, 10, 100, 1000):

@@ -23,6 +23,7 @@ scipy.special.gammaln on its first call.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,11 +50,12 @@ _BLOCK_SIZE = 32768
 MAX_D = 18
 
 
+@lru_cache(maxsize=None)
 def ball_volume(d: int) -> float:
     """Ball-volume constant c_{2d,d} of the complex Grassmannian G(2d, d).
 
     c_{n,d} = [1/Gamma(d(n-d)+1)] * prod_{i=1..d} Gamma(n-i+1)/Gamma(d-i+1)
-    at n = 2d, for 1 <= d <= MAX_D.
+    at n = 2d, for 1 <= d <= MAX_D, cached per d (a refusal is not cached).
     """
     if not 1 <= d <= MAX_D:
         raise ShapeMismatch(f"ball_volume requires 1 <= d <= {MAX_D}, got {d}")

@@ -53,6 +53,7 @@ from .grassmann import INV_SQRT2, MAX_D, complex_normal
 from .ia import (MAX_BITS, closed_form_ia, feedback_mode, ia_link_rates,
                  quantized_channel_set)
 from .oia import select_conventional, select_one_bit
+# optimal_threshold_d1 goes unused here; perfbench/layertrace.py patches it
 from .threshold import (optimal_threshold_d1, threshold_asymptotic,
                         threshold_lambert, threshold_numeric)
 
@@ -60,9 +61,8 @@ from .threshold import (optimal_threshold_d1, threshold_asymptotic,
 _BASE_DEFAULTS = dict(snr_db_grid=tuple(float(s) for s in range(0, 45, 5)),
                       K_rule="ceil_P", d=1, trials=2000, seed=12345)
 _ENTRY = object()  # default of the fields a registry entry sets
-THRESHOLD_METHODS = ("closed_form_d1", "lambert", "asymptotic", "numeric")
-# the designs fig4 compares; a Monte Carlo run designs _optimal_method(d)
-_FIG4_METHODS = ("numeric", "lambert", "asymptotic")
+# the designs, in fig4's order; a Monte Carlo run designs "numeric"
+THRESHOLD_METHODS = ("numeric", "lambert", "asymptotic")
 _MAX_REDRAWS = 1000
 _INT_FIELDS = ("d", "trials", "seed")
 # bytes the drops and Generators of one chunk of trials may hold: 8 fig5
@@ -154,10 +154,9 @@ class ExperimentConfig:
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
             k_values.append(ks)
         object.__setattr__(self, "k_values", tuple(k_values))
-        designs = (_optimal_method(self.d),) if spec.designs is None else spec.designs
-        for method in designs:
+        for method in spec.designs:
             _check_threshold_method(method, self.d)
-        if any(method != "closed_form_d1" for method in designs):
+        if spec.designs and self.d > 1:
             # a scipy-backed design: load it now, before any pool forks
             __import__("scipy.optimize")  # brings scipy.special
         if not self.output_path:
@@ -240,16 +239,9 @@ def _check_threshold_method(method: str, d: int) -> None:
         raise ConfigError(f"unknown threshold method {method!r}")
     if d < 1:
         raise ConfigError("d must be at least 1")
-    if method == "closed_form_d1" and d != 1:
-        raise ConfigError("closed_form_d1 threshold requires d=1")
     if d > MAX_D:
         raise ConfigError(f"d={d} has no valid G(2d, d) constants to design "
                           f"a threshold (d <= {MAX_D})")
-
-
-def _optimal_method(d: int) -> str:
-    """The optimal threshold's design: closed form at d = 1, numeric above."""
-    return "closed_form_d1" if d == 1 else "numeric"
 
 
 @lru_cache(maxsize=None)
@@ -257,8 +249,6 @@ def design_threshold(method: str, K: int, d: int) -> float:
     """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
     for K candidate users with d streams, on G(2d, d), cached."""
     _check_threshold_method(method, d)
-    if method == "closed_form_d1":
-        return optimal_threshold_d1(K)
     if method == "lambert":
         return threshold_lambert(K, d)
     if method == "asymptotic":
@@ -308,7 +298,7 @@ def _oia_rows(cfg, P, ks, rngs, redraws, include_perfect=False):
     """
     kmax = max(ks)
     ch, metrics = _oia_drops(cfg.d, kmax, rngs, redraws)
-    thresholds = [design_threshold(_optimal_method(cfg.d), K, cfg.d) for K in ks]
+    thresholds = [design_threshold("numeric", K, cfg.d) for K in ks]
     selected, eligible = select_one_bit(metrics, ks, thresholds, rngs)
     # (trials, K, cell, scheme) arrays of served user, outage and eligible count
     served = [(selected, eligible == 0, eligible)]
@@ -456,7 +446,7 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
         stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         outage_rate=float(outages.sum() / (3 * n)),
         mean_eligible=float(eligible.sum() / (3 * n)),
-        threshold_used=(design_threshold(_optimal_method(cfg.d), K, cfg.d)
+        threshold_used=(design_threshold("numeric", K, cfg.d)
                         if scheme == "oia_1bit" else float("nan")),
         trials=n,
     ) for (scheme, K), (sums, outages, eligible) in zip(keys, columns)]
@@ -521,7 +511,7 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
 def _run_fig4(cfg: ExperimentConfig, workers: int = 1) -> list:
     rows = []
     for K in cfg.k_values[0]:
-        for method in _FIG4_METHODS:
+        for method in THRESHOLD_METHODS:
             try:
                 x = design_threshold(method, K, cfg.d)
             except TooFewUsers:
@@ -549,7 +539,7 @@ class Experiment:
     config defaults (where they differ from _BASE_DEFAULTS), row producer;
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
     redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
-    runs (None: the optimal design at the config's d); its K rule, "any",
+    runs (by default the optimal one, "numeric"); its K rule, "any",
     "fixed" (a fixed: list) or "bits" (even bit budgets up to ia.MAX_BITS);
     and key_count, the keys its trial gives a point of K values ks.
     """
@@ -558,7 +548,7 @@ class Experiment:
     defaults: dict = dataclasses.field(default_factory=dict)
     runner: object = _run_monte_carlo
     trial: object = None
-    designs: tuple | None = None
+    designs: tuple = ("numeric",)
     k_rule: str = "any"
     key_count: object = len
 
@@ -577,7 +567,7 @@ EXPERIMENTS = {
                     "asymptotic over a K grid (no Monte Carlo)",
         defaults=dict(snr_db_grid=(30.0,), K_rule="fixed:100,316,1000,3162,10000",
                       d=2, trials=1),
-        runner=_run_fig4, designs=_FIG4_METHODS, k_rule="fixed"),
+        runner=_run_fig4, designs=THRESHOLD_METHODS, k_rule="fixed"),
     "fig5_sumrate_d2": Experiment(
         description="d=2 sum rate vs SNR for K in {10,50,100}, 1-bit "
                     "feedback with the numeric threshold",

@@ -3,15 +3,15 @@
 Each design takes K users per cell and d streams, with nr = 2d, so the
 metric lives on G(2d, d) with CDF exponent d^2 and constant
 c = grassmann.ball_volume(d), which refuses d outside 1..grassmann.MAX_D. For d = 1 the expected
-selected-user metric has a closed-form minimizer. For general d the
-expected-metric upper bound x + (d - x)(1 - c x^{d^2})^K is minimized
-either exactly on a grid (numeric oracle), through the Lambert W function
-after an exponential approximation of the outage factor, or by the
-asymptotic form (A log K / (c K))^{1/d^2} that drops the constant term.
-The oracle's grid and its golden-section search call the one objective.
+selected-user metric has a closed-form minimizer, which the numeric design
+returns. For d > 1 the expected-metric upper bound
+x + (d - x)(1 - c x^{d^2})^K is minimized either on a grid refined by
+golden-section search (numeric), through the Lambert W function after an
+exponential approximation of the outage factor, or by the asymptotic form
+(A log K / (c K))^{1/d^2} that drops the constant term.
 
-scipy is imported on first use: by lambert_w, by threshold_numeric
-(golden) and by the G(2d, d) constant c at d > 1 (gammaln).
+scipy is imported on first use: by lambert_w, by threshold_numeric at
+d > 1 (golden) and by the G(2d, d) constant c at d > 1 (gammaln).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import LambertDomain, TooFewUsers
 from .grassmann import ball_volume, support_edge
-from .oia import expected_metric_one_bit, expected_metric_upper_bound
+from .oia import expected_metric_upper_bound
 
 _BRANCH_POINT = -1.0 / math.e
 
@@ -114,24 +114,23 @@ def threshold_asymptotic(K: int, d: int) -> float:
 
 
 def threshold_numeric(K: int, d: int) -> float:
-    """Grid-plus-golden-section minimizer of the expected selected metric:
-    the argmin of a 10,000-point log grid, then golden-section search
-    around it, both on one objective, taken over the whole grid at once.
-
-    The objective is expected_metric_one_bit for d = 1 (where the metric
-    law is exact) and the closed-form upper bound otherwise.
+    """The optimal threshold: optimal_threshold_d1(K) at d = 1, the exact
+    minimizer of the expected selected metric there. At d > 1 the argmin of
+    the closed-form upper bound on a 10,000-point log grid, taken over the
+    whole grid at once, then refined by golden-section search around it.
     """
+    if d == 1:
+        return optimal_threshold_d1(K)
     x_max = support_edge(d)
     if K < 1:
         raise TooFewUsers("K must be at least 1")
-    objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
-    i = int(np.argmin(objective(grid, K, d)))
+    i = int(np.argmin(expected_metric_upper_bound(grid, K, d)))
     x_star = float(grid[i])
     if 0 < i < len(grid) - 1:
         from scipy.optimize import golden
         try:
-            x_star = float(golden(lambda x: objective(x, K, d),
+            x_star = float(golden(lambda x: expected_metric_upper_bound(x, K, d),
                                   brack=(grid[i - 1], grid[i], grid[i + 1]), tol=1e-8))
         except ValueError:
             # flat bracket; the grid point is already within tolerance

@@ -30,9 +30,8 @@ def _reference(cfg, snr_db, keys, trials):
             stderr=float(sums.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
             outage_rate=float(np.mean(flags)),
             mean_eligible=float(np.mean(eligible)) if eligible else float("nan"),
-            threshold_used=(harness.design_threshold(
-                "closed_form_d1" if cfg.d == 1 else "numeric", K, cfg.d)
-                if scheme == "oia_1bit" else float("nan")),
+            threshold_used=(harness.design_threshold("numeric", K, cfg.d)
+                            if scheme == "oia_1bit" else float("nan")),
             trials=n))
     return rows
 

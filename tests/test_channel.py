@@ -535,8 +535,8 @@ def _replay_trial(cfg, snr_db, t):
             if cfg.experiment == "fig2_sumrate_d1":
                 served.setdefault(("oia_perfect", K), []).append(
                     (i, select_conventional(m), False, None))
-            # the optimal design for d: the closed form at d = 1, numeric above
-            x = design_threshold("closed_form_d1" if cfg.d == 1 else "numeric", K, cfg.d)
+            # the optimal design, numeric: the closed form at d = 1
+            x = design_threshold("numeric", K, cfg.d)
             # one row: one trial, one prefix, one cell
             k, eligible = (int(a[0, 0, 0]) for a in
                            select_one_bit(m[None, None], (K,), (x,), (rng,)))

@@ -35,7 +35,8 @@ def test_list_names_every_experiment(capsys):
 
 
 def test_threshold_closed_form_value(capsys):
-    rc = main(["threshold", "--method", "closed_form_d1", "--d", "1",
+    # numeric prints the closed form at d = 1
+    rc = main(["threshold", "--method", "numeric", "--d", "1",
                "--K", "1000"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "0.00689081863"
@@ -96,25 +97,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wat = 1\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(cfg)]) == 2
-    assert main(["threshold", "--method", "closed_form_d1", "--d", "2",
-                 "--K", "100"]) == 2
+    # closed_form_d1 is no design: numeric gives the closed form at d = 1
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--method", "closed_form_d1", "--d", "1", "--K", "100"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'closed_form_d1'" in capsys.readouterr().err
     # fewer than one user is a usage error for every method
-    for method, d, K in (("numeric", "2", "0"), ("closed_form_d1", "1", "-3"),
+    for method, d, K in (("numeric", "2", "0"), ("numeric", "1", "-3"),
                          ("lambert", "2", "0"), ("asymptotic", "1", "-1")):
         assert main(["threshold", "--method", method, "--d", d, "--K", K]) == 2
     # so is a K past the largest double, which every design would turn
     # into a float; the largest double itself is designed
-    for method, d in (("closed_form_d1", "1"), ("numeric", "1"), ("lambert", "2"),
+    for method, d in (("numeric", "1"), ("numeric", "2"), ("lambert", "2"),
                       ("asymptotic", "2")):
         capsys.readouterr()
         assert main(["threshold", "--method", method, "--d", d,
                      "--K", str(2 ** 1024)]) == 2
         assert "--K must lie in" in capsys.readouterr().err
-    assert main(["threshold", "--method", "closed_form_d1", "--d", "1",
+    assert main(["threshold", "--method", "numeric", "--d", "1",
                  "--K", str(int(sys.float_info.max))]) == 0
     # d below 1 is refused by the gate a run's config uses, for every design
     for method, d in (("numeric", "0"), ("lambert", "-1"), ("asymptotic", "0"),
-                      ("closed_form_d1", "-1")):
+                      ("numeric", "-1")):
         capsys.readouterr()
         assert main(["threshold", "--method", method, "--d", d, "--K", "10"]) == 2
         assert "error: d must be at least 1" in capsys.readouterr().err

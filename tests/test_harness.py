@@ -248,19 +248,21 @@ def test_result_row_validation():
 
 
 def test_threshold_value_dispatch():
-    # a run designs the optimal threshold for its d: the closed form at
-    # d = 1, the numeric minimizer above
-    method = harness._optimal_method(make_config("fig2_sumrate_d1").d)
-    assert design_threshold(method, 100, 1) == optimal_threshold_d1(100)
-    method = harness._optimal_method(make_config("fig5_sumrate_d2").d)
-    assert design_threshold(method, 50, 2) == threshold_numeric(50, 2)
-    # a d = 1 experiment run at d = 2 parses and designs numeric
-    assert harness._optimal_method(make_config("fig3_eligible_users", {"d": 2}).d) == "numeric"
-    # the closed form exists at d = 1 only, and the dispatch says so
-    with pytest.raises(ConfigError):
-        harness.design_threshold("closed_form_d1", 50, 2)
-    with pytest.raises(ConfigError, match="unknown threshold method 'bogus'"):
-        harness.design_threshold("bogus", 10, 2)
+    # a run designs the optimal threshold, numeric, at every d: the closed
+    # form at d = 1, the minimizer of the bound above
+    assert design_threshold("numeric", 100, 1) == optimal_threshold_d1(100)
+    assert design_threshold("numeric", 50, 2) == threshold_numeric(50, 2)
+    assert harness.THRESHOLD_METHODS == ("numeric", "lambert", "asymptotic")
+    # every Monte Carlo entry designs numeric, fig4 compares every design
+    for name, spec in EXPERIMENTS.items():
+        if spec.trial is not None:
+            assert spec.designs == ("numeric",), name
+    assert EXPERIMENTS["fig4_threshold_compare"].designs == harness.THRESHOLD_METHODS
+    # the closed form is no second design name
+    for method, d in (("closed_form_d1", 1), ("bogus", 2)):
+        with pytest.raises(ConfigError) as exc:
+            harness.design_threshold(method, 10, d)
+        assert str(exc.value) == f"unknown threshold method {method!r}"
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -923,7 +925,7 @@ def test_row_check_counts_the_rows_twice(tmp_path, monkeypatch):
     ({"nr": "4"}, "unknown config key 'nr'"),
     ({"nt": "2"}, "unknown config key 'nt'"),
     # so does the threshold design
-    pytest.param({"threshold_method": "closed_form_d1"},
+    pytest.param({"threshold_method": "numeric"},
                  "unknown config key 'threshold_method'", id="threshold_method"),
 ])
 def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,

@@ -1,8 +1,8 @@
 """The numpy-only import and run path.
 
-`import oiasim`, the registry, the closed-form threshold and every run
-that designs no scipy-backed threshold must leave scipy unloaded; a config
-with a scipy-backed design loads its solver while it is parsed, so that
+`import oiasim`, the registry, the numeric threshold at d = 1 (the closed
+form) and every run at d = 1 must leave scipy unloaded; a config that
+designs a threshold at d > 1 loads its solver while it is parsed, so that
 its run imports nothing more. Nothing but a run with more than one worker
 loads the process pool (concurrent.futures.process and multiprocessing;
 scipy's import of numpy.testing loads the thread-pool base of
@@ -55,10 +55,11 @@ def _run(script, cwd):
 _NUMPY_ONLY = {
     "import": "import oiasim\n",
     "cli_list": _CLI.format(argv=["list"]),
-    "cli_closed_form": _CLI.format(argv=["threshold", "--method", "closed_form_d1",
+    "cli_closed_form": _CLI.format(argv=["threshold", "--method", "numeric",
                                          "--d", "1", "--K", "100"]),
     "fig2": ("fig2_sumrate_d1", {}, 1),
     "fig3_2_workers": ("fig3_eligible_users", {}, 2),
+    "fig4_d1": ("fig4_threshold_compare", {"d": 1}, 1),
     "fig6_perturbation": ("fig6_oia_vs_ia", {"K_rule": "fixed:10,28"}, 1),
     "fig7": ("fig7_complexity_table", {}, 1),
 }
@@ -112,12 +113,11 @@ def test_process_pool_loads_with_a_parallel_run(tmp_path):
 
 
 def test_scipy_backed_design_loads_its_solver_at_parse_time(tmp_path):
-    # fig5 designs numeric at its d = 2; fig4 designs with all three
-    # scipy-backed methods, even at d = 1
+    # fig5 designs numeric and fig4 all three designs, each at its d = 2
     out = str(tmp_path / "out.csv")
     for experiment, overrides in (
             ("fig5_sumrate_d2", {}),
-            ("fig4_threshold_compare", {"d": 1})):
+            ("fig4_threshold_compare", {})):
         parsed, added = _run(f"""
 from oiasim import make_config, run_experiment
 cfg = make_config({experiment!r}, dict(trials=2, output_path={out!r}, **{overrides!r}))

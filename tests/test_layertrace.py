@@ -1,11 +1,13 @@
 """The benchmark's layer tracer (perfbench/layertrace.py) still fits the
-library: every function it patches resolves, and a traced run writes the
-CSV body of an untraced one."""
+library: every function it patches resolves, a traced run writes the CSV
+body of an untraced one, and it sees every threshold design."""
 
 import importlib
 import importlib.util
 import os
 from pathlib import Path
+
+import pytest
 
 from oiasim import harness, make_config, run_experiment
 
@@ -71,3 +73,25 @@ def test_pool_counter_sees_one_pool_per_run(tmp_path, monkeypatch):
     assert bodies[0] == bodies[1]
     assert counter.pool_starts == 1
     assert counter.ipc_bytes > 0
+
+
+@pytest.mark.parametrize("experiment, overrides, distinct_ks", [
+    ("fig3_eligible_users", {}, 9),        # d = 1: K = ceil(P) at 0..40 dB
+    ("fig5_sumrate_d2", {"snr_db_grid": "20"}, 3),
+])
+def test_traced_design_calls_count_each_distinct_K(tmp_path, experiment, overrides,
+                                                   distinct_ks):
+    # every design runs through a name the tracer patches, once per K on an
+    # empty cache; a design called under any other name would go uncounted
+    layertrace = _layertrace()
+    harness.design_threshold.cache_clear()
+    cfg = make_config(experiment, {"trials": "2", "output_path": str(tmp_path / "out.csv"),
+                                   **overrides})
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracer.restore()
+    assert len({K for ks in cfg.k_values for K in ks}) == distinct_ks
+    assert layertrace.summarize(tracer)["threshold.design.calls"] == distinct_ks

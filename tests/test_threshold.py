@@ -204,8 +204,12 @@ def test_threshold_asymptotic_below_lambert_and_converging():
 
 
 def test_threshold_numeric_exact_mode_matches_closed_form():
-    assert threshold_numeric(10, 1) == pytest.approx(
-        optimal_threshold_d1(10), abs=1e-6)
+    # at d = 1 the numeric design is the closed form, bit for bit, also at
+    # K = 10^12, where a 9-decade grid would stop at its floor
+    for K in (*range(1, 201), *(10 ** e for e in range(3, 13)), 2 ** 1000):
+        assert threshold_numeric(K, 1) == optimal_threshold_d1(K), K
+    x16, x18, x24 = (threshold_numeric(10 ** e, 1) for e in (16, 18, 24))
+    assert x16 > x18 > x24 > 0.0
 
 
 def test_threshold_numeric_stationary_on_bound():
@@ -222,34 +226,22 @@ _SWEEP_KS = tuple(range(1, 120)) + (200, 500, 1000, 5000, 10000, 100000)
 
 
 def _scalar_loop_thresholds(d):
-    """threshold_numeric with its grid evaluated one scalar at a time, for
-    every K of _SWEEP_KS: {K: threshold}. One pass over the grid serves
-    all K; each value takes the operations, in the order, of the objective
-    of d, expected_metric_one_bit at d = 1 and
-    expected_metric_upper_bound otherwise, which a sample of the grid
-    checks bit for bit."""
+    """threshold_numeric at d > 1 with its grid evaluated one scalar at a
+    time, for every K of _SWEEP_KS: {K: threshold}. One pass over the grid
+    serves all K; each value takes the operations, in the order, of
+    expected_metric_upper_bound, which a sample of the grid checks bit for
+    bit."""
     from scipy.optimize import golden
-    c, D, x_max = ball_volume(d), d * d, support_edge(d)
+    x_max = support_edge(d)
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
     vals = {K: [] for K in _SWEEP_KS}
     for x in grid.tolist():
-        if d == 1:
-            xe = min(x, x_max)
-            Fe = metric_cdf(xe, d)
-            low = D * xe / (D + 1)
-            high = ((c * D / (D + 1)) * (x_max ** (D + 1) - xe ** (D + 1)) / (1.0 - Fe)
-                    if Fe < 1.0 else xe)
-            for K in _SWEEP_KS:
-                q = (1.0 - Fe) ** K
-                vals[K].append((1.0 - q) * low + q * (high if q > 0.0 else xe))
-        else:
-            Fb = metric_cdf(x, d)
-            for K in _SWEEP_KS:
-                vals[K].append(x + (d - x) * (1.0 - Fb) ** K)
-    scalar = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
+        Fb = metric_cdf(x, d)
+        for K in _SWEEP_KS:
+            vals[K].append(x + (d - x) * (1.0 - Fb) ** K)
     out = {}
     for K, v in vals.items():
-        fun = lambda x: scalar(x, K, d)
+        fun = lambda x: expected_metric_upper_bound(x, K, d)
         for j in range(0, len(grid), 997):
             assert v[j] == fun(grid[j])
         i = int(np.argmin(v))
@@ -263,7 +255,7 @@ def _scalar_loop_thresholds(d):
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_threshold_numeric_equals_scalar_loop_reference(d):
     # the objective's values over the whole grid may differ in the last bits
     # from its scalar calls', but its argmin, and so the threshold, may not
@@ -272,8 +264,9 @@ def test_threshold_numeric_equals_scalar_loop_reference(d):
 
 
 def _objective_on_grid(grid, K, d):
-    """Reference for threshold_numeric's grid objective, written out in one
-    numpy pass: expected_metric_one_bit at d = 1, the upper bound otherwise.
+    """Reference for the expected selected metric, written out in one numpy
+    pass: expected_metric_one_bit at d = 1, where the closed form minimizes
+    it, and the upper bound, threshold_numeric's grid objective, otherwise.
     The elementwise functionals must give its bits over the whole grid."""
     c, D, x_max = ball_volume(d), d * d, support_edge(d)
     x = grid if d > 1 else np.minimum(grid, x_max)
@@ -316,8 +309,8 @@ def test_metric_law_functionals_are_elementwise(d, K):
     for bad in (0.0, -1e-3, x_max * (1 + 1e-9), np.nan):
         with pytest.raises(ShapeMismatch):
             expected_metric_one_bit(np.append(grid, bad), K, d)
-    # the objective threshold_numeric minimizes, over its whole grid, has
-    # the reference's bits, so its argmin holds on every numpy version
+    # the objective of d, over threshold_numeric's whole grid, has the
+    # reference's bits, so the grid's argmin holds on every numpy version
     objective = expected_metric_one_bit if d == 1 else expected_metric_upper_bound
     assert np.array_equal(objective(grid, K, d), _objective_on_grid(grid, K, d))
 
@@ -339,7 +332,7 @@ def test_dof_loss_proxy_decreases_with_power(d):
     seq = []
     for P in (10.0, 100.0, 1000.0, 10000.0):
         K = math.ceil(P ** d)
-        x = optimal_threshold_d1(K) if d == 1 else threshold_numeric(K, d)
+        x = threshold_numeric(K, d)
         seq.append(math.log2(P * expected_metric_upper_bound(x, K, d))
                    / math.log2(P))
     assert all(a > b for a, b in zip(seq, seq[1:]))
@@ -363,14 +356,16 @@ def test_threshold_designs_refuse_k_below_one(design, d, K):
 
 
 _DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
+# optimal_threshold_d1 at every K of _DESIGN_KS, recorded when it took the
+# expm1 form; the numeric design returns it at d = 1
+_CLOSED_FORM_D1 = (
+    0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
+    0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
+    0.00011512377870290942)
 # each design's value at every K of _DESIGN_KS, recorded before the metric
-# law was keyed by d alone, and closed_form_d1's when it took the expm1
-# form; None where the design raised TooFewUsers
+# law was keyed by d alone; None where the design raised TooFewUsers
 _DESIGN_VALUES = {
-    ("closed_form_d1", 1): (
-        0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
-        0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
-        0.00011512377870290942),
+    ("closed_form_d1", 1): _CLOSED_FORM_D1,
     ("lambert", 1): (
         None, 0.34657359027997264, 0.3662040962227033, 0.23025850929940458,
         0.04605170185988092, 0.006907755278982137, 0.0009210340371976184,
@@ -393,10 +388,7 @@ _DESIGN_VALUES = {
         None, 1.0548731775692375, 1.0613506409990938, 1.0080200332312184,
         0.8429577920082362, 0.6827479641590566, 0.5457973020390311,
         0.4331996057090815),
-    ("numeric", 1): (
-        0.3030736328900581, 0.4999999989969489, 0.42264972163961445,
-        0.22573631672728633, 0.045451543065073444, 0.006890818444658504,
-        0.0009207020876101756, 0.00011512379132068014),
+    ("numeric", 1): _CLOSED_FORM_D1,
     ("numeric", 2): (
         1.189207115002721, 1.1272902884601046, 1.0567428549299678,
         0.8481329839695775, 0.522664090707468, 0.3099655054436268,
@@ -426,13 +418,11 @@ def test_design_values_are_pinned(method, d):
             assert _DESIGNS[method](K, d) == expected, K
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: 1 - F rounds to 1 inside "
-                   "(1 - F)^K and the grid spans 9 decades, so the numeric design "
-                   "saturates at large K; the exact form moves the fig5_d2 pin")
+@pytest.mark.xfail(strict=True, reason="known defect at d >= 2: 1 - F rounds to 1 "
+                   "inside (1 - F)^K and the grid spans 9 decades, so the numeric "
+                   "design saturates at large K; the exact form moves the fig5_d2 pin")
 def test_numeric_design_keeps_falling_at_large_K():
     # the optimal threshold shrinks as K grows: at d = 2 from 2.2e-4 to
-    # 7.3e-5 to 2.4e-6, at d = 1 to the closed form's 2.76e-11 at 10^12
+    # 7.3e-5 to 2.4e-6 (at d = 1 the closed form does, tested above)
     x16, x18, x24 = (threshold_numeric(10 ** e, 2) for e in (16, 18, 24))
     assert x16 > x18 > x24
-    assert threshold_numeric(10 ** 12, 1) == pytest.approx(
-        optimal_threshold_d1(10 ** 12), rel=1e-6)
