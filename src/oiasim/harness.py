@@ -16,8 +16,8 @@ The CSV body therefore does not depend on the chunk size, nor on --workers.
 
 A run is one list of equal trial ranges, mapped over one process pool
 (or, as one range, by the builtin map); the triples are concatenated in
-trial order and each point is reduced in grid order. The output path is
-checked first, and the CSV gets the mode open() gives under the umask.
+trial order and each point is reduced in grid order. Memory, then the
+output path, are checked first; the CSV gets open()'s mode under the umask.
 
 The draw (grassmann.complex_normal), the metrics (channel.cell_metrics)
 and the RVQ codebooks work in blocks of one size, grassmann._BLOCK_SIZE,
@@ -131,9 +131,6 @@ class ExperimentConfig:
         if self.d < 1:
             raise ConfigError("d must be at least 1")
         kind, payload = parse_k_rule(self.K_rule)
-        if kind == "ceil_P_pow" and payload % self.d:
-            raise ConfigError(
-                f"ceil_P_pow exponent {payload} is not a multiple of d={self.d}")
         if spec.k_rule != "any" and kind != "fixed":
             raise ConfigError(f"{self.experiment} requires K_rule fixed:...")
         if spec.k_rule == "bits" and any(b % 2 or b > MAX_BITS for b in payload):
@@ -148,14 +145,15 @@ class ExperimentConfig:
                 # P^E from the decibels: a rounded P misses powers of ten
                 if 0.0 < P < math.inf:
                     ks = payload if kind == "fixed" else (
-                        math.ceil(10.0 ** ((payload or 1) * snr_db / 10.0)),)
+                        math.ceil(10.0 ** (payload * snr_db / 10.0)),)
             if min(ks) < 1:
                 raise ConfigError(f"snr_db {snr_db} gives no finite power P > 0 "
                                   f"with K >= 1 under K_rule {self.K_rule!r}")
             k_values.append(ks)
         object.__setattr__(self, "k_values", tuple(k_values))
-        for method in spec.designs:
-            _check_threshold_method(method, self.d)
+        if spec.designs and self.d > MAX_D:
+            raise ConfigError(f"d={self.d} has no valid G(2d, d) constants to "
+                              f"design a threshold (d <= {MAX_D})")
         if spec.designs and self.d > 1:
             # a scipy-backed design: load it now, before any pool forks
             __import__("scipy.optimize")  # brings scipy.special
@@ -194,11 +192,11 @@ class ResultRow:
 def parse_k_rule(rule: str):
     """Split a K_rule string into (kind, payload).
 
-    "ceil_P" couples K to power as K = ceil(P); "ceil_P_pow:E" as
-    K = ceil(P^E) = ceil(10^(E snr_db / 10)) with integer E;
-    "fixed:10,50,100" evaluates the listed K values (ascending) at every
-    SNR point. For the OIA-vs-IA comparison the fixed values double as
-    the per-cell feedback bit budgets, with K = n_bits users.
+    "ceil_P_pow:E" couples K to power as K = ceil(P^E) = ceil(10^(E snr_db
+    / 10)) for an integer E >= 1, "ceil_P" being E = 1 (E = d^2 is the
+    paper's regime); "fixed:10,50,100" evaluates the listed K values
+    (ascending) at every SNR point. For the OIA-vs-IA comparison the fixed
+    values double as the per-cell feedback bit budgets, with K = n_bits users.
     """
     if not isinstance(rule, str):
         raise ConfigError(f"K_rule must be a string, got {rule!r}")
@@ -207,7 +205,7 @@ def parse_k_rule(rule: str):
     if kind == "ceil_P":
         if len(parts) > 1 and parts[1].strip():
             raise ConfigError("ceil_P takes no argument")
-        return "ceil_P", None
+        return "ceil_P_pow", 1
     if kind == "ceil_P_pow":
         if len(parts) != 2:
             raise ConfigError("ceil_P_pow requires an exponent, e.g. ceil_P_pow:2")
@@ -234,26 +232,18 @@ def parse_k_rule(rule: str):
     raise ConfigError(f"unknown K_rule {rule!r}")
 
 
-def _check_threshold_method(method: str, d: int) -> None:
-    if method not in THRESHOLD_METHODS:
-        raise ConfigError(f"unknown threshold method {method!r}")
-    if d < 1:
-        raise ConfigError("d must be at least 1")
-    if d > MAX_D:
-        raise ConfigError(f"d={d} has no valid G(2d, d) constants to design "
-                          f"a threshold (d <= {MAX_D})")
-
-
 @lru_cache(maxsize=None)
 def design_threshold(method: str, K: int, d: int) -> float:
     """The 1-bit threshold that method (one of THRESHOLD_METHODS) designs
-    for K candidate users with d streams, on G(2d, d), cached."""
-    _check_threshold_method(method, d)
+    for K candidate users with d streams, on G(2d, d), cached; a d outside
+    grassmann.ball_volume's range raises its ShapeMismatch."""
+    if method == "numeric":
+        return threshold_numeric(K, d)
     if method == "lambert":
         return threshold_lambert(K, d)
     if method == "asymptotic":
         return threshold_asymptotic(K, d)
-    return threshold_numeric(K, d)
+    raise ConfigError(f"unknown threshold method {method!r}")
 
 
 def _draw_ia_channels(rng: np.random.Generator) -> np.ndarray:
@@ -483,7 +473,6 @@ def __getattr__(name):
 
 
 def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
-    _check_run_fits(cfg)
     step = (cfg.trials if workers == 1
             else max(1, cfg.trials // (_TASKS_PER_WORKER * workers)))
     tasks = [range(s, min(s + step, cfg.trials)) for s in range(0, cfg.trials, step)]
@@ -538,8 +527,8 @@ class Experiment:
     """Registry entry, the one definition of an experiment: CLI description,
     config defaults (where they differ from _BASE_DEFAULTS), row producer;
     trial, a Monte Carlo experiment's chunk kernel (cfg, P, ks, rngs,
-    redraws) -> (keys, (trials, keys, 3) rows); the threshold designs it
-    runs (by default the optimal one, "numeric"); its K rule, "any",
+    redraws) -> (keys, (trials, keys, 3) rows); designs, whether it
+    designs a threshold (so d <= grassmann.MAX_D); its K rule, "any",
     "fixed" (a fixed: list) or "bits" (even bit budgets up to ia.MAX_BITS);
     and key_count, the keys its trial gives a point of K values ks.
     """
@@ -548,7 +537,7 @@ class Experiment:
     defaults: dict = dataclasses.field(default_factory=dict)
     runner: object = _run_monte_carlo
     trial: object = None
-    designs: tuple = ("numeric",)
+    designs: bool = True
     k_rule: str = "any"
     key_count: object = len
 
@@ -567,7 +556,7 @@ EXPERIMENTS = {
                     "asymptotic over a K grid (no Monte Carlo)",
         defaults=dict(snr_db_grid=(30.0,), K_rule="fixed:100,316,1000,3162,10000",
                       d=2, trials=1),
-        runner=_run_fig4, designs=THRESHOLD_METHODS, k_rule="fixed"),
+        runner=_run_fig4, k_rule="fixed"),
     "fig5_sumrate_d2": Experiment(
         description="d=2 sum rate vs SNR for K in {10,50,100}, 1-bit "
                     "feedback with the numeric threshold",
@@ -587,7 +576,7 @@ EXPERIMENTS = {
         defaults=dict(snr_db_grid=(0.0,),
                       K_rule="fixed:" + ",".join(str(b) for b in range(2, 42, 2)),
                       trials=1),
-        runner=_run_fig7, designs=(), k_rule="bits"),
+        runner=_run_fig7, designs=False, k_rule="bits"),
 }
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig) if f.init)
@@ -679,8 +668,8 @@ def write_csv(path: str, rows: list) -> None:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
     """Produce all rows of one experiment and write them to cfg.output_path,
-    which is refused before anything runs if it names a directory or a temp
-    file cannot be made beside it.
+    refused before anything runs (after a Monte Carlo run's memory check)
+    if it names a directory or a temp file cannot be made beside it.
 
     workers must be an integer of at least 1; more than the CPUs this
     process may run on (os.sched_getaffinity where it exists, else
@@ -692,6 +681,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
         raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+    if EXPERIMENTS[cfg.experiment].trial is not None:
+        _check_run_fits(cfg)  # before the probe below makes any directory
     if os.path.isdir(cfg.output_path):
         raise ConfigError(f"output_path {cfg.output_path!r} is a directory")
     os.unlink(_temp_file(cfg.output_path))  # fail now, not in write_csv after the run

@@ -523,8 +523,9 @@ def _replay_trial(cfg, snr_db, t):
     user at a time, assuming no degenerate redraw: {(scheme, K): (row,
     served users)} in row order."""
     P = 10.0 ** (snr_db / 10.0)
-    kind, fixed = parse_k_rule(cfg.K_rule)
-    ks = (math.ceil(P),) if kind == "ceil_P" else fixed
+    kind, payload = parse_k_rule(cfg.K_rule)
+    ks = payload if kind == "fixed" else (
+        math.ceil(10.0 ** (payload * snr_db / 10.0)),)
     rng = np.random.default_rng([cfg.seed, cfg.snr_db_grid.index(snr_db), t])
     ch = generate_channels(rng, cfg.d, max(ks))
     metrics = cell_metrics(ch)

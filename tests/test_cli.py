@@ -116,12 +116,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert "--K must lie in" in capsys.readouterr().err
     assert main(["threshold", "--method", "numeric", "--d", "1",
                  "--K", str(int(sys.float_info.max))]) == 0
-    # d below 1 is refused by the gate a run's config uses, for every design
-    for method, d in (("numeric", "0"), ("lambert", "-1"), ("asymptotic", "0"),
-                      ("numeric", "-1")):
-        capsys.readouterr()
-        assert main(["threshold", "--method", method, "--d", d, "--K", "10"]) == 2
-        assert "error: d must be at least 1" in capsys.readouterr().err
+    # a d outside 1..MAX_D is refused by the G(2d, d) constant every design
+    # reads, for every design
+    for method in ("numeric", "lambert", "asymptotic"):
+        for d in ("-1", "0", "19"):
+            capsys.readouterr()
+            assert main(["threshold", "--method", method, "--d", d, "--K", "10"]) == 2
+            assert "1 <= d <= 18" in capsys.readouterr().err, (method, d)
     # the receive antennas follow from d: --nr is no option
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--method", "numeric", "--d", "2", "--nr", "4",

@@ -41,8 +41,6 @@ def _point_k_values(K_rule, snr_db):
     point: the oracle of ExperimentConfig.k_values. P^E is 10^(E snr_db / 10),
     so K is exact at powers of ten, where a rounded P raised to E is not."""
     kind, payload = parse_k_rule(K_rule)
-    if kind == "ceil_P":
-        return (math.ceil(10.0 ** (snr_db / 10.0)),)
     if kind == "ceil_P_pow":
         return (math.ceil(10.0 ** (payload * snr_db / 10.0)),)
     return payload

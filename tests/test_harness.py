@@ -35,8 +35,10 @@ def _body(path):
 
 
 def test_parse_k_rule_forms():
-    assert parse_k_rule("ceil_P") == ("ceil_P", None)
-    assert parse_k_rule("ceil_P:") == ("ceil_P", None)
+    # ceil_P is the power rule at E = 1, not a kind of its own
+    assert parse_k_rule("ceil_P") == ("ceil_P_pow", 1)
+    assert parse_k_rule("ceil_P:") == ("ceil_P_pow", 1)
+    assert parse_k_rule("ceil_P_pow:1") == ("ceil_P_pow", 1)
     assert parse_k_rule("ceil_P_pow:2") == ("ceil_P_pow", 2)
     assert parse_k_rule("fixed:10,50,100") == ("fixed", (10, 50, 100))
     assert parse_k_rule("fixed:100,10") == ("fixed", (10, 100))
@@ -141,8 +143,6 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig2_sumrate_d1", threshold_method="numeric")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", d=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="fig5_sumrate_d2", d=2, K_rule="ceil_P_pow:3")
     cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2, K_rule="ceil_P_pow:2")
     assert cfg.output_path == os.path.join("results", "fig5_sumrate_d2.csv")
     with pytest.raises(UnknownExperiment):
@@ -215,6 +215,17 @@ def test_ceil_p_pow_is_exact_at_powers_of_ten():
         ExperimentConfig(experiment="fig3_eligible_users", k_values=((1,),))
 
 
+def test_ceil_p_is_the_power_rule_at_exponent_one():
+    # one power formula for every exponent, and any exponent at any d
+    for d in (1, 2, 3):
+        assert (make_config("fig3_eligible_users", {"K_rule": "ceil_P", "d": d}).k_values
+                == make_config("fig3_eligible_users",
+                               {"K_rule": "ceil_P_pow:1", "d": d}).k_values)
+    cfg = make_config("fig3_eligible_users", {"K_rule": "ceil_P_pow:3", "d": 2,
+                                              "snr_db_grid": "10"})
+    assert cfg.k_values == ((1000,),)
+
+
 @pytest.mark.parametrize("experiment, K_rule", [
     ("fig4_threshold_compare", "ceil_P"),
     ("fig6_oia_vs_ia", "ceil_P_pow:1"),
@@ -253,11 +264,9 @@ def test_threshold_value_dispatch():
     assert design_threshold("numeric", 100, 1) == optimal_threshold_d1(100)
     assert design_threshold("numeric", 50, 2) == threshold_numeric(50, 2)
     assert harness.THRESHOLD_METHODS == ("numeric", "lambert", "asymptotic")
-    # every Monte Carlo entry designs numeric, fig4 compares every design
+    # every entry designs a threshold except fig7, the FLOP table
     for name, spec in EXPERIMENTS.items():
-        if spec.trial is not None:
-            assert spec.designs == ("numeric",), name
-    assert EXPERIMENTS["fig4_threshold_compare"].designs == harness.THRESHOLD_METHODS
+        assert spec.designs is (name != "fig7_complexity_table"), name
     # the closed form is no second design name
     for method, d in (("closed_form_d1", 1), ("bogus", 2)):
         with pytest.raises(ConfigError) as exc:
@@ -845,6 +854,15 @@ def test_run_experiment_refuses_rows_larger_than_memory(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_run_refused_for_memory_makes_no_output_directory(tmp_path, monkeypatch):
+    # the memory check comes before the output probe, which would make the
+    # missing directories of the output path
+    _physical_memory(monkeypatch, 1000)
+    out = tmp_path / "new" / "x.csv"
+    assert main(["run", "fig3_eligible_users", "--trials", "2", "--out", str(out)]) == 2
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("experiment", ["fig2_sumrate_d1", "fig3_eligible_users",
                                         "fig5_sumrate_d2", "fig6_oia_vs_ia"])
 def test_key_count_is_the_keys_a_trial_gives(experiment):
@@ -965,12 +983,14 @@ def test_design_dimension_refused_while_parsing(tmp_path, monkeypatch):
     assert main(["run", "fig5_sumrate_d2", "--config", str(_cfg_file(
         tmp_path, "d = 19\ntrials = 2\n")), "--out", str(out)]) == 2
     assert not out.exists()
-    with pytest.raises(ConfigError, match="d=19"):
-        make_config("fig4_threshold_compare", {"d": 19})
-    # the check does not build G(2d, d): a huge d is refused at once
+    # by every experiment that designs a threshold; the check does not
+    # build G(2d, d), so a huge d is refused at once
     start = time.perf_counter()
-    with pytest.raises(ConfigError, match="d=1000000000"):
-        make_config("fig5_sumrate_d2", {"d": 10 ** 9})
+    for name, spec in EXPERIMENTS.items():
+        for d in (19, 10 ** 9):
+            if spec.designs:
+                with pytest.raises(ConfigError, match=f"d={d}"):
+                    make_config(name, {"d": d})
     assert time.perf_counter() - start < 1.0
     assert main(["threshold", "--method", "numeric", "--d", "1000000000",
                  "--K", "10"]) == 2
