@@ -442,23 +442,25 @@ def _aggregate_point(cfg, snr_db, keys, trial_rows) -> list:
     ) for (scheme, K), (sums, outages, eligible) in zip(keys, columns)]
 
 
-def _check_run_fits(cfg: ExperimentConfig) -> None:
-    """Refuse a run whose largest channel drop, with its (3, K) metric
-    array, and its stored float64 rows (points x trials x keys x 3) exceed
-    physical memory; the rows count twice, as the run holds them alongside
-    their concatenation, while the draw and the metrics work in blocks
-    whose size does not grow with K."""
+def _check_run_fits(cfg: ExperimentConfig, workers: int) -> None:
+    """Refuse a run whose largest channel drop and its (3, K) metric array,
+    once per worker, and its stored float64 rows (points x trials x keys x
+    3) exceed physical memory; the rows count twice, as the run holds them
+    alongside their concatenation, while the draw and the metrics work in
+    blocks whose size does not grow with K."""
     kmax = max(max(ks) for ks in cfg.k_values)
     keys = sum(EXPERIMENTS[cfg.experiment].key_count(ks) for ks in cfg.k_values)
-    need = (np.dtype(complex).itemsize * math.prod(_drop_shape(kmax, cfg.d))
-            + np.dtype(float).itemsize * 3 * (kmax + 2 * cfg.trials * keys))
+    need = (workers * (np.dtype(complex).itemsize * math.prod(_drop_shape(kmax, cfg.d))
+                       + np.dtype(float).itemsize * 3 * kmax)
+            + np.dtype(float).itemsize * 3 * 2 * cfg.trials * keys)
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return
     if need > have:
-        raise ConfigError(f"{cfg.trials} trials with a drop of K={kmax} need about "
-                          f"{need:.3g} B, more than the {have:.3g} B of physical memory")
+        raise ConfigError(f"{cfg.trials} trials on {workers} worker(s), each with a drop of "
+                          f"K={kmax}, need about {need:.3g} B, more than the {have:.3g} B of "
+                          f"physical memory")
 
 
 def __getattr__(name):
@@ -476,7 +478,6 @@ def _run_monte_carlo(cfg: ExperimentConfig, workers: int = 1) -> list:
     step = (cfg.trials if workers == 1
             else max(1, cfg.trials // (_TASKS_PER_WORKER * workers)))
     tasks = [range(s, min(s + step, cfg.trials)) for s in range(0, cfg.trials, step)]
-    workers = min(workers, len(tasks))      # no idle forks
     outputs = []
     with (sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
           if workers > 1 else contextlib.nullcontext()) as pool:
@@ -673,19 +674,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list:
 
     workers must be an integer of at least 1; more than the CPUs this
     process may run on (os.sched_getaffinity where it exists, else
-    os.cpu_count()) are capped there, and a Monte Carlo run starts no more
-    than it has tasks.
+    os.cpu_count()) are capped there, and then at the trials, so no
+    worker idles.
     """
     if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
             or workers < 1):
         raise ConfigError(f"workers must be an integer of at least 1, got {workers!r}")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+    workers = min(workers, cpus, cfg.trials)
     if EXPERIMENTS[cfg.experiment].trial is not None:
-        _check_run_fits(cfg)  # before the probe below makes any directory
+        _check_run_fits(cfg, workers)  # before the probe below makes any directory
     if os.path.isdir(cfg.output_path):
         raise ConfigError(f"output_path {cfg.output_path!r} is a directory")
     os.unlink(_temp_file(cfg.output_path))  # fail now, not in write_csv after the run
-    rows = EXPERIMENTS[cfg.experiment].runner(cfg, min(workers, cpus))
+    rows = EXPERIMENTS[cfg.experiment].runner(cfg, workers)
     write_csv(cfg.output_path, rows)
     return rows

@@ -84,12 +84,10 @@ def threshold_lambert(K: int, d: int) -> float:
     dsq = d * d
     alpha = 1.0 / dsq - 1.0
     if d == 1:
-        y = math.log(K) / K if K > 1 else 0.0
+        y = math.log(K) / K
     else:
-        try:  # d^3 K past the largest double: its power through its log
-            arg = K * c * (d**3 * K) ** (1.0 / alpha) / alpha
-        except OverflowError:
-            arg = K * c * math.exp(math.log(d**3 * K) / alpha) / alpha
+        # (d^3 K)^(1/alpha) through the log, as d^3 K may pass the largest double
+        arg = K * c * math.exp(math.log(d**3 * K) / alpha) / alpha
         if not _BRANCH_POINT <= arg < 0.0:
             raise TooFewUsers(f"Lambert argument {arg:.6g} outside [-1/e, 0)")
         y = alpha / K * lambert_w(-1, arg)

@@ -8,6 +8,7 @@ loosened, so the rest of the suite stays meaningful.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -295,7 +296,10 @@ def test_criterion_09_property_suite():
     assert ok_e
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    # two CPUs, so the 2-worker run opens a pool on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     bodies = []
     for name, workers in (("a.csv", 1), ("b.csv", 1), ("c.csv", 2)):
         out = tmp_path / name

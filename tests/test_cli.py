@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from oiasim import threshold_numeric
+from oiasim import threshold_asymptotic, threshold_lambert, threshold_numeric
 from oiasim.cli import main
 
 # Output of the threshold designs that import scipy on first use (golden,
@@ -43,11 +43,15 @@ def test_threshold_closed_form_value(capsys):
 
 
 def test_threshold_numeric_value(capsys):
-    rc = main(["threshold", "--method", "numeric", "--d", "2",
-               "--K", "100"])
-    assert rc == 0
-    printed = capsys.readouterr().out.strip()
-    assert printed == "%.9g" % threshold_numeric(100, 2)
+    # every design prints its own value at 9 digits, on any numpy/scipy
+    for method, design in (("numeric", threshold_numeric),
+                           ("lambert", threshold_lambert),
+                           ("asymptotic", threshold_asymptotic)):
+        rc = main(["threshold", "--method", method, "--d", "2",
+                   "--K", "100"])
+        assert rc == 0, method
+        printed = capsys.readouterr().out.strip()
+        assert printed == "%.9g" % design(100, 2), method
 
 
 @pytest.mark.parametrize("method,printed", [("numeric", "0.522664091"),
@@ -123,6 +127,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert main(["threshold", "--method", method, "--d", d, "--K", "10"]) == 2
             assert "1 <= d <= 18" in capsys.readouterr().err, (method, d)
+    # while d = 18 itself is designed
+    assert main(["threshold", "--method", "numeric", "--d", "18", "--K", "10"]) == 0
     # the receive antennas follow from d: --nr is no option
     with pytest.raises(SystemExit) as exc:
         main(["threshold", "--method", "numeric", "--d", "2", "--nr", "4",

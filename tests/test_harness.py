@@ -671,16 +671,22 @@ def test_write_csv_gives_the_mode_of_the_umask(tmp_path, umask, mode):
     assert os.stat(path).st_mode & 0o777 == mode
 
 
-def test_run_experiment_reproducible_across_workers(tmp_path):
-    paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-    for path, workers in zip(paths, (1, 1, 2)):
-        cfg = make_config("fig2_sumrate_d1",
-                          {"trials": "3", "snr_db_grid": "0,5",
-                           "output_path": str(path)})
-        run_experiment(cfg, workers=workers)
-    bodies = [_body(str(p)) for p in paths]
-    assert bodies[0] == bodies[1]
-    assert bodies[0] == bodies[2]
+@pytest.mark.parametrize("experiment, trials", [("fig3_eligible_users", 20),
+                                                ("fig5_sumrate_d2", 8),
+                                                ("fig6_oia_vs_ia", 8)])
+def test_run_experiment_reproducible_across_workers(tmp_path, monkeypatch, experiment,
+                                                    trials):
+    # the serial body and the pooled one, byte for byte: fig3 at d = 1, fig5
+    # the d > 1 selection metric, fig6 the IA quantizer (criterion 10 runs
+    # fig2); two CPUs, so the pool opens on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    paths = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    for path, workers in zip(paths, (1, 2)):
+        run_experiment(make_config(experiment, {"trials": trials,
+                                                "output_path": str(path)}),
+                       workers=workers)
+    assert _body(str(paths[0])) == _body(str(paths[1]))
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -935,6 +941,28 @@ def test_row_check_counts_the_rows_twice(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="physical memory"):
         run_experiment(cfg)
     assert not os.path.exists(cfg.output_path)
+
+
+def test_pooled_run_counts_a_drop_per_worker(tmp_path, monkeypatch, capsys):
+    # the workers reach the largest grid point together: a memory between
+    # one and two drops of K = 1000 with their metrics (312,000 B each),
+    # plus 2 trials' rows, refuses 2 workers before the output probe makes
+    # any directory, and runs 1, or 2 asked for over a single trial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    drop = 16 * 9 * 1000 * 2 + 8 * 3 * 1000
+    _physical_memory(monkeypatch, drop + drop // 2)
+    config = str(_cfg_file(tmp_path, "snr_db_grid = 0\nK_rule = fixed:1000\ntrials = 2\n"))
+    out = tmp_path / "new" / "x.csv"
+    assert main(["run", "fig3_eligible_users", "--config", config, "--workers", "2",
+                 "--out", str(out)]) == 2
+    assert "on 2 worker(s)" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    assert main(["run", "fig3_eligible_users", "--config", config, "--workers", "1",
+                 "--out", str(out)]) == 0
+    assert out.exists()
+    assert main(["run", "fig3_eligible_users", "--config", config, "--workers", "2",
+                 "--trials", "1", "--out", str(tmp_path / "one.csv")]) == 0
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -363,7 +363,9 @@ _CLOSED_FORM_D1 = (
     0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
     0.00011512377870290942)
 # each design's value at every K of _DESIGN_KS, recorded before the metric
-# law was keyed by d alone; None where the design raised TooFewUsers
+# law was keyed by d alone; None where the design raised TooFewUsers. The
+# Lambert value at d = 2 and K = 10^5 moved by one ulp when (d^3 K)^(1/alpha)
+# was computed through its log alone
 _DESIGN_VALUES = {
     ("closed_form_d1", 1): _CLOSED_FORM_D1,
     ("lambert", 1): (
@@ -372,7 +374,7 @@ _DESIGN_VALUES = {
         0.00011512925464970229),
     ("lambert", 2): (
         None, None, None, 0.960878892992925, 0.5609346815782484,
-        0.32562192198266715, 0.18825465820984078, 0.10850025541362611),
+        0.32562192198266715, 0.18825465820984078, 0.10850025541362612),
     ("lambert", 3): (
         None, None, None, 1.4936062559439982, 1.1605307888420093,
         0.9016233485296741, 0.7003984066347547, 0.5440262769992671),
