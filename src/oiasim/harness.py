@@ -67,7 +67,7 @@ _MAX_REDRAWS = 1000
 _INT_FIELDS = ("d", "trials", "seed")
 # bytes the drops and Generators of one chunk of trials may hold: 8 fig5
 # drops (K = 100, d = 2), 3 at K = 1000 and d = 1, or 672 trials at K = 1;
-# from K = 10^4 (d = 1) a chunk is one trial and takes that drop's memory
+# a d = 1 chunk is one trial from K = 1,732; from K = 3,473 one drop alone passes it
 _CHUNK_BYTES = 1_000_000
 _GENERATOR_BYTES = 1_200  # a trial's np.random.Generator, about 0.9-1.2 kB
 # a pooled run maps this many trial ranges per worker
@@ -352,17 +352,13 @@ def _trial_fig6(cfg, P, bit_values, rngs, redraws):
             np.concatenate([rows, ia], axis=1))
 
 
-def _checked_trials(cfg: ExperimentConfig, trial_indices):
-    """trial_indices, a range kept as one or else as a list, if valid."""
+def _checked_trials(cfg: ExperimentConfig, trials: range) -> range:
+    """trials, if a non-empty range of non-negative trial indices."""
     if EXPERIMENTS[cfg.experiment].trial is None:
         raise UnknownExperiment(f"{cfg.experiment} runs no Monte Carlo trials")
-    is_range = isinstance(trial_indices, range)
-    trials = trial_indices if is_range else list(trial_indices)
-    if not trials:
-        raise ConfigError("run_trials needs at least one trial index")
-    for t in (trials[0], trials[-1]) if is_range else trials:
-        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 0:
-            raise ConfigError(f"trial indices must be non-negative integers, got {t!r}")
+    if not isinstance(trials, range) or not trials or min(trials[0], trials[-1]) < 0:
+        raise ConfigError(f"run_trials needs a non-empty range of non-negative "
+                          f"trial indices, got {trials!r}")
     return trials
 
 
@@ -387,12 +383,12 @@ def _point_rows(cfg: ExperimentConfig, point: int, trials) -> tuple:
 
 
 def run_trials(cfg: ExperimentConfig, trial_indices) -> tuple:
-    """Monte Carlo drops trial_indices at every SNR grid point, all schemes
-    evaluated, as (keys, rows, redraws): keys holds one tuple of (scheme, K)
-    keys per point; rows, of shape (points, trials, keys, 3), holds for each
-    key the sum rate over the three cells, the outage count and the
-    eligible-count sum (NaN for a scheme without eligibility); redraws
-    counts the degenerate draws rejected.
+    """Monte Carlo drops trial_indices (a non-empty range, indices >= 0) at
+    every SNR grid point, all schemes evaluated, as (keys, rows, redraws):
+    keys holds one tuple of (scheme, K) keys per point; rows, of shape
+    (points, trials, keys, 3), holds for each key the sum rate over the
+    three cells, the outage count and the eligible-count sum (NaN for a
+    scheme without eligibility); redraws counts the degenerate draws rejected.
 
     Trial t at grid point index p draws from default_rng([seed, p, t]),
     exactly what run_trial(cfg, snr_db, t) draws, so its rows are that
@@ -414,7 +410,9 @@ def run_trial(cfg: ExperimentConfig, snr_db: float, trial_index: int) -> tuple:
     same triple always reproduces the same rows. The keys, and their order,
     depend on the experiment and the grid point only.
     """
-    trials = _checked_trials(cfg, (trial_index,))
+    if type(trial_index) is bool or not isinstance(trial_index, numbers.Integral) or trial_index < 0:
+        raise ConfigError(f"trial indices must be non-negative integers, got {trial_index!r}")
+    trials = _checked_trials(cfg, range(trial_index, trial_index + 1))
     if not isinstance(snr_db, numbers.Real) or float(snr_db) not in cfg.snr_db_grid:
         raise ConfigError(f"snr_db {snr_db!r} is not on the grid {cfg.snr_db_grid}")
     keys, rows, redraws = _point_rows(cfg, cfg.snr_db_grid.index(float(snr_db)), trials)

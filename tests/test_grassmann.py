@@ -22,18 +22,6 @@ def _orthonormal_basis(M):
     return X[:, :, 0].T, bool(bad[0])
 
 
-def _projector_metrics(ch):
-    """0.5 * ||Qp Qp^H - Qq Qq^H||_F^2 for every user of a drop, a (3, K)
-    array, with Qp and Qq Householder QR bases of its two interference
-    channels."""
-    out = []
-    for i in range(3):
-        Pp, Pq = (Q @ Q.conj().swapaxes(1, 2) for Q in
-                  (np.linalg.qr(ch.h[i, j])[0] for j in interferer_indices(i)))
-        out.append(0.5 * np.linalg.norm(Pp - Pq, axis=(1, 2)) ** 2)
-    return np.array(out)
-
-
 def test_orthonormal_basis_scaling_invariance():
     b, bad = _orthonormal_basis(np.array([[2.0], [0.0]]))
     assert not bad
@@ -70,14 +58,6 @@ def test_chordal_distance_identical_and_orthogonal():
     m = cell_metrics(ChannelSet(h=h))
     assert np.all(m[:, 0] == 0.0) and np.all(m[1:] == 0.0)
     assert m[0, 1] == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("n,d", [(2, 1), (4, 2)])
-def test_chordal_distance_two_form_equivalence(n, d):
-    # cell_metrics' d - ||Qp^H Qq||_F^2 against the projector form, 1002 users
-    ch = generate_channels(np.random.default_rng(17), d, 334)
-    assert ch.h.shape[-2] == n
-    assert np.max(np.abs(cell_metrics(ch) - _projector_metrics(ch))) < 1e-10
 
 
 def test_chordal_distance_symmetry_range_and_unitary_invariance():
@@ -180,26 +160,6 @@ def test_quantization_bound_matches_the_gammaln_formula():
         for K in 2 ** np.arange(21):
             ref = float(np.exp(gammaln(1.0 / D) - np.log(D) - np.log(float(K)) / D))
             assert quantization_bound(int(K), D + 1) == pytest.approx(ref, rel=1.5e-15, abs=0)
-
-
-def test_quantization_bound_dominates_line_quantizer_mean():
-    # d = 1, n = 2: the metric is uniform on [0, 1], so E[min over K] is
-    # 1/(K+1) and the bound is 1/K; Monte Carlo with the pinned seed keeps
-    # the K = 100 margin positive.
-    rng = np.random.default_rng(20260814)
-    for K in (1, 10, 100):
-        mins = rng.random((10 ** 4, K)).min(axis=1)
-        assert mins.mean() <= quantization_bound(K, 2)
-
-
-def test_metric_matches_cdf_spot_values_d1():
-    # P(d_c^2 <= x) = F(x); binomial 4-sigma margins at 4000 users
-    n = 4000
-    dists = cell_metrics(generate_channels(np.random.default_rng(23), 1, n))[0]
-    for x in (0.2, 0.5, 0.8):
-        emp = float(np.mean(dists <= x))
-        f = metric_cdf(x, 1)
-        assert abs(emp - f) < 4.0 * np.sqrt(f * (1 - f) / n)
 
 
 def test_metric_d2_law_is_x4_over_2():

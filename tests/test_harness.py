@@ -340,20 +340,18 @@ def test_run_trials_refuse_bad_trial_indices(monkeypatch):
     cfg = make_config("fig3_eligible_users", {"snr_db_grid": "10"})
     draws = _spoil(monkeypatch, "generate_channels", 0, lambda t, args: False,
                    lambda drop: None)
-    for bad in ([-1], [0, 1.5], [True], ["2"], [0, np.int64(-3)], range(-1, 3),
-                range(3, -2, -1)):
-        with pytest.raises(ConfigError, match="non-negative integers"):
+    # run_trials takes a non-empty range of non-negative indices, nothing else
+    for bad in ([0], (0,), range(-1, 3), range(3, -2, -1), range(0), range(5, 2)):
+        with pytest.raises(ConfigError, match="non-empty range of non-negative"):
             run_trials(cfg, bad)
-    with pytest.raises(ConfigError, match="non-negative integers"):
-        run_trial(cfg, 10.0, -1)
-    for empty in ([], range(0), range(5, 2)):
-        with pytest.raises(ConfigError, match="at least one trial index"):
-            run_trials(cfg, empty)
+    for bad in (-1, 1.5, True, "2", np.int64(-3)):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            run_trial(cfg, 10.0, bad)
     assert draws == []
-    assert run_trials(cfg, [np.int64(2)])[1].shape[:2] == (1, 1)
+    assert run_trials(cfg, range(np.int64(2), 3))[1].shape[:2] == (1, 1)
     # a range is taken as it is, a descending one in its own order
     assert np.array_equal(run_trials(cfg, range(3, -1, -1))[1],
-                          run_trials(cfg, [3, 2, 1, 0])[1])
+                          run_trials(cfg, range(4))[1][:, ::-1])
 
 
 def test_run_trials_refuse_snr_off_the_grid():
@@ -393,10 +391,8 @@ def test_run_trials_rows_do_not_depend_on_chunking(monkeypatch, experiment, snr_
         assert rows.shape == (2, n, len(keys[1]), 3)
         assert np.array_equal(rows, expected, equal_nan=True)
     # any order and subset of trials: each row is its own trial's
-    rows = run_trials(cfg, [5, 0, 3])[1]
-    assert np.array_equal(rows, expected[:, [5, 0, 3]], equal_nan=True)
-    with pytest.raises(ConfigError):
-        run_trials(cfg, [])
+    rows = run_trials(cfg, range(5, -1, -2))[1]
+    assert np.array_equal(rows, expected[:, [5, 3, 1]], equal_nan=True)
 
 
 def _generator_bytes(cfg, n):
@@ -867,6 +863,19 @@ def test_run_refused_for_memory_makes_no_output_directory(tmp_path, monkeypatch)
     out = tmp_path / "new" / "x.csv"
     assert main(["run", "fig3_eligible_users", "--trials", "2", "--out", str(out)]) == 2
     assert not (tmp_path / "new").exists()
+
+
+def test_run_goes_unchecked_where_memory_cannot_be_read(tmp_path, monkeypatch):
+    ref, out = tmp_path / "ref.csv", tmp_path / "x.csv"
+    assert main(["run", "fig3_eligible_users", "--trials", "2", "--out", str(ref)]) == 0
+
+    def sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert main(["run", "fig3_eligible_users", "--trials", "2", "--out", str(out)]) == 0
+    assert (out.read_text(encoding="utf-8").splitlines()[1:]
+            == ref.read_text(encoding="utf-8").splitlines()[1:])
 
 
 @pytest.mark.parametrize("experiment", ["fig2_sumrate_d1", "fig3_eligible_users",

@@ -166,20 +166,19 @@ def test_expected_metric_one_bit_values():
 
 def test_expected_metric_one_bit_matches_uniform_simulation():
     # d = 1 metric is uniform; uniform random keys realize the uniform
-    # pick among eligible reporters
-    K = 50
+    # pick among eligible reporters; criterion 9(f) runs the optimal threshold
+    K, x = 50, 0.2
+    target = expected_metric_one_bit(x, K, 1)
     rng = np.random.default_rng(99)
-    for x in (optimal_threshold_d1(K), 0.2):
-        target = expected_metric_one_bit(x, K, 1)
-        total = 0.0
-        for _ in range(10):
-            m = rng.random((10 ** 5, K))
-            bits = m < x
-            keys = np.where(bits, rng.random(m.shape), 2.0)
-            sel = np.where(bits.any(axis=1), np.argmin(keys, axis=1),
-                           rng.integers(K, size=m.shape[0]))
-            total += m[np.arange(m.shape[0]), sel].sum()
-        assert abs(total / 10 ** 6 - target) / target < 0.01
+    total = 0.0
+    for _ in range(10):
+        m = rng.random((10 ** 5, K))
+        bits = m < x
+        keys = np.where(bits, rng.random(m.shape), 2.0)
+        sel = np.where(bits.any(axis=1), np.argmin(keys, axis=1),
+                       rng.integers(K, size=m.shape[0]))
+        total += m[np.arange(m.shape[0]), sel].sum()
+    assert abs(total / 10 ** 6 - target) / target < 0.01
 
 
 def test_expected_metric_upper_bound_values():
