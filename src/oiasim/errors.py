@@ -25,7 +25,7 @@ class LambertDomain(OiaSimError, ValueError):
 
 
 class TooFewUsers(OiaSimError, ValueError):
-    """K is below the validity range of the requested threshold method."""
+    """K is outside the validity range of the requested threshold method."""
 
 
 class OddBitSplit(OiaSimError, ValueError):

@@ -68,17 +68,20 @@ def closed_form_ia(ch) -> tuple[np.ndarray, np.ndarray]:
     with it. u_i is orthogonal to the aligned interference at receiver i.
 
     Raises DegenerateChannel when a cross matrix of any drop has condition
-    number >= 1e12 or a non-finite entry; its `where` holds the mask of
-    such drops, and callers redraw them.
+    number >= 1e12, a non-finite entry or a non-finite inverse; its `where`
+    holds the mask of such drops, and callers redraw them.
     """
     H = _as_drops(ch)
     cross = H[..., _RX, _TX, :, :]      # H01 H02 H12 H10 H20 H21
     # a matrix with a non-finite entry is zeroed: its condition reads inf
     finite = np.isfinite(cross).all(axis=(-2, -1), keepdims=True)
-    bad = ~np.all(np.linalg.cond(np.where(finite, cross, 0.0)) < _COND_LIMIT, axis=-1)
+    usable = np.linalg.cond(np.where(finite, cross, 0.0)) < _COND_LIMIT
+    # an unusable matrix is inverted as the identity; a usable one of
+    # subnormal entries has an inverse past the largest double
+    inv = np.linalg.inv(np.where(usable[..., None, None], cross, np.eye(2)))
+    bad = ~np.all(usable & np.isfinite(inv).all(axis=(-2, -1)), axis=-1)
     if np.any(bad):
         raise DegenerateChannel("a cross channel is ill-conditioned", where=bad)
-    inv = np.linalg.inv(cross)
     E = (inv[..., 4, :, :] @ cross[..., 5, :, :] @ inv[..., 0, :, :]
          @ cross[..., 1, :, :] @ inv[..., 2, :, :] @ cross[..., 3, :, :])
     eigvals, eigvecs = np.linalg.eig(E)

@@ -17,6 +17,7 @@ d > 1 (golden) and by the G(2d, d) constant c at d > 1 (gammaln).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -27,14 +28,20 @@ from .oia import expected_metric_upper_bound
 _BRANCH_POINT = -1.0 / math.e
 
 
+def _check_users(K: int, least: int = 1) -> None:
+    """Refuse a K below least, or past the largest double, which every
+    design here turns into a float."""
+    if not least <= K <= sys.float_info.max:
+        raise TooFewUsers(f"K must lie in [{least}, {sys.float_info.max:.4g}]")
+
+
 def optimal_threshold_d1(K: int) -> float:
     """Exact optimal threshold for d = 1: x = 1 - (1/K)^(1/(K-1)), computed
     as -expm1(-log(K)/(K-1)), which does not cancel at large K.
 
     K = 1 returns the continuity limit 1 - 1/e; selection is forced anyway.
     """
-    if K < 1:
-        raise TooFewUsers("K must be at least 1")
+    _check_users(K)
     if K == 1:
         return 1.0 - math.exp(-1.0)
     return -math.expm1(-math.log(K) / (K - 1))
@@ -44,8 +51,7 @@ def min_expected_metric_d1(K: int) -> float:
     """Minimum expected selected metric for d = 1 at the optimal threshold:
     (1/2)(1/K)^(K/(K-1)) - (1/2)(1/K)^(1/(K-1)) + 1/2, computed from
     t = log(K)/(K-1) as e^{-t}/(2K) - expm1(-t)/2."""
-    if K < 2:
-        raise TooFewUsers("closed form requires K >= 2")
+    _check_users(K, 2)
     t = math.log(K) / (K - 1)
     return 0.5 * math.exp(-t) / K - 0.5 * math.expm1(-t)
 
@@ -76,11 +82,10 @@ def threshold_lambert(K: int, d: int) -> float:
     exponential-approximation objective (y/c)^(1/d^2) + d e^{-K y}.
 
     For d = 1 the stationary point is y = log(K)/K directly. Raises
-    TooFewUsers when K is below the validity range of the method.
+    TooFewUsers when K is outside the validity range of the method.
     """
     c = ball_volume(d)
-    if K < 1:
-        raise TooFewUsers("K must be at least 1")
+    _check_users(K)
     dsq = d * d
     alpha = 1.0 / dsq - 1.0
     if d == 1:
@@ -101,13 +106,11 @@ def threshold_asymptotic(K: int, d: int) -> float:
     the constant term of the paper's form is 0 (it does not affect the
     achieved degrees of freedom)."""
     c = ball_volume(d)
-    if K < 2:
-        raise TooFewUsers("asymptotic form requires K >= 2")
+    _check_users(K, 2)
     dsq = d * d
     A = 1.0 / dsq
+    # in (0, 1) for every K from 2 to the largest double
     y = A * math.log(K) / K
-    if not 0.0 < y < 1.0:
-        raise TooFewUsers(f"asymptotic y={y:.6g} outside (0, 1)")
     return (y / c) ** (1.0 / dsq)
 
 
@@ -120,8 +123,7 @@ def threshold_numeric(K: int, d: int) -> float:
     if d == 1:
         return optimal_threshold_d1(K)
     x_max = support_edge(d)
-    if K < 1:
-        raise TooFewUsers("K must be at least 1")
+    _check_users(K)
     grid = np.logspace(np.log10(x_max) - 9.0, np.log10(x_max), 10000)
     i = int(np.argmin(expected_metric_upper_bound(grid, K, d)))
     x_star = float(grid[i])

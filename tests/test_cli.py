@@ -4,25 +4,13 @@ import hashlib
 import os
 import sys
 
-import numpy as np
 import pytest
-import scipy
 
 from oiasim import threshold_asymptotic, threshold_lambert, threshold_numeric
 from oiasim.cli import main
 
-# Output of the threshold designs that import scipy on first use (golden,
-# lambertw, gammaln), recorded while scipy was still imported with the
-# package. Float results depend on the numpy/scipy builds, so other
-# versions skip.
-_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+# sha256 of the fig4 CSV body (everything after the generated_at line)
 _FIG4_BODY_SHA256 = "546863877f8f953a53eeffc922c6ba0db425a8241d6862d73a6aad510f29f713"
-
-
-def _skip_unless_pinned_versions():
-    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
-        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
-                    f"{_PINNED_VERSIONS[1]}")
 
 
 def test_list_names_every_experiment(capsys):
@@ -54,17 +42,8 @@ def test_threshold_numeric_value(capsys):
         assert printed == "%.9g" % design(100, 2), method
 
 
-@pytest.mark.parametrize("method,printed", [("numeric", "0.522664091"),
-                                             ("lambert", "0.560934682")])
-def test_threshold_scipy_backed_values_pinned(capsys, method, printed):
-    _skip_unless_pinned_versions()
-    rc = main(["threshold", "--method", method, "--d", "2", "--K", "100"])
-    assert rc == 0
-    assert capsys.readouterr().out == printed + "\n"
-
-
+@pytest.mark.usefixtures("pinned_build")
 def test_fig4_csv_body_pinned(tmp_path):
-    _skip_unless_pinned_versions()
     out = tmp_path / "fig4.csv"
     assert main(["run", "fig4_threshold_compare", "--out", str(out)]) == 0
     with open(out, "rb") as fh:
@@ -145,14 +124,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     huge.write_text("snr_db_grid = 130\n", encoding="utf-8")
     assert main(["run", "fig2_sumrate_d1", "--config", str(huge),
                  "--out", out]) == 2
-    # nr = 2d and nt = d are no config keys, even at the values they take
-    skewed = tmp_path / "skewed.cfg"
-    for text in ("nr = 4\n", "nt = 2\n"):
-        skewed.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["run", "fig5_sumrate_d2", "--config", str(skewed),
-                     "--out", out]) == 2
-        assert "unknown key" in capsys.readouterr().err, text
     repeated = tmp_path / "repeated.cfg"
     repeated.write_text("trials = 5\ntrials = 50\n", encoding="utf-8")
     capsys.readouterr()
@@ -165,12 +136,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     repeated.write_text("snr_db_grid = 10,10\n", encoding="utf-8")
     assert main(["run", "fig3_eligible_users", "--config", str(repeated),
                  "--out", out]) == 2
-    # the threshold design follows from d: it is no config key
-    skewed.write_text("threshold_method = numeric\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["run", "fig2_sumrate_d1", "--config", str(skewed),
-                 "--out", out]) == 2
-    assert "unknown key 'threshold_method'" in capsys.readouterr().err
     # odd, too large or power-coupled bit budgets, and grid points without a
     # finite power P > 0: refused while parsing, not after the first drops
     # or with a traceback
@@ -181,9 +146,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                              ("fig2_sumrate_d1", "snr_db_grid = inf\n"),
                              ("fig2_sumrate_d1", "snr_db_grid = 1e308\n"),
                              ("fig3_eligible_users", "snr_db_grid = 0,-4000\n")):
-        skewed.write_text(text, encoding="utf-8")
+        cfg.write_text(text, encoding="utf-8")
         capsys.readouterr()
-        assert main(["run", experiment, "--config", str(skewed), "--out", out]) == 2
+        assert main(["run", experiment, "--config", str(cfg), "--out", out]) == 2
         assert "error:" in capsys.readouterr().err, text
     assert main(["run", "fig2_sumrate_d1", "--seed", "-1", "--out", out]) == 2
     assert "error:" in capsys.readouterr().err

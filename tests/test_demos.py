@@ -12,9 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy
 
 import oiasim
 
@@ -22,9 +20,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 README = DEMOS.parent / "README.md"
 SRC = str(Path(oiasim.__file__).resolve().parent.parent)
 
-# sha256 of the stdout; float output depends on the numpy/scipy builds,
-# so other versions skip
-_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+# sha256 of the stdout
 _PINNED_STDOUT = {
     "01_subspace_geometry.py":
         "76149ab779226928bf942aefcc2efc69739bf6cc5bf0f364fcde3650d7695456",
@@ -33,12 +29,6 @@ _PINNED_STDOUT = {
     "03_one_bit_scheduling.py":
         "54016e935b36da45eab5a1160afa3ab29eec6dae10709e35e4a881a82e7f5b2b",
 }
-
-
-def _skip_unless_pinned_versions():
-    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
-        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
-                    f"{_PINNED_VERSIONS[1]}")
 
 
 def _python(args, cwd):
@@ -72,17 +62,17 @@ def test_demo_exits_0(run_demo, name):
     assert done.returncode == 0, done.stderr[-2000:].decode(errors="replace")
 
 
+@pytest.mark.usefixtures("pinned_build")
 @pytest.mark.parametrize("name", sorted(_PINNED_STDOUT))
 def test_demo_stdout_pinned(run_demo, name):
-    _skip_unless_pinned_versions()
     done = run_demo(name)
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == _PINNED_STDOUT[name]
 
 
+@pytest.mark.usefixtures("pinned_build")
 def test_readme_example_prints_its_comment(tmp_path):
     # the block's last line is a print whose comment starts with its output
-    _skip_unless_pinned_versions()
     text = README.read_text(encoding="utf-8")
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
     comment = block.rstrip().splitlines()[-1].split("# ", 1)[1]

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy
 
 from oiasim import (EXPERIMENTS, ConfigError, DegenerateChannel, ExperimentConfig,
                     IoError, ResultRow, ShapeMismatch, UnknownExperiment,
@@ -93,7 +92,7 @@ def test_make_config_overrides_and_coercion():
     assert cfg.trials == 10 and cfg.seed == 7
     assert cfg.snr_db_grid == (0.0, 10.0)
     assert cfg.output_path == "x.csv"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config key 'shoe_size'"):
         make_config("fig2_sumrate_d1", {"shoe_size": "9"})
     with pytest.raises(ConfigError):
         make_config("fig2_sumrate_d1", {"experiment": "fig3_eligible_users"})
@@ -139,8 +138,6 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="fig2_sumrate_d1", snr_db_grid=(10, 10.0))
     with pytest.raises(ConfigError):
         make_config("fig3_eligible_users", {"snr_db_grid": "0,10,0"})
-    with pytest.raises(TypeError):
-        ExperimentConfig(experiment="fig2_sumrate_d1", threshold_method="numeric")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fig2_sumrate_d1", d=0)
     cfg = ExperimentConfig(experiment="fig5_sumrate_d2", d=2, K_rule="ceil_P_pow:2")
@@ -272,13 +269,6 @@ def test_threshold_value_dispatch():
         with pytest.raises(ConfigError) as exc:
             harness.design_threshold(method, 10, d)
         assert str(exc.value) == f"unknown threshold method {method!r}"
-
-
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_threshold_method_is_an_unknown_key(experiment):
-    for method in harness.THRESHOLD_METHODS:
-        with pytest.raises(ConfigError, match="unknown config key 'threshold_method'"):
-            make_config(experiment, {"threshold_method": method})
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -974,30 +964,6 @@ def test_pooled_run_counts_a_drop_per_worker(tmp_path, monkeypatch, capsys):
                  "--trials", "1", "--out", str(tmp_path / "one.csv")]) == 0
 
 
-@pytest.mark.parametrize("overrides, message", [
-    # nr = 2d and nt = d follow from d: even the values they take are
-    # unknown keys
-    ({"nr": "4"}, "unknown config key 'nr'"),
-    ({"nt": "2"}, "unknown config key 'nt'"),
-    # so does the threshold design
-    pytest.param({"threshold_method": "numeric"},
-                 "unknown config key 'threshold_method'", id="threshold_method"),
-])
-def test_run_refuses_bad_dimensions_before_any_drop(tmp_path, monkeypatch,
-                                                    overrides, message):
-    def never(*args, **kwargs):
-        raise AssertionError("work started for an impossible configuration")
-
-    monkeypatch.setattr(harness, "generate_channels", never)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", never)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # refused while parsing, so neither a run nor run_trials gets a config
-    with pytest.raises(ConfigError, match=message):
-        make_config("fig5_sumrate_d2",
-                    dict(overrides, output_path=str(tmp_path / "x.csv")))
-    assert not (tmp_path / "x.csv").exists()
-
-
 def test_design_dimension_limit_is_where_manifold_constants_fail():
     # c_{2d,d} is a positive double up to d = 18 and underflows to 0 from
     # d = 19 on, the limit a config that designs a threshold is held to
@@ -1049,8 +1015,7 @@ def test_draw_ia_channels_bit_identical_to_reference_draw():
 # sha256 of the CSV body (everything after the generated_at line) of 20-trial
 # runs at the registry seed: the determinism contract of every Monte Carlo
 # trial path (d = 1 with closed-form IA, d = 1 alone, d > 1, limited-feedback
-# IA). Float results depend on the numpy/scipy builds, so other versions skip
-_PINNED_VERSIONS = ("2.4.6", "1.17.1")
+# IA)
 _PINNED_BODIES = {
     "fig5_sumrate_d2": "5eb30291f9458c6d5d241e6ab0cb3b79f7ddad82c89654f8f9e32ecd98851e27",
     "fig2_sumrate_d1": "3684894873c90d9f913b089616836bc69d3276ce9f4a954f08e88895c9308991",
@@ -1059,12 +1024,9 @@ _PINNED_BODIES = {
 }
 
 
+@pytest.mark.usefixtures("pinned_build")
 @pytest.mark.parametrize("experiment", sorted(_PINNED_BODIES))
 def test_csv_body_digest_pinned(tmp_path, experiment):
-    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
-        pytest.skip(f"digests pinned under numpy {_PINNED_VERSIONS[0]} and "
-                    f"scipy {_PINNED_VERSIONS[1]}, running numpy "
-                    f"{np.__version__} and scipy {scipy.__version__}")
     out = tmp_path / "pinned.csv"
     run_experiment(make_config(experiment, {"trials": "20", "output_path": str(out)}))
     with open(out, "rb") as fh:

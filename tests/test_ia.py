@@ -565,14 +565,15 @@ def test_ia_rates_agree_with_the_sinr_form():
 
 def test_closed_form_ia_flags_each_degenerate_drop():
     rng = np.random.default_rng(46)
-    stack = complex_normal(rng, (5, 3, 3, 2, 2), INV_SQRT2)
+    stack = complex_normal(rng, (6, 3, 3, 2, 2), INV_SQRT2)
     stack[1, 0, 1] = [[1.0, 2.0], [0.5, 1.0]]       # rank 1
     stack[3, 2, 0] = 0.0                            # 0/0 condition number
     stack[4, 1, 2, 0, 1] = np.nan
+    stack[5] *= 1e-310                              # well conditioned, inverse inf
     for _ in range(2):
         with pytest.raises(DegenerateChannel) as info:
             closed_form_ia(stack)
-        assert info.value.where.tolist() == [False, True, False, True, True]
+        assert info.value.where.tolist() == [False, True, False, True, True, True]
     good = closed_form_ia(stack[[0, 2]])
     for stacked, alone in zip(good, closed_form_ia(stack[2])):
         assert np.array_equal(stacked[1], alone)

@@ -351,25 +351,19 @@ def test_threshold_designs_refuse_d_below_one(design, d):
 @pytest.mark.parametrize("design", [threshold_lambert, threshold_asymptotic,
                                     threshold_numeric])
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("K", [0, -1])
+@pytest.mark.parametrize("K", [0, -1, pytest.param(2 ** 1100, id="2**1100")])
 def test_threshold_designs_refuse_k_below_one(design, d, K):
+    # and a K past the largest double, which no design can turn into a float
     with pytest.raises(TooFewUsers):
         design(K, d)
 
 
 _DESIGN_KS = (1, 2, 3, 10, 100, 10 ** 3, 10 ** 4, 10 ** 5)
-# optimal_threshold_d1 at every K of _DESIGN_KS, recorded when it took the
-# expm1 form; the numeric design returns it at d = 1
-_CLOSED_FORM_D1 = (
-    0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
-    0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
-    0.00011512377870290942)
 # each design's value at every K of _DESIGN_KS, recorded before the metric
 # law was keyed by d alone; None where the design raised TooFewUsers. The
 # Lambert value at d = 2 and K = 10^5 moved by one ulp when (d^3 K)^(1/alpha)
 # was computed through its log alone
 _DESIGN_VALUES = {
-    ("closed_form_d1", 1): _CLOSED_FORM_D1,
     ("lambert", 1): (
         None, 0.34657359027997264, 0.3662040962227033, 0.23025850929940458,
         0.04605170185988092, 0.006907755278982137, 0.0009210340371976184,
@@ -392,7 +386,11 @@ _DESIGN_VALUES = {
         None, 1.0548731775692375, 1.0613506409990938, 1.0080200332312184,
         0.8429577920082362, 0.6827479641590566, 0.5457973020390311,
         0.4331996057090815),
-    ("numeric", 1): _CLOSED_FORM_D1,
+    # optimal_threshold_d1 in its expm1 form, which numeric returns at d = 1
+    ("numeric", 1): (
+        0.6321205588285577, 0.5, 0.42264973081037427, 0.22573631731887295,
+        0.04545154333816597, 0.00689081862502034, 0.0009207020433491782,
+        0.00011512377870290942),
     ("numeric", 2): (
         1.189207115002721, 1.1272902884601046, 1.0567428549299678,
         0.8481329839695775, 0.522664090707468, 0.3099655054436268,
@@ -402,18 +400,14 @@ _DESIGN_VALUES = {
         1.3400643269671004, 1.064938477216204, 0.835039353381908,
         0.6526390682282672, 0.5093253534831355),
 }
-_DESIGNS = {"closed_form_d1": lambda K, d: optimal_threshold_d1(K),
-            "lambert": threshold_lambert, "asymptotic": threshold_asymptotic,
+_DESIGNS = {"lambert": threshold_lambert, "asymptotic": threshold_asymptotic,
             "numeric": threshold_numeric}
-_PINNED_VERSIONS = ("2.4.6", "1.17.1")
 
 
+@pytest.mark.usefixtures("pinned_build")
 @pytest.mark.parametrize("method, d", sorted(_DESIGN_VALUES))
 def test_design_values_are_pinned(method, d):
     # bit for bit, or the same TooFewUsers, at every K
-    if (np.__version__, scipy.__version__) != _PINNED_VERSIONS:
-        pytest.skip(f"pinned under numpy {_PINNED_VERSIONS[0]} and scipy "
-                    f"{_PINNED_VERSIONS[1]}")
     for K, expected in zip(_DESIGN_KS, _DESIGN_VALUES[method, d]):
         if expected is None:
             with pytest.raises(TooFewUsers):
